@@ -22,6 +22,7 @@ from .design import (
 from .errors import DataError, ProfileRankError, ValidationError
 from .fitting import (
     ExpressionMatrix,
+    FitTable,
     GeneFit,
     ModerationResult,
     fit_all,
@@ -49,6 +50,7 @@ from .ranking import (
     FittedExperiment,
     RankedGene,
     RankedTable,
+    ScoreTable,
     SweepResult,
     UStatistics,
     analyze,
@@ -77,6 +79,7 @@ __all__ = [
     "DataError",
     "ExcludedGene",
     "ExpressionMatrix",
+    "FitTable",
     "FittedExperiment",
     "GammaRanges",
     "GeneFit",
@@ -86,6 +89,7 @@ __all__ = [
     "ProfileSpec",
     "RankedGene",
     "RankedTable",
+    "ScoreTable",
     "SweepResult",
     "SynthResult",
     "TruthRow",

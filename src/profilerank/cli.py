@@ -28,18 +28,20 @@ import numpy as np
 
 from .design import read_conditions_csv, read_design_csv
 from .errors import DataError, ValidationError
-from .fitting import read_expression_csv
+from .fitting import REASON_INSUFFICIENT, read_expression_csv
 from .profiles import profile_from_file, validate_profile
 from .ranking import (
+    REASONS,
     FittedExperiment,
     RankedTable,
+    ScoreTable,
     SweepResult,
     gene_statistics,
-    iut_decision,
     fit_experiment,
     rank_from_fits,
     sweep_from_fits,
 )
+from .special import student_t_upper_quantile
 from .svgplot import fitted_relative_profile, render_profiles_svg
 from .synth import GammaRanges, generate_dataset, write_expression_csv, write_truth_csv
 
@@ -107,8 +109,10 @@ def _load_inputs(config: RunConfig):
 
 
 def _write_ranked_csv(table: RankedTable, path: str) -> None:
-    n_u = max((len(r.u_values) for r in table.rows), default=0)
-    n_k = max((len(r.gamma_hat) for r in table.rows), default=0)
+    # Column counts come from the score table's shape, which the model (k)
+    # and the profile (m) fix, so the header does not depend on the rows.
+    s, rows = table.scores, table.order
+    n_u, n_k = s.u_values.shape[1], s.gamma.shape[1]
     header = (
         ["rank", "gene_id", "U"]
         + [f"U_{i + 1}" for i in range(n_u)]
@@ -116,29 +120,41 @@ def _write_ranked_csv(table: RankedTable, path: str) -> None:
         + [f"se_{i + 1}" for i in range(n_k)]
         + ["s2", "posterior_s2"]
     )
+    columns = zip(
+        [s.gene_ids[j] for j in rows.tolist()],
+        s.u[rows].tolist(),
+        s.u_values[rows].tolist(),
+        s.gamma[rows].tolist(),
+        s.se[rows].tolist(),
+        s.s2[rows].tolist(),
+        s.posterior_s2[rows].tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for r in table.rows:
-            cells = [str(r.rank), r.gene_id, _fmt(r.u)]
-            cells += [_fmt(u) for u in r.u_values]
-            cells += [_fmt(g) for g in r.gamma_hat]
-            cells += [_fmt(s) for s in r.se]
-            cells += [_fmt(r.s2), _fmt(r.posterior_s2)]
+        for rank, (gene_id, u, u_values, gamma, se, s2, posterior_s2) in enumerate(columns, 1):
+            cells = [str(rank), gene_id, _fmt(u)]
+            cells += [_fmt(v) for v in u_values]
+            cells += [_fmt(g) for g in gamma]
+            cells += [_fmt(v) for v in se]
+            cells += [_fmt(s2), _fmt(posterior_s2)]
             fh.write(",".join(cells) + "\n")
 
 
 def _write_excluded_csv(table: RankedTable, path: str) -> None:
-    n_u = max((len(e.u_values) for e in table.excluded if e.u_values is not None), default=0)
+    s, rows = table.scores, table.dropped
+    n_u = s.u_values.shape[1]
     header = ["gene_id", "reason"] + [f"U_{i + 1}" for i in range(n_u)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for e in table.excluded:
-            cells = [e.gene_id, e.reason]
-            if e.u_values is None:
-                cells += [""] * n_u
-            else:
-                cells += [_fmt(u) for u in e.u_values]
-            fh.write(",".join(cells) + "\n")
+        for gene_id, code, u_values in zip(
+            [s.gene_ids[j] for j in rows.tolist()],
+            s.reason[rows].tolist(),
+            s.u_values[rows].tolist(),
+        ):
+            fh.write(",".join([gene_id, REASONS[code], *map(_fmt, u_values)]) + "\n")
+        blanks = [""] * n_u
+        for gene_id in table.unfit:
+            fh.write(",".join([gene_id, REASON_INSUFFICIENT, *blanks]) + "\n")
 
 
 def _write_moderation_json(
@@ -161,11 +177,12 @@ def _write_moderation_json(
 
 
 def _write_profiles_svg(fitted, profile, table: RankedTable, top_n: int, path: str) -> None:
-    fits_by_id = {f.gene_id: f for f in fitted.fits if f.ok}
     genes = []
-    for row in table.rows[:top_n]:
-        rel = fitted_relative_profile(fits_by_id[row.gene_id], profile, fitted.model)
-        genes.append((row.gene_id, row.rank, rel))
+    top = table.scores.fit_rows[table.order[:top_n]]
+    for rank, fit_row in enumerate(top.tolist(), start=1):
+        fit = fitted.fits[fit_row]
+        rel = fitted_relative_profile(fit, profile, fitted.model)
+        genes.append((fit.gene_id, rank, rel))
     title = (
         f"{profile.name}: top {len(genes)} fitted trajectories "
         f"(log ratio vs {profile.condition_labels[0]})"
@@ -184,15 +201,14 @@ def _write_sensitivity_csv(sweep: SweepResult, path: str) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def _alpha_pass_count(fitted: FittedExperiment, stats, alpha: float) -> int:
-    ok_indices = [i for i, f in enumerate(fitted.fits) if f.ok]
-    count = 0
-    for idx, stat in zip(ok_indices, stats):
-        if stat.included and iut_decision(
-            stat, float(fitted.moderation.posterior_df[idx]), alpha
-        ):
-            count += 1
-    return count
+def _alpha_pass_count(fitted: FittedExperiment, stats: ScoreTable, alpha: float) -> int:
+    """Included genes whose every U exceeds the one-sided t quantile at
+    their moderated df: iut_decision, one quantile per distinct df."""
+    included = stats.included
+    df = fitted.moderation.posterior_df[stats.fit_rows[included]]
+    distinct, which = np.unique(df, return_inverse=True)
+    tstar = np.array([student_t_upper_quantile(alpha, float(d)) for d in distinct])
+    return int(np.all(stats.u_values[included] > tstar[which][:, None], axis=1).sum())
 
 
 def run(config: RunConfig) -> int:
@@ -394,6 +410,12 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+_THREADS_HELP = (
+    "accepted and ignored: fitting runs as a few vectorized numpy calls per "
+    "missingness pattern, and a per-gene thread pool was slower than serial"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="profilerank",
@@ -415,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--grid", default=None, help="comma-separated equivalence margins for an extra sensitivity sweep")
     p_rank.add_argument("--top-n", type=int, default=15, help="trajectories to plot (default 15)")
     p_rank.add_argument("--out", required=True, help="output directory")
-    p_rank.add_argument("--threads", type=int, default=1, help="worker threads for per-gene fitting")
+    p_rank.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_rank.set_defaults(func=_cmd_rank)
 
     p_sens = sub.add_parser("sensitivity", help="rank under a grid of equivalence margins")
@@ -424,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sens.add_argument("--grid", required=True, help="comma-separated equivalence margins")
     p_sens.add_argument("--top-n", type=int, default=15, help=argparse.SUPPRESS)
     p_sens.add_argument("--out", required=True, help="output directory")
-    p_sens.add_argument("--threads", type=int, default=1, help="worker threads for per-gene fitting")
+    p_sens.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_sens.set_defaults(func=_cmd_sensitivity)
 
     p_synth = sub.add_parser("synth", help="generate a seeded synthetic benchmark")

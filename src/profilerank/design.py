@@ -117,6 +117,8 @@ class ModelMatrix:
     ``x`` holds only estimable columns; ``dropped_coefficients`` records the
     basis-column indices removed because the comparisons cancel them.
     ``coefficient_indices`` maps retained columns back to basis columns.
+    ``unscaled_se`` is sqrt of the diagonal of (X'X)^-1 for a gene that
+    observed every array.
     """
 
     x: np.ndarray = field(compare=False)
@@ -124,14 +126,10 @@ class ModelMatrix:
     dropped_coefficients: tuple[int, ...] = ()
     rank: int = 0
     residual_df: int = 0
-    # Cached least-squares pieces for the complete-data fast path.
-    pseudoinverse: np.ndarray | None = field(compare=False, repr=False, default=None)
     unscaled_se: np.ndarray | None = field(compare=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         self.x.setflags(write=False)
-        if self.pseudoinverse is not None:
-            self.pseudoinverse.setflags(write=False)
         if self.unscaled_se is not None:
             self.unscaled_se.setflags(write=False)
 
@@ -218,7 +216,6 @@ def compose_model_matrix(xstar: ComparisonMatrix, profile) -> ModelMatrix:
         dropped_coefficients=tuple(dropped),
         rank=rank,
         residual_df=residual_df,
-        pseudoinverse=pinv,
         unscaled_se=unscaled_se,
     )
 

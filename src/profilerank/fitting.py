@@ -2,7 +2,9 @@
 
 Each gene's observed log ratios are regressed on the composed model matrix;
 rows with missing values are deleted per gene, with an identifiability
-re-check on the surviving rows. Residual variances are then shrunk toward
+re-check on the surviving rows. Genes that observed the same arrays share
+that check and one pseudo-inverse, so fitting runs once per missingness
+pattern. Residual variances are then shrunk toward
 a prior estimated from all genes by matching moments of the log sample
 variances, giving per-gene posterior variances and augmented degrees of
 freedom for the downstream tests.
@@ -12,7 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +26,7 @@ from .special import digamma, trigamma, trigamma_inverse
 
 __all__ = [
     "ExpressionMatrix",
+    "FitTable",
     "GeneFit",
     "ModerationResult",
     "fit_gene",
@@ -33,6 +37,8 @@ __all__ = [
 ]
 
 _MISSING_TOKENS = {"", "NA"}
+
+REASON_INSUFFICIENT = "insufficient data"
 
 
 @dataclass(frozen=True)
@@ -85,12 +91,86 @@ def _excluded(gene_id: str, reason: str, n_used: int) -> GeneFit:
     return GeneFit(gene_id=gene_id, status="excluded", reason=reason, n_used=n_used)
 
 
+class LazyRows(Sequence):
+    """A read-only sequence whose items are built on demand by ``_row``.
+
+    Columnar tables subclass it so that code written against a list of
+    per-gene objects keeps working without the table holding those objects.
+    Slices give tuples; a view equals any sequence with equal items.
+    """
+
+    def _row(self, i: int):
+        raise NotImplementedError
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return tuple(self._row(j) for j in range(*i.indices(n)))
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"row {i} out of range for {n} rows")
+        return self._row(i)
+
+    def __iter__(self):
+        return (self._row(i) for i in range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class FitTable(LazyRows):
+    """Least-squares fits of every gene, one row per gene, in input order.
+
+    ``gamma`` and ``unscaled_se`` are genes x coefficients, ``s2`` the
+    residual variance, ``df`` the residual degrees of freedom and
+    ``n_used`` the number of observed arrays; ``ok`` is False for genes
+    excluded as ``insufficient data``, whose float columns are NaN and whose
+    ``df`` is 0. As a sequence the table yields one ``GeneFit`` per gene.
+    """
+
+    gene_ids: tuple[str, ...]
+    gamma: np.ndarray
+    unscaled_se: np.ndarray
+    s2: np.ndarray
+    df: np.ndarray
+    n_used: np.ndarray
+    ok: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.gamma, self.unscaled_se, self.s2, self.df, self.n_used, self.ok):
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.gene_ids)
+
+    def _row(self, i: int) -> GeneFit:
+        if not self.ok[i]:
+            return _excluded(self.gene_ids[i], REASON_INSUFFICIENT, int(self.n_used[i]))
+        return GeneFit(
+            gene_id=self.gene_ids[i],
+            status="ok",
+            gamma_hat=self.gamma[i],
+            s2=float(self.s2[i]),
+            df=int(self.df[i]),
+            unscaled_se=self.unscaled_se[i],
+            n_used=int(self.n_used[i]),
+        )
+
+
 def fit_gene(y, model: ModelMatrix, gene_id: str = "") -> GeneFit:
     """Fit one gene's log ratios against the model matrix.
 
     Rows where ``y`` is missing (NaN) are removed first; the gene is
     excluded when the surviving rows cannot identify the coefficients or
-    leave no residual degree of freedom.
+    leave no residual degree of freedom. The per-gene reference for
+    ``fit_all``.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (model.n_arrays,):
@@ -102,60 +182,87 @@ def fit_gene(y, model: ModelMatrix, gene_id: str = "") -> GeneFit:
     n_used = int(mask.sum())
     k = model.n_coefficients
     if n_used - k < 1:
-        return _excluded(gene_id, "insufficient data", n_used)
-    if mask.all() and model.pseudoinverse is not None:
-        x_obs = model.x
-        pinv = model.pseudoinverse
-        unscaled_se = model.unscaled_se
-        y_obs = y
-    else:
-        x_obs = model.x[mask]
-        if matrix_rank(x_obs) < k:
-            return _excluded(gene_id, "insufficient data", n_used)
-        y_obs = y[mask]
-        pinv = np.linalg.pinv(x_obs)
-        unscaled_se = np.sqrt(np.diag(pinv @ pinv.T))
+        return _excluded(gene_id, REASON_INSUFFICIENT, n_used)
+    x_obs = model.x[mask]
+    if matrix_rank(x_obs) < k:
+        return _excluded(gene_id, REASON_INSUFFICIENT, n_used)
+    y_obs = y[mask]
+    pinv = np.linalg.pinv(x_obs)
     gamma = pinv @ y_obs
     resid = y_obs - x_obs @ gamma
     df = n_used - k
-    s2 = float(resid @ resid) / df
     return GeneFit(
         gene_id=gene_id,
         status="ok",
         gamma_hat=gamma,
-        s2=s2,
+        s2=float(resid @ resid) / df,
         df=df,
-        unscaled_se=np.array(unscaled_se),
+        unscaled_se=np.sqrt(np.diag(pinv @ pinv.T)),
         n_used=n_used,
     )
 
 
-def fit_all(
-    expr: ExpressionMatrix, model: ModelMatrix, threads: int = 1
-) -> list[GeneFit]:
-    """Fit every gene; a pure per-gene map, so results never depend on
-    the thread count."""
+def fit_all(expr: ExpressionMatrix, model: ModelMatrix, threads: int = 1) -> FitTable:
+    """Fit every gene.
+
+    Genes that observed the same set of arrays share one model matrix, so
+    the identifiability check and the pseudo-inverse run once per
+    missingness pattern and are applied to all of its genes with one matrix
+    product. ``threads`` is accepted and ignored: the work is a few numpy
+    calls per pattern, and a thread pool over genes only made it slower.
+    """
     if len(expr.array_ids) != model.n_arrays:
         raise DataError(
             f"expression matrix has {len(expr.array_ids)} arrays but the "
             f"model expects {model.n_arrays}"
         )
-
-    def one(i: int) -> GeneFit:
-        return fit_gene(expr.values[i], model, gene_id=expr.gene_ids[i])
-
-    n = expr.n_genes
-    if threads <= 1 or n < 2:
-        return [one(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(n), chunksize=max(1, n // (threads * 8))))
+    values = expr.values
+    observed = np.isfinite(values)
+    n_genes, k = values.shape[0], model.n_coefficients
+    gamma = np.full((n_genes, k), math.nan)
+    unscaled_se = np.full((n_genes, k), math.nan)
+    s2 = np.full(n_genes, math.nan)
+    df = np.zeros(n_genes, dtype=np.int64)
+    n_used = observed.sum(axis=1)
+    if n_genes:
+        _, pattern = np.unique(
+            np.packbits(observed, axis=1), axis=0, return_inverse=True
+        )
+        pattern = pattern.ravel()
+        by_pattern = np.argsort(pattern, kind="stable")
+        ends = np.cumsum(np.bincount(pattern))[:-1]
+        for rows in np.split(by_pattern, ends):
+            mask = observed[rows[0]]
+            n = int(n_used[rows[0]])
+            if n - k < 1:
+                continue
+            x_obs = model.x[mask]
+            if matrix_rank(x_obs) < k:
+                continue
+            pinv = np.linalg.pinv(x_obs)
+            y_obs = values[np.ix_(rows, mask)]
+            g = y_obs @ pinv.T
+            resid = y_obs - g @ x_obs.T
+            gamma[rows] = g
+            unscaled_se[rows] = np.sqrt(np.diag(pinv @ pinv.T))
+            s2[rows] = np.einsum("ij,ij->i", resid, resid) / (n - k)
+            df[rows] = n - k
+    return FitTable(
+        gene_ids=expr.gene_ids,
+        gamma=gamma,
+        unscaled_se=unscaled_se,
+        s2=s2,
+        df=df,
+        n_used=n_used,
+        ok=df > 0,
+    )
 
 
 @dataclass(frozen=True)
 class ModerationResult:
     """Prior (d0, s0_2) and per-gene posterior variances.
 
-    ``posterior_s2`` and ``posterior_df`` align with the fit list that
+    ``posterior_s2`` and ``posterior_df`` align with the fits that
     produced them; entries for excluded genes are NaN. ``d0`` may be
     ``inf``, in which case every posterior variance equals ``s0_2``.
     """
@@ -186,11 +293,22 @@ def posterior_variance(d0: float, s0_2: float, df: float, s2: float) -> float:
     return min(max(post, lo), hi)
 
 
-def moderate_variances(fits: list[GeneFit]) -> ModerationResult:
+def _variance_columns(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (ok, s2, df) columns of a FitTable or of any sequence of GeneFit.
+    if isinstance(fits, FitTable):
+        return fits.ok, fits.s2, fits.df
+    ok = np.array([f.ok for f in fits], dtype=bool)
+    s2 = np.array([f.s2 if f.ok else math.nan for f in fits], dtype=float)
+    df = np.array([f.df if f.ok else 0 for f in fits], dtype=np.int64)
+    return ok, s2, df
+
+
+def moderate_variances(fits) -> ModerationResult:
     """Estimate the variance prior from all genes and shrink each gene
     toward it.
 
-    Matching the mean and variance of ``log s2 - digamma(df/2) + log(df/2)``
+    ``fits`` is a ``FitTable`` or any sequence of ``GeneFit``. Matching
+    the mean and variance of ``log s2 - digamma(df/2) + log(df/2)``
     against the scaled-inverse-chi-square hierarchy yields (d0, s0_2); each
     gene's posterior variance is then the df-weighted average
     ``(d0*s0_2 + df*s2) / (d0 + df)``.
@@ -201,22 +319,25 @@ def moderate_variances(fits: list[GeneFit]) -> ModerationResult:
     (d0 = inf) with s0_2 the geometric mean of the usable variances, and
     every posterior variance equals s0_2.
     """
-    est_idx = [
-        i for i, f in enumerate(fits) if f.ok and f.s2 > 0.0 and f.df >= 1
-    ]
-    if len(est_idx) < 2:
+    ok, s2, df = _variance_columns(fits)
+    est = ok & (s2 > 0.0) & (df >= 1)
+    n_est = int(est.sum())
+    if n_est < 2:
         raise DataError(
             "variance moderation needs at least 2 genes with a positive "
-            f"residual variance, got {len(est_idx)}"
+            f"residual variance, got {n_est}"
         )
-    log_s2 = np.array([math.log(fits[i].s2) for i in est_idx])
-    dfs = np.array([float(fits[i].df) for i in est_idx])
-    dig = {d: digamma(d / 2.0) for d in np.unique(dfs)}
-    tri = {d: trigamma(d / 2.0) for d in np.unique(dfs)}
-    e = log_s2 - np.array([dig[d] for d in dfs]) + np.log(dfs / 2.0)
+    # Scalar math.log on purpose: np.log may differ from it in the last
+    # bit, which would move the prior.
+    log_s2 = np.array([math.log(v) for v in s2[est].tolist()])
+    dfs = df[est].astype(float)
+    distinct, which = np.unique(dfs, return_inverse=True)
+    dig = np.array([digamma(d / 2.0) for d in distinct])[which]
+    tri = np.array([trigamma(d / 2.0) for d in distinct])[which]
+    e = log_s2 - dig + np.log(dfs / 2.0)
     e_mean = float(e.mean())
     e_var = float(((e - e_mean) ** 2).sum() / (len(e) - 1))
-    excess = e_var - float(np.mean([tri[d] for d in dfs]))
+    excess = e_var - float(np.mean(tri))
     if excess > 0.0:
         d0 = 2.0 * trigamma_inverse(excess)
         s0_2 = math.exp(e_mean + digamma(d0 / 2.0) - math.log(d0 / 2.0))
@@ -224,23 +345,25 @@ def moderate_variances(fits: list[GeneFit]) -> ModerationResult:
         d0 = math.inf
         s0_2 = math.exp(float(log_s2.mean()))
 
-    posterior_s2 = np.full(len(fits), math.nan)
-    posterior_df = np.full(len(fits), math.nan)
-    zero_variance: list[int] = []
-    for i, f in enumerate(fits):
-        if not f.ok:
-            continue
-        if f.s2 == 0.0:
-            zero_variance.append(i)
-        posterior_df[i] = d0 + f.df
-        posterior_s2[i] = posterior_variance(d0, s0_2, f.df, f.s2)
+    posterior_s2 = np.full(len(ok), math.nan)
+    posterior_df = np.full(len(ok), math.nan)
+    ok_df, ok_s2 = df[ok], s2[ok]
+    posterior_df[ok] = d0 + ok_df
+    if math.isinf(d0):
+        posterior_s2[ok] = s0_2
+    else:
+        # posterior_variance, one gene per element.
+        post = (d0 * s0_2 + ok_df * ok_s2) / (d0 + ok_df)
+        posterior_s2[ok] = np.minimum(
+            np.maximum(post, np.minimum(s0_2, ok_s2)), np.maximum(s0_2, ok_s2)
+        )
     return ModerationResult(
         d0=d0,
         s0_2=s0_2,
         posterior_s2=posterior_s2,
         posterior_df=posterior_df,
-        zero_variance_genes=tuple(zero_variance),
-        n_estimation_genes=len(est_idx),
+        zero_variance_genes=tuple(np.flatnonzero(ok & (s2 == 0.0)).tolist()),
+        n_estimation_genes=n_est,
     )
 
 

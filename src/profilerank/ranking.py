@@ -18,16 +18,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .design import ComparisonDesign, ModelMatrix, build_comparison_matrix, compose_model_matrix
 from .errors import ValidationError
-from .fitting import ExpressionMatrix, GeneFit, ModerationResult, fit_all, moderate_variances
+from .fitting import (
+    REASON_INSUFFICIENT,
+    ExpressionMatrix,
+    FitTable,
+    GeneFit,
+    LazyRows,
+    ModerationResult,
+    fit_all,
+    moderate_variances,
+)
 from .profiles import Constraint, ValidatedProfile
 from .special import student_t_upper_quantile
 
 __all__ = [
+    "ScoreTable",
     "UStatistics",
     "RankedGene",
     "ExcludedGene",
@@ -47,9 +58,11 @@ __all__ = [
     "sensitivity_sweep",
 ]
 
-REASON_INSUFFICIENT = "insufficient data"
 REASON_VIOLATED = "criterion violated"
 REASON_DEGENERATE = "degenerate variance"
+# Codes of ScoreTable.reason and the exclusion reason each one stands for.
+REASONS = (None, REASON_VIOLATED, REASON_DEGENERATE)
+_INCLUDED, _VIOLATED, _DEGENERATE = range(len(REASONS))
 
 
 @dataclass(frozen=True)
@@ -145,6 +158,97 @@ def u_statistics(
     )
 
 
+def _u_column(gamma: np.ndarray, se: np.ndarray, constraint: Constraint) -> np.ndarray:
+    # _single_u over a column of genes.
+    if constraint.kind == "pos":
+        num = gamma - constraint.value
+    else:
+        num = constraint.value - np.abs(gamma)
+    with np.errstate(all="ignore"):
+        u = num / se
+    zero = se == 0.0
+    if zero.any():
+        num = num[zero]
+        u[zero] = np.where(num > 0, math.inf, np.where(num < 0, -math.inf, 0.0))
+    return u
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable(LazyRows):
+    """U statistics of every scored gene, one row per gene, in fit order.
+
+    ``fit_rows`` holds each gene's row in the fit table. ``gamma`` and ``se``
+    cover all retained coefficients, so they have one column per model
+    column; ``u_values`` has one column per test-bearing coefficient of the
+    profile, and ``u`` is its row minimum. ``reason`` codes the verdict as
+    an index into ``REASONS``, whose entry 0 (None) means included. As a
+    sequence the table yields one ``UStatistics`` per gene.
+    """
+
+    gene_ids: tuple[str, ...]
+    fit_rows: np.ndarray
+    gamma: np.ndarray
+    se: np.ndarray
+    u_values: np.ndarray
+    u: np.ndarray
+    reason: np.ndarray
+    s2: np.ndarray
+    posterior_s2: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.fit_rows, self.gamma, self.se, self.u_values, self.u,
+                       self.reason, self.s2, self.posterior_s2):
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.gene_ids)
+
+    @property
+    def included(self) -> np.ndarray:
+        return self.reason == _INCLUDED
+
+    def _row(self, i: int) -> UStatistics:
+        return UStatistics(
+            gene_id=self.gene_ids[i],
+            gamma_hat=self.gamma[i],
+            se=self.se[i],
+            u_values=self.u_values[i],
+            u=float(self.u[i]),
+            included=bool(self.reason[i] == _INCLUDED),
+            exclusion_reason=REASONS[self.reason[i]],
+            s2=float(self.s2[i]),
+            posterior_s2=float(self.posterior_s2[i]),
+        )
+
+    @classmethod
+    def from_stats(cls, stats) -> "ScoreTable":
+        """Stack per-gene ``UStatistics`` into columns, taking the i-th
+        statistic to come from fit-table row i."""
+        stats = list(stats)
+
+        def column(values):
+            if not stats:
+                return np.empty((0, 0))
+            return np.array(values, dtype=float).reshape(len(stats), -1)
+
+        return cls(
+            gene_ids=tuple(s.gene_id for s in stats),
+            fit_rows=np.arange(len(stats)),
+            gamma=column([s.gamma_hat for s in stats]),
+            se=column([s.se for s in stats]),
+            u_values=column([s.u_values for s in stats]),
+            u=np.array([s.u for s in stats], dtype=float),
+            reason=np.array(
+                [_INCLUDED if s.included else REASONS.index(s.exclusion_reason or REASON_VIOLATED)
+                 for s in stats],
+                dtype=np.int8,
+            ),
+            # A missing (None) variance becomes NaN.
+            s2=np.array([s.s2 for s in stats], dtype=float),
+            posterior_s2=np.array([s.posterior_s2 for s in stats], dtype=float),
+        )
+
+
 @dataclass(frozen=True)
 class RankedGene:
     rank: int
@@ -164,54 +268,125 @@ class ExcludedGene:
     u_values: np.ndarray | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedTable:
-    """Included genes in rank order plus the excluded list and run metadata."""
+    """Included genes in rank order plus the excluded list and run metadata.
 
-    rows: tuple[RankedGene, ...]
-    excluded: tuple[ExcludedGene, ...]
-    metadata: dict
+    Index arrays into one ``ScoreTable``: ``order`` holds the rows of the
+    included genes in rank order and ``dropped`` the rows of the scored
+    genes that were excluded, in score order. ``unfit`` names the genes
+    that could not be fitted. ``rows`` and ``excluded`` present the same
+    data as ``RankedGene`` and ``ExcludedGene`` sequences; the excluded
+    list puts the scored genes before the unfit ones.
+    """
 
-    def rank_of(self, gene_id: str) -> int | None:
-        for row in self.rows:
-            if row.gene_id == gene_id:
-                return row.rank
-        return None
+    scores: ScoreTable
+    order: np.ndarray
+    dropped: np.ndarray
+    unfit: tuple[str, ...] = ()
+    metadata: dict = field(default_factory=dict)
 
     @property
+    def rows(self) -> "_RankedRows":
+        return _RankedRows(self)
+
+    @property
+    def excluded(self) -> "_ExcludedRows":
+        return _ExcludedRows(self)
+
+    @cached_property
+    def _rank_by_id(self) -> dict[str, int]:
+        return {gene_id: rank for rank, gene_id in enumerate(self.included_ids, start=1)}
+
+    def rank_of(self, gene_id: str) -> int | None:
+        return self._rank_by_id.get(gene_id)
+
+    @cached_property
     def included_ids(self) -> tuple[str, ...]:
-        return tuple(row.gene_id for row in self.rows)
+        ids = self.scores.gene_ids
+        return tuple(ids[i] for i in self.order.tolist())
 
 
-def rank_genes(stats: list[UStatistics], metadata: dict | None = None) -> RankedTable:
-    """Sort included genes by descending U (ties by gene id) and assign
-    contiguous ranks; everything else lands in the excluded list."""
-    included = sorted(
-        (s for s in stats if s.included), key=lambda s: (-s.u, s.gene_id)
-    )
-    rows = tuple(
-        RankedGene(
+class _RankedRows(LazyRows):
+    def __init__(self, table: RankedTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table.order)
+
+    def _row(self, i: int) -> RankedGene:
+        s = self._table.scores
+        j = self._table.order[i]
+        return RankedGene(
             rank=i + 1,
-            gene_id=s.gene_id,
-            u=s.u,
-            u_values=s.u_values,
-            gamma_hat=s.gamma_hat,
-            se=s.se,
-            s2=s.s2 if s.s2 is not None else math.nan,
-            posterior_s2=s.posterior_s2 if s.posterior_s2 is not None else math.nan,
+            gene_id=s.gene_ids[j],
+            u=float(s.u[j]),
+            u_values=s.u_values[j],
+            gamma_hat=s.gamma[j],
+            se=s.se[j],
+            s2=float(s.s2[j]),
+            posterior_s2=float(s.posterior_s2[j]),
         )
-        for i, s in enumerate(included)
-    )
-    excluded = tuple(
-        ExcludedGene(
-            gene_id=s.gene_id,
-            reason=s.exclusion_reason or REASON_VIOLATED,
-            u_values=s.u_values,
+
+
+class _ExcludedRows(LazyRows):
+    def __init__(self, table: RankedTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table.dropped) + len(self._table.unfit)
+
+    def _row(self, i: int) -> ExcludedGene:
+        t = self._table
+        if i >= len(t.dropped):
+            return ExcludedGene(gene_id=t.unfit[i - len(t.dropped)], reason=REASON_INSUFFICIENT)
+        j = t.dropped[i]
+        return ExcludedGene(
+            gene_id=t.scores.gene_ids[j],
+            reason=REASONS[t.scores.reason[j]],
+            u_values=t.scores.u_values[j],
         )
-        for s in stats
-        if not s.included
+
+
+def _id_order(ids: list[str]) -> np.ndarray:
+    # Position of each id in sorted order: a sort key equal to the id's own.
+    key = np.empty(len(ids), dtype=np.intp)
+    key[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return key
+
+
+def _rank(scores: ScoreTable, unfit: tuple[str, ...], metadata: dict) -> RankedTable:
+    """Included genes by descending U, ties by gene id: one stable sort."""
+    included = np.flatnonzero(scores.included)
+    ids = [scores.gene_ids[i] for i in included.tolist()]
+    order = included[np.lexsort((_id_order(ids), -scores.u[included]))]
+    return RankedTable(
+        scores=scores,
+        order=order,
+        dropped=np.flatnonzero(~scores.included),
+        unfit=unfit,
+        metadata=metadata,
     )
-    return RankedTable(rows=rows, excluded=excluded, metadata=dict(metadata or {}))
+
+
+def rank_genes(stats, metadata: dict | None = None) -> RankedTable:
+    """Sort included genes by descending U (ties by gene id) and assign
+    contiguous ranks; everything else lands in the excluded list.
+
+    The per-gene reference for ``rank_from_fits``: ``stats`` is any
+    sequence of ``UStatistics``, ordered with Python's ``sorted``.
+    """
+    stats = list(stats)
+    order = sorted(
+        (i for i, s in enumerate(stats) if s.included),
+        key=lambda i: (-stats[i].u, stats[i].gene_id),
+    )
+    return RankedTable(
+        scores=ScoreTable.from_stats(stats),
+        order=np.array(order, dtype=np.intp),
+        dropped=np.array([i for i, s in enumerate(stats) if not s.included], dtype=np.intp),
+        metadata=dict(metadata or {}),
+    )
 
 
 @dataclass(frozen=True)
@@ -279,7 +454,7 @@ class FittedExperiment:
 
     design: ComparisonDesign
     model: ModelMatrix
-    fits: list[GeneFit]
+    fits: FitTable
     moderation: ModerationResult
 
 
@@ -289,7 +464,8 @@ def fit_experiment(
     profile: ValidatedProfile,
     threads: int = 1,
 ) -> FittedExperiment:
-    """Compose the model, fit every gene, and moderate the variances."""
+    """Compose the model, fit every gene, and moderate the variances.
+    ``threads`` is accepted and ignored (see ``fit_all``)."""
     if expr.array_ids != design.array_ids:
         raise ValidationError(
             "expression arrays do not match the design arrays "
@@ -304,50 +480,81 @@ def fit_experiment(
     )
 
 
-def gene_statistics(
-    fitted: FittedExperiment, profile: ValidatedProfile
-) -> list[UStatistics]:
+def _score(
+    fitted: FittedExperiment, profile: ValidatedProfile, base: ScoreTable | None = None
+) -> ScoreTable:
+    """U statistics of every fitted gene in one vectorized pass.
+
+    With ``base``, scored under the same profile up to its equivalence
+    margins, only the equivalence columns are recomputed.
+    """
+    positions = _model_positions(profile, fitted.model)
+    constraints = [profile.constraints[j] for j in profile.test_bearing]
+    if base is None:
+        fits, mod = fitted.fits, fitted.moderation
+        fit_rows = np.flatnonzero(fits.ok)
+        ids = fits.gene_ids
+        gene_ids = ids if len(fit_rows) == len(ids) else tuple(ids[i] for i in fit_rows.tolist())
+        posterior_s2 = mod.posterior_s2[fit_rows]
+        gamma = fits.gamma[fit_rows]
+        se = fits.unscaled_se[fit_rows] * np.sqrt(posterior_s2)[:, None]
+        s2 = fits.s2[fit_rows]
+        u_values = np.empty((len(fit_rows), len(positions)))
+    else:
+        gene_ids, fit_rows, gamma, se = base.gene_ids, base.fit_rows, base.gamma, base.se
+        s2, posterior_s2 = base.s2, base.posterior_s2
+        u_values = base.u_values.copy()
+    for col, (p, con) in enumerate(zip(positions, constraints)):
+        if base is None or con.kind == "equiv":
+            u_values[:, col] = _u_column(gamma[:, p], se[:, p], con)
+    u = u_values.min(axis=1)
+    included = np.all(u_values > 0.0, axis=1) & np.all(np.isfinite(u_values), axis=1)
+    reason = np.where(included, _INCLUDED, np.where(u > 0.0, _DEGENERATE, _VIOLATED))
+    return ScoreTable(
+        gene_ids=gene_ids,
+        fit_rows=fit_rows,
+        gamma=gamma,
+        se=se,
+        u_values=u_values,
+        u=u,
+        reason=reason.astype(np.int8),
+        s2=s2,
+        posterior_s2=posterior_s2,
+    )
+
+
+def gene_statistics(fitted: FittedExperiment, profile: ValidatedProfile) -> ScoreTable:
     """U statistics for every gene that could be fitted."""
-    return [
-        u_statistics(f, fitted.moderation, profile, fitted.model, i)
-        for i, f in enumerate(fitted.fits)
-        if f.ok
-    ]
+    return _score(fitted, profile)
 
 
-def _margins_metadata(profile: ValidatedProfile) -> dict:
+def _metadata(fitted: FittedExperiment, profile: ValidatedProfile) -> dict:
     return {
-        profile.coefficient_names[j]: profile.constraints[j].token()
-        for j in profile.test_bearing
+        "profile": profile.name,
+        "margins": {
+            profile.coefficient_names[j]: profile.constraints[j].token()
+            for j in profile.test_bearing
+        },
+        "d0": fitted.moderation.d0,
+        "s0_2": fitted.moderation.s0_2,
     }
+
+
+def _unfit_ids(fits: FitTable) -> tuple[str, ...]:
+    return tuple(fits.gene_ids[i] for i in np.flatnonzero(~fits.ok).tolist())
 
 
 def rank_from_fits(
     fitted: FittedExperiment,
     profile: ValidatedProfile,
-    stats: list[UStatistics] | None = None,
+    stats: ScoreTable | None = None,
 ) -> RankedTable:
-    """Score and rank a fitted experiment under the profile's margins."""
-    table = rank_genes(
+    """Score and rank a fitted experiment under the profile's margins;
+    ``stats`` reuses a ``gene_statistics`` result for the same profile."""
+    return _rank(
         stats if stats is not None else gene_statistics(fitted, profile),
-        metadata={
-            "profile": profile.name,
-            "margins": _margins_metadata(profile),
-            "d0": fitted.moderation.d0,
-            "s0_2": fitted.moderation.s0_2,
-        },
-    )
-    fit_excluded = tuple(
-        ExcludedGene(gene_id=f.gene_id, reason=f.reason or REASON_INSUFFICIENT)
-        for f in fitted.fits
-        if not f.ok
-    )
-    if not fit_excluded:
-        return table
-    return RankedTable(
-        rows=table.rows,
-        excluded=table.excluded + fit_excluded,
-        metadata=table.metadata,
+        _unfit_ids(fitted.fits),
+        _metadata(fitted, profile),
     )
 
 
@@ -385,27 +592,33 @@ def sweep_from_fits(
     """Re-rank an already fitted experiment under each equivalence margin.
 
     Only the equivalence margins vary across the sweep, so inclusion sets
-    are nested as the margin grows.
+    are nested as the margin grows, and only the equivalence U columns are
+    recomputed per margin.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ValidationError("sensitivity sweep needs at least one margin")
     if any(not e > 0.0 for e in eps):
         raise ValidationError(f"sweep margins must be > 0, got {eps}")
-    tables = tuple(
-        rank_from_fits(fitted, profile.with_margins(epsilon=e)) for e in eps
+    unfit = _unfit_ids(fitted.fits)
+    tables, scores = [], None
+    for e in eps:
+        margin_profile = profile.with_margins(epsilon=e)
+        scores = _score(fitted, margin_profile, base=scores)
+        tables.append(_rank(scores, unfit, _metadata(fitted, margin_profile)))
+    # ranks[i, t]: rank of score row i at margin t, 0 where excluded.
+    ranks = np.zeros((len(scores), len(eps)), dtype=np.intp)
+    for t, table in enumerate(tables):
+        ranks[table.order, t] = np.arange(1, len(table.order) + 1)
+    genes = np.flatnonzero(ranks.any(axis=1))
+    ranked = ranks[genes]
+    best = np.where(ranked > 0, ranked, np.iinfo(np.intp).max).min(axis=1)
+    ids = [scores.gene_ids[i] for i in genes.tolist()]
+    stability = tuple(
+        (ids[i], tuple(r or None for r in ranked[i].tolist()))
+        for i in np.lexsort((_id_order(ids), best)).tolist()
     )
-    ranks_by_gene: dict[str, list[int | None]] = {}
-    for t_index, table in enumerate(tables):
-        for row in table.rows:
-            slots = ranks_by_gene.setdefault(row.gene_id, [None] * len(eps))
-            slots[t_index] = row.rank
-    ordered = sorted(
-        ranks_by_gene.items(),
-        key=lambda item: (min(r for r in item[1] if r is not None), item[0]),
-    )
-    stability = tuple((gid, tuple(ranks)) for gid, ranks in ordered)
-    return SweepResult(epsilons=tuple(eps), tables=tables, stability=stability)
+    return SweepResult(epsilons=tuple(eps), tables=tuple(tables), stability=stability)
 
 
 def sensitivity_sweep(

@@ -102,6 +102,43 @@ def test_sensitivity_csv_nesting(workdir, tmp_path):
             assert (not a) or b
 
 
+RANKED_HEADER = (
+    "rank,gene_id,U,U_1,U_2,U_3,gamma_1,gamma_2,gamma_3,"
+    "se_1,se_2,se_3,s2,posterior_s2"
+)
+
+
+def test_headers_when_no_gene_is_included(workdir, tmp_path):
+    out = tmp_path / "out"
+    assert main(_rank_args(workdir, out, ["--epsilon", "0.001"])) == 0
+    assert json.loads((out / "moderation.json").read_text())["n_included"] == 0
+    assert (out / "ranked.csv").read_text().splitlines() == [RANKED_HEADER]
+    excluded = (out / "excluded.csv").read_text().splitlines()
+    assert excluded[0] == "gene_id,reason,U_1,U_2,U_3"
+    assert len(excluded) == 1 + 600
+
+
+def test_sensitivity_ranked_tables_share_one_header(workdir, tmp_path):
+    out = tmp_path / "sens"
+    rc = main([
+        "sensitivity",
+        "--data", str(workdir / "data" / "expression.csv"),
+        "--design", str(workdir / "design.csv"),
+        "--conditions", str(workdir / "conditions.csv"),
+        "--profile", str(workdir / "pluripotent.profile"),
+        "--delta", "day6_vs_day9=1.5",
+        "--grid", "0.001,1,2",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    tables = sorted(out.glob("ranked_eps_*.csv"))
+    assert len(tables) == 3
+    lines = {p.name: p.read_text().splitlines() for p in tables}
+    assert len(lines["ranked_eps_0.001.csv"]) == 1  # nobody included
+    assert len(lines["ranked_eps_2.csv"]) > 1
+    assert {rows[0] for rows in lines.values()} == {RANKED_HEADER}
+
+
 def test_sensitivity_subcommand(workdir, tmp_path):
     out = tmp_path / "sens"
     rc = main([
@@ -190,7 +227,7 @@ def test_bad_alpha_exits_2(workdir, tmp_path):
 
 def test_moderation_json_serializes_infinite_prior(tmp_path):
     from profilerank.cli import RunConfig, _write_moderation_json
-    from profilerank.ranking import FittedExperiment, RankedTable
+    from profilerank.ranking import FittedExperiment
 
     fitted = FittedExperiment(
         design=None, model=None, fits=[],
@@ -200,7 +237,7 @@ def test_moderation_json_serializes_infinite_prior(tmp_path):
             posterior_df=np.array([math.inf]),
         ),
     )
-    table = RankedTable(rows=(), excluded=(), metadata={"profile": "x"})
+    table = pr.rank_genes([], metadata={"profile": "x"})
     config = RunConfig(
         data_path="d", design_path="d", conditions_path="c",
         profile_path="p", out_dir=str(tmp_path),
