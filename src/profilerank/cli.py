@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 invalid configuration or design/profile input,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import read_conditions_csv, read_design_csv
+from .csvout import write_csv
+from .design import build_comparison_matrix, compose_model_matrix, read_conditions_csv, read_design_csv
 from .errors import DataError, ValidationError
 from .fitting import REASON_INSUFFICIENT, read_expression_csv
 from .profiles import profile_from_file, validate_profile
@@ -62,13 +64,10 @@ class RunConfig:
     alpha: float = 0.05
     grid: tuple[float, ...] = ()
     top_n: int = 15
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.top_n < 1:
             raise ValidationError(f"--top-n must be >= 1, got {self.top_n}")
-        if self.threads < 1:
-            raise ValidationError(f"--threads must be >= 1, got {self.threads}")
         if self.epsilon is not None and not self.epsilon > 0.0:
             raise ValidationError(f"--epsilon must be > 0, got {self.epsilon}")
         if not 0.0 < self.alpha < 0.5:
@@ -82,30 +81,39 @@ def _require_file(path: str, what: str) -> None:
         raise ValidationError(f"{what} file not found: {path}")
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "NA"
-    x = float(x)
-    if math.isnan(x):
-        return "NA"
-    return f"{x:.6g}"
+def _fmt(x: float | None) -> str:
+    return "NA" if x is None or x != x else f"{x:.6g}"
 
 
 def _eps_label(e: float) -> str:
     return f"{e:g}"
 
 
-def _load_inputs(config: RunConfig):
-    _require_file(config.conditions_path, "conditions")
-    _require_file(config.design_path, "design")
-    _require_file(config.profile_path, "profile")
-    _require_file(config.data_path, "data")
-    conditions = read_conditions_csv(config.conditions_path)
-    design = read_design_csv(config.design_path, conditions)
-    profile = validate_profile(profile_from_file(config.profile_path))
-    profile = profile.with_margins(epsilon=config.epsilon, deltas=config.deltas)
-    expr = read_expression_csv(config.data_path, design.array_ids)
+def _load_inputs(conditions_path, design_path, profile_path, data_path=None,
+                 epsilon=None, deltas=None):
+    """Check that every input file exists, then parse them: the design, the
+    profile under the given margins, and the expression data when
+    ``data_path`` is given (else None)."""
+    _require_file(conditions_path, "conditions")
+    _require_file(design_path, "design")
+    _require_file(profile_path, "profile")
+    if data_path is not None:
+        _require_file(data_path, "data")
+    design = read_design_csv(design_path, read_conditions_csv(conditions_path))
+    profile = validate_profile(profile_from_file(profile_path))
+    profile = profile.with_margins(epsilon=epsilon, deltas=deltas)
+    expr = None if data_path is None else read_expression_csv(data_path, design.array_ids)
     return design, profile, expr
+
+
+def _fit_run(config: RunConfig):
+    """Load the inputs, create the output directory, fit: (profile, fitted)."""
+    design, profile, expr = _load_inputs(
+        config.conditions_path, config.design_path, config.profile_path,
+        config.data_path, config.epsilon, config.deltas,
+    )
+    os.makedirs(config.out_dir, exist_ok=True)
+    return profile, fit_experiment(expr, design, profile)
 
 
 def _write_ranked_csv(table: RankedTable, path: str) -> None:
@@ -129,32 +137,24 @@ def _write_ranked_csv(table: RankedTable, path: str) -> None:
         s.s2[rows].tolist(),
         s.posterior_s2[rows].tolist(),
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for rank, (gene_id, u, u_values, gamma, se, s2, posterior_s2) in enumerate(columns, 1):
-            cells = [str(rank), gene_id, _fmt(u)]
-            cells += [_fmt(v) for v in u_values]
-            cells += [_fmt(g) for g in gamma]
-            cells += [_fmt(v) for v in se]
-            cells += [_fmt(s2), _fmt(posterior_s2)]
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, header, (
+        [rank, gene_id, _fmt(u), *map(_fmt, u_values), *map(_fmt, gamma),
+         *map(_fmt, se), _fmt(s2), _fmt(posterior_s2)]
+        for rank, (gene_id, u, u_values, gamma, se, s2, posterior_s2) in enumerate(columns, 1)
+    ))
 
 
 def _write_excluded_csv(table: RankedTable, path: str) -> None:
     s, rows = table.scores, table.dropped
     n_u = s.u_values.shape[1]
     header = ["gene_id", "reason"] + [f"U_{i + 1}" for i in range(n_u)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for gene_id, code, u_values in zip(
-            [s.gene_ids[j] for j in rows.tolist()],
-            s.reason[rows].tolist(),
-            s.u_values[rows].tolist(),
-        ):
-            fh.write(",".join([gene_id, REASONS[code], *map(_fmt, u_values)]) + "\n")
-        blanks = [""] * n_u
-        for gene_id in table.unfit:
-            fh.write(",".join([gene_id, REASON_INSUFFICIENT, *blanks]) + "\n")
+    scored = zip([s.gene_ids[j] for j in rows.tolist()], s.reason[rows].tolist(),
+                 s.u_values[rows].tolist())
+    blanks = [""] * n_u
+    write_csv(path, header, itertools.chain(
+        ([gene_id, REASONS[code], *map(_fmt, u_values)] for gene_id, code, u_values in scored),
+        ([gene_id, REASON_INSUFFICIENT, *blanks] for gene_id in table.unfit),
+    ))
 
 
 def _write_moderation_json(
@@ -194,11 +194,10 @@ def _write_profiles_svg(fitted, profile, table: RankedTable, top_n: int, path: s
 
 def _write_sensitivity_csv(sweep: SweepResult, path: str) -> None:
     header = ["gene_id"] + [f"rank_eps_{_eps_label(e)}" for e in sweep.epsilons]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for gene_id, ranks in sweep.stability:
-            cells = [gene_id] + ["" if r is None else str(r) for r in ranks]
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, header, (
+        [gene_id, *("" if r is None else r for r in ranks)]
+        for gene_id, ranks in sweep.stability
+    ))
 
 
 def _alpha_pass_count(fitted: FittedExperiment, stats: ScoreTable, alpha: float) -> int:
@@ -213,9 +212,7 @@ def _alpha_pass_count(fitted: FittedExperiment, stats: ScoreTable, alpha: float)
 
 def run(config: RunConfig) -> int:
     """Execute the full ranking pipeline and write the output files."""
-    design, profile, expr = _load_inputs(config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    fitted = fit_experiment(expr, design, profile, threads=config.threads)
+    profile, fitted = _fit_run(config)
     stats = gene_statistics(fitted, profile)
     table = rank_from_fits(fitted, profile, stats=stats)
     _write_ranked_csv(table, os.path.join(config.out_dir, "ranked.csv"))
@@ -309,7 +306,6 @@ def _config_from_args(args, need_grid: bool = False) -> RunConfig:
         alpha=args.alpha,
         grid=grid,
         top_n=args.top_n,
-        threads=args.threads,
     )
 
 
@@ -319,9 +315,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_sensitivity(args) -> int:
     config = _config_from_args(args, need_grid=True)
-    design, profile, expr = _load_inputs(config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    fitted = fit_experiment(expr, design, profile, threads=config.threads)
+    profile, fitted = _fit_run(config)
     sweep = sweep_from_fits(fitted, profile, config.grid)
     _write_sensitivity_csv(sweep, os.path.join(config.out_dir, "sensitivity.csv"))
     for eps, table in zip(sweep.epsilons, sweep.tables):
@@ -341,14 +335,9 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _require_file(args.conditions, "conditions")
-    _require_file(args.design, "design")
-    _require_file(args.profile, "profile")
-    conditions = read_conditions_csv(args.conditions)
-    design = read_design_csv(args.design, conditions)
-    profile = validate_profile(profile_from_file(args.profile))
-    profile = profile.with_margins(
-        epsilon=args.epsilon, deltas=_parse_deltas(args.delta)
+    design, profile, _ = _load_inputs(
+        args.conditions, args.design, args.profile,
+        epsilon=args.epsilon, deltas=_parse_deltas(args.delta),
     )
     defaults = GammaRanges()
     ranges = GammaRanges(
@@ -380,18 +369,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _require_file(args.conditions, "conditions")
-    _require_file(args.design, "design")
-    _require_file(args.profile, "profile")
-    conditions = read_conditions_csv(args.conditions)
-    design = read_design_csv(args.design, conditions)
-    profile = validate_profile(profile_from_file(args.profile))
-    profile = profile.with_margins(
-        epsilon=args.epsilon, deltas=_parse_deltas(args.delta)
+    design, profile, expr = _load_inputs(
+        args.conditions, args.design, args.profile, args.data,
+        epsilon=args.epsilon, deltas=_parse_deltas(args.delta),
     )
-    from .design import build_comparison_matrix, compose_model_matrix
-
     model = compose_model_matrix(build_comparison_matrix(design), profile)
+    conditions = design.conditions
     print(f"conditions: {len(conditions)} ({','.join(conditions)})")
     print(f"design: {len(design.arrays)} arrays, all labels valid")
     dropped = [profile.coefficient_names[j] for j in model.dropped_coefficients]
@@ -401,19 +384,14 @@ def _cmd_validate(args) -> int:
         f"model rank {model.rank}, residual df {model.residual_df}"
         + (f", dropped: {','.join(dropped)}" if dropped else "")
     )
-    if args.data:
-        _require_file(args.data, "data")
-        expr = read_expression_csv(args.data, design.array_ids)
+    if expr is not None:
         n_missing = int(np.isnan(expr.values).sum())
         print(f"data: {expr.n_genes} genes, {n_missing} missing values")
     print("all inputs valid")
     return 0
 
 
-_THREADS_HELP = (
-    "accepted and ignored: fitting runs as a few vectorized numpy calls per "
-    "missingness pattern, and a per-gene thread pool was slower than serial"
-)
+_THREADS_HELP = "CLI-only, accepted and ignored: fitting is a few numpy calls per missingness pattern"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,6 +25,7 @@ __all__ = [
     "ModelMatrix",
     "build_comparison_matrix",
     "compose_model_matrix",
+    "least_squares_operator",
     "read_conditions_csv",
     "read_design_csv",
 ]
@@ -142,14 +143,23 @@ class ModelMatrix:
         return self.x.shape[1]
 
 
-def matrix_rank(a: np.ndarray) -> int:
-    """Numerical rank with singular values below RANK_TOLERANCE * max as zero."""
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
+def _rank(s: np.ndarray) -> int:
+    # Singular values (descending) above RANK_TOLERANCE * the largest.
+    if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_TOLERANCE * s[0]))
+
+
+def least_squares_operator(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Pseudo-inverse of ``x`` and sqrt of the diagonal of (X'X)^-1, from one
+    SVD, or None when ``x`` has rank (under RANK_TOLERANCE) below its column
+    count, as every ``x`` with fewer rows than columns has. The pseudo-inverse
+    is built from the SVD factors exactly as ``np.linalg.pinv`` builds it."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    if _rank(s) < x.shape[1]:
+        return None
+    pinv = vt.T @ ((1 / s)[:, None] * u.T)
+    return pinv, np.sqrt(np.diag(pinv @ pinv.T))
 
 
 def build_comparison_matrix(design: ComparisonDesign) -> ComparisonMatrix:
@@ -196,27 +206,27 @@ def compose_model_matrix(xstar: ComparisonMatrix, profile) -> ModelMatrix:
         else:
             retained.append(j)
     x = full[:, retained]
-    rank = matrix_rank(x)
-    if rank < x.shape[1]:
+    solved = least_squares_operator(x)
+    if solved is None:
+        rank = _rank(np.linalg.svd(x, compute_uv=False))
         raise ValidationError(
             "profile not identifiable under this design: retained model matrix "
             f"has rank {rank} < {x.shape[1]} columns"
         )
+    rank = x.shape[1]
     residual_df = x.shape[0] - rank
     if residual_df < 1:
         raise ValidationError(
             f"insufficient residual degrees of freedom: {x.shape[0]} arrays "
             f"for {rank} coefficients"
         )
-    pinv = np.linalg.pinv(x)
-    unscaled_se = np.sqrt(np.diag(pinv @ pinv.T))
     return ModelMatrix(
         x=x,
         coefficient_indices=tuple(retained),
         dropped_coefficients=tuple(dropped),
         rank=rank,
         residual_df=residual_df,
-        unscaled_se=unscaled_se,
+        unscaled_se=solved[1],
     )
 
 

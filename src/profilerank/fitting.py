@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import ModelMatrix, matrix_rank
+from .design import ModelMatrix, least_squares_operator
 from .errors import DataError
 from .special import digamma, trigamma, trigamma_inverse
 
@@ -184,10 +184,11 @@ def fit_gene(y, model: ModelMatrix, gene_id: str = "") -> GeneFit:
     if n_used - k < 1:
         return _excluded(gene_id, REASON_INSUFFICIENT, n_used)
     x_obs = model.x[mask]
-    if matrix_rank(x_obs) < k:
+    solved = least_squares_operator(x_obs)
+    if solved is None:
         return _excluded(gene_id, REASON_INSUFFICIENT, n_used)
+    pinv, unscaled_se = solved
     y_obs = y[mask]
-    pinv = np.linalg.pinv(x_obs)
     gamma = pinv @ y_obs
     resid = y_obs - x_obs @ gamma
     df = n_used - k
@@ -197,19 +198,18 @@ def fit_gene(y, model: ModelMatrix, gene_id: str = "") -> GeneFit:
         gamma_hat=gamma,
         s2=float(resid @ resid) / df,
         df=df,
-        unscaled_se=np.sqrt(np.diag(pinv @ pinv.T)),
+        unscaled_se=unscaled_se,
         n_used=n_used,
     )
 
 
-def fit_all(expr: ExpressionMatrix, model: ModelMatrix, threads: int = 1) -> FitTable:
+def fit_all(expr: ExpressionMatrix, model: ModelMatrix) -> FitTable:
     """Fit every gene.
 
     Genes that observed the same set of arrays share one model matrix, so
     the identifiability check and the pseudo-inverse run once per
     missingness pattern and are applied to all of its genes with one matrix
-    product. ``threads`` is accepted and ignored: the work is a few numpy
-    calls per pattern, and a thread pool over genes only made it slower.
+    product.
     """
     if len(expr.array_ids) != model.n_arrays:
         raise DataError(
@@ -237,14 +237,15 @@ def fit_all(expr: ExpressionMatrix, model: ModelMatrix, threads: int = 1) -> Fit
             if n - k < 1:
                 continue
             x_obs = model.x[mask]
-            if matrix_rank(x_obs) < k:
+            solved = least_squares_operator(x_obs)
+            if solved is None:
                 continue
-            pinv = np.linalg.pinv(x_obs)
+            pinv, se = solved
             y_obs = values[np.ix_(rows, mask)]
             g = y_obs @ pinv.T
             resid = y_obs - g @ x_obs.T
             gamma[rows] = g
-            unscaled_se[rows] = np.sqrt(np.diag(pinv @ pinv.T))
+            unscaled_se[rows] = se
             s2[rows] = np.einsum("ij,ij->i", resid, resid) / (n - k)
             df[rows] = n - k
     return FitTable(
@@ -369,8 +370,10 @@ def moderate_variances(fits) -> ModerationResult:
 
 def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
     """Read a log-ratio table: header ``gene_id,<array ids...>`` matching the
-    design order exactly; values are decimals, with ``NA`` or an empty field
-    for missing."""
+    design order exactly; values are finite decimals, with ``NA`` or an
+    empty field for missing. ``inf``, ``nan`` and values that overflow to
+    infinity are errors, not missing spots."""
+    n_arrays = len(array_ids)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -384,7 +387,9 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
                     f"expected {','.join(expected)!r}, got {','.join(header)!r}"
                 )
             gene_ids: list[str] = []
+            linenos: list[int] = []
             rows: list[list[float]] = []
+            missing: list[int] = []  # flat positions of NA and empty fields
             for lineno, row in enumerate(reader, start=2):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
@@ -394,10 +399,12 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
                         f"got {len(row)}"
                     )
                 gene_ids.append(row[0].strip())
+                linenos.append(lineno)
                 values = []
                 for col, text in enumerate(row[1:], start=2):
                     text = text.strip()
                     if text in _MISSING_TOKENS:
+                        missing.append(len(rows) * n_arrays + col - 2)
                         values.append(math.nan)
                         continue
                     try:
@@ -412,8 +419,18 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
         raise DataError(f"cannot read expression file {path}: {exc}") from exc
     if not gene_ids:
         raise DataError(f"{path}: no gene rows")
+    values = np.array(rows, dtype=float)
+    # A non-finite cell is a missing spot only where the field was NA or empty.
+    bad = ~np.isfinite(values)
+    bad.flat[missing] = False
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        raise DataError(
+            f"{path}:{linenos[i]}: column {j + 2}: not a finite number "
+            f"(parsed as {float(values[i, j])}); use NA for a missing spot"
+        )
     return ExpressionMatrix(
         gene_ids=tuple(gene_ids),
         array_ids=tuple(array_ids),
-        values=np.array(rows, dtype=float),
+        values=values,
     )

@@ -462,10 +462,8 @@ def fit_experiment(
     expr: ExpressionMatrix,
     design: ComparisonDesign,
     profile: ValidatedProfile,
-    threads: int = 1,
 ) -> FittedExperiment:
-    """Compose the model, fit every gene, and moderate the variances.
-    ``threads`` is accepted and ignored (see ``fit_all``)."""
+    """Compose the model, fit every gene, and moderate the variances."""
     if expr.array_ids != design.array_ids:
         raise ValidationError(
             "expression arrays do not match the design arrays "
@@ -473,40 +471,28 @@ def fit_experiment(
         )
     xstar = build_comparison_matrix(design)
     model = compose_model_matrix(xstar, profile)
-    fits = fit_all(expr, model, threads=threads)
+    fits = fit_all(expr, model)
     moderation = moderate_variances(fits)
     return FittedExperiment(
         design=design, model=model, fits=fits, moderation=moderation
     )
 
 
-def _score(
-    fitted: FittedExperiment, profile: ValidatedProfile, base: ScoreTable | None = None
-) -> ScoreTable:
-    """U statistics of every fitted gene in one vectorized pass.
-
-    With ``base``, scored under the same profile up to its equivalence
-    margins, only the equivalence columns are recomputed.
-    """
+def gene_statistics(fitted: FittedExperiment, profile: ValidatedProfile) -> ScoreTable:
+    """U statistics for every gene that could be fitted, in one vectorized
+    pass."""
     positions = _model_positions(profile, fitted.model)
     constraints = [profile.constraints[j] for j in profile.test_bearing]
-    if base is None:
-        fits, mod = fitted.fits, fitted.moderation
-        fit_rows = np.flatnonzero(fits.ok)
-        ids = fits.gene_ids
-        gene_ids = ids if len(fit_rows) == len(ids) else tuple(ids[i] for i in fit_rows.tolist())
-        posterior_s2 = mod.posterior_s2[fit_rows]
-        gamma = fits.gamma[fit_rows]
-        se = fits.unscaled_se[fit_rows] * np.sqrt(posterior_s2)[:, None]
-        s2 = fits.s2[fit_rows]
-        u_values = np.empty((len(fit_rows), len(positions)))
-    else:
-        gene_ids, fit_rows, gamma, se = base.gene_ids, base.fit_rows, base.gamma, base.se
-        s2, posterior_s2 = base.s2, base.posterior_s2
-        u_values = base.u_values.copy()
+    fits, mod = fitted.fits, fitted.moderation
+    fit_rows = np.flatnonzero(fits.ok)
+    ids = fits.gene_ids
+    gene_ids = ids if len(fit_rows) == len(ids) else tuple(ids[i] for i in fit_rows.tolist())
+    posterior_s2 = mod.posterior_s2[fit_rows]
+    gamma = fits.gamma[fit_rows]
+    se = fits.unscaled_se[fit_rows] * np.sqrt(posterior_s2)[:, None]
+    u_values = np.empty((len(fit_rows), len(positions)))
     for col, (p, con) in enumerate(zip(positions, constraints)):
-        if base is None or con.kind == "equiv":
-            u_values[:, col] = _u_column(gamma[:, p], se[:, p], con)
+        u_values[:, col] = _u_column(gamma[:, p], se[:, p], con)
     u = u_values.min(axis=1)
     included = np.all(u_values > 0.0, axis=1) & np.all(np.isfinite(u_values), axis=1)
     reason = np.where(included, _INCLUDED, np.where(u > 0.0, _DEGENERATE, _VIOLATED))
@@ -518,14 +504,9 @@ def _score(
         u_values=u_values,
         u=u,
         reason=reason.astype(np.int8),
-        s2=s2,
+        s2=fits.s2[fit_rows],
         posterior_s2=posterior_s2,
     )
-
-
-def gene_statistics(fitted: FittedExperiment, profile: ValidatedProfile) -> ScoreTable:
-    """U statistics for every gene that could be fitted."""
-    return _score(fitted, profile)
 
 
 def _metadata(fitted: FittedExperiment, profile: ValidatedProfile) -> dict:
@@ -564,12 +545,11 @@ def analyze(
     profile: ValidatedProfile,
     epsilon: float | None = None,
     deltas: dict | None = None,
-    threads: int = 1,
 ) -> tuple[FittedExperiment, RankedTable]:
     """Full pipeline: fit once, then rank under (optionally overridden)
     margins."""
     resolved = profile.with_margins(epsilon=epsilon, deltas=deltas)
-    fitted = fit_experiment(expr, design, resolved, threads=threads)
+    fitted = fit_experiment(expr, design, resolved)
     return fitted, rank_from_fits(fitted, resolved)
 
 
@@ -592,8 +572,7 @@ def sweep_from_fits(
     """Re-rank an already fitted experiment under each equivalence margin.
 
     Only the equivalence margins vary across the sweep, so inclusion sets
-    are nested as the margin grows, and only the equivalence U columns are
-    recomputed per margin.
+    are nested as the margin grows.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -601,10 +580,10 @@ def sweep_from_fits(
     if any(not e > 0.0 for e in eps):
         raise ValidationError(f"sweep margins must be > 0, got {eps}")
     unfit = _unfit_ids(fitted.fits)
-    tables, scores = [], None
+    tables = []
     for e in eps:
         margin_profile = profile.with_margins(epsilon=e)
-        scores = _score(fitted, margin_profile, base=scores)
+        scores = gene_statistics(fitted, margin_profile)
         tables.append(_rank(scores, unfit, _metadata(fitted, margin_profile)))
     # ranks[i, t]: rank of score row i at margin t, 0 where excluded.
     ranks = np.zeros((len(scores), len(eps)), dtype=np.intp)
@@ -627,9 +606,8 @@ def sensitivity_sweep(
     profile: ValidatedProfile,
     epsilons,
     deltas: dict | None = None,
-    threads: int = 1,
 ) -> SweepResult:
     """Fit once, then re-rank under each equivalence margin."""
     base = profile.with_margins(deltas=deltas)
-    fitted = fit_experiment(expr, design, base, threads=threads)
+    fitted = fit_experiment(expr, design, base)
     return sweep_from_fits(fitted, base, epsilons)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvout import write_csv
 from .design import ComparisonDesign, build_comparison_matrix, compose_model_matrix
 from .errors import ValidationError
 from .fitting import ExpressionMatrix
@@ -210,11 +211,9 @@ def generate_dataset(
 
 def write_expression_csv(expr: ExpressionMatrix, path) -> None:
     """Write the data table with full-precision (round-trip) decimals."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("gene_id," + ",".join(expr.array_ids) + "\n")
-        for gene_id, row in zip(expr.gene_ids, expr.values):
-            cells = ("NA" if np.isnan(v) else repr(float(v)) for v in row)
-            fh.write(gene_id + "," + ",".join(cells) + "\n")
+    rows = ([gene_id, *["NA" if v != v else repr(v) for v in row.tolist()]]
+            for gene_id, row in zip(expr.gene_ids, expr.values))
+    write_csv(path, ["gene_id", *expr.array_ids], rows)
 
 
 def write_truth_csv(result: SynthResult, path) -> None:
@@ -223,10 +222,8 @@ def write_truth_csv(result: SynthResult, path) -> None:
         + [f"gamma_{name}" for name in result.coefficient_names]
         + ["sigma2"]
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in result.truth:
-            cells = [row.gene_id, "1" if row.planted else "0", row.role]
-            cells += [repr(g) for g in row.gamma]
-            cells.append(repr(row.sigma2))
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, header, (
+        [row.gene_id, "1" if row.planted else "0", row.role,
+         *map(repr, row.gamma), repr(row.sigma2)]
+        for row in result.truth
+    ))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import shutil
@@ -188,6 +189,51 @@ def test_malformed_expression_exits_3(workdir, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "bad.csv:3" in err
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite_expression_token_exits_3(workdir, tmp_path, capsys, token):
+    bad = tmp_path / "bad.csv"
+    lines = (workdir / "data" / "expression.csv").read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[3] = token
+    bad.write_text("\n".join([lines[0], lines[1], ",".join(cells), *lines[3:]]) + "\n")
+    args = _rank_args(workdir, tmp_path / "out")
+    args[args.index("--data") + 1] = str(bad)
+    assert main(args) == 3
+    assert "bad.csv:3: column 4: not a finite number" in capsys.readouterr().err
+
+
+WEIRD_ID = 'weird,"id'
+
+
+@pytest.mark.parametrize(
+    "extra, listed_in",
+    [([], "ranked.csv"), (["--epsilon", "0.001"], "excluded.csv")],
+)
+def test_gene_ids_needing_quotes_round_trip(workdir, tmp_path, extra, listed_in):
+    # The planted top gene is renamed to an id with a comma and a quote;
+    # at a tiny margin it is excluded instead of ranked.
+    top = next(r["gene_id"] for r in _read_truth(workdir) if r["role"] == "planted_top")
+    with open(workdir / "data" / "expression.csv", newline="") as fh:
+        rows = [[WEIRD_ID if row[0] == top else row[0], *row[1:]] for row in csv.reader(fh)]
+    data = tmp_path / "quoted.csv"
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert '"weird,""id"' in data.read_text()
+    args = _rank_args(workdir, tmp_path / "out", ["--grid", "0.5,1,1.5,2", *extra])
+    args[args.index("--data") + 1] = str(data)
+    assert main(args) == 0
+
+    ids = {}
+    for name, id_col in (("ranked.csv", 1), ("excluded.csv", 0), ("sensitivity.csv", 0)):
+        with open(tmp_path / "out" / name, newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        assert all(len(row) == len(header) for row in body), name
+        ids[name] = [row[id_col] for row in body]
+    assert WEIRD_ID in ids[listed_in]
+    assert WEIRD_ID in ids["sensitivity.csv"]
+    assert ids["ranked.csv"].count(WEIRD_ID) + ids["excluded.csv"].count(WEIRD_ID) == 1
 
 
 def test_bad_flag_values_exit_2(workdir, tmp_path):

@@ -175,7 +175,7 @@ def test_fit_table_behaves_like_a_list_of_fits(small):
 # ---------------------------------------------------------------------------
 
 
-def _oracle_fit_experiment(expr, design, profile, threads=1):
+def _oracle_fit_experiment(expr, design, profile):
     model = pr.compose_model_matrix(pr.build_comparison_matrix(design), profile)
     fits = [pr.fit_gene(y, model, gene_id=g) for g, y in zip(expr.gene_ids, expr.values)]
     return FittedExperiment(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import profilerank as pr
+from profilerank.design import RANK_TOLERANCE, least_squares_operator
 from profilerank.errors import ValidationError
 
 
@@ -170,7 +171,7 @@ def test_rank_deficient_composition_rejected():
         [pr.Constraint.positive_above(0.0), pr.Constraint.positive_above(0.0)],
     )
     design = make_design(["a", "b", "c"], [("a", "b"), ("a", "b"), ("b", "a")])
-    with pytest.raises(ValidationError, match="not identifiable"):
+    with pytest.raises(ValidationError, match="not identifiable.*has rank 1 < 2 columns"):
         pr.compose_model_matrix(pr.build_comparison_matrix(design), profile)
 
 
@@ -183,6 +184,49 @@ def test_no_residual_df_rejected():
     design = make_design(["a", "b"], [("a", "b")])
     with pytest.raises(ValidationError, match="residual degrees of freedom"):
         pr.compose_model_matrix(pr.build_comparison_matrix(design), profile)
+
+
+def _svd_rank(x):
+    s = np.linalg.svd(x, compute_uv=False)
+    return int(np.sum(s > RANK_TOLERANCE * s[0])) if s.size and s[0] else 0
+
+
+def _operator_cases(stemcell_design, model):
+    """Every missingness pattern of 2000 synthetic genes with 5% of spots
+    missing, plus hand-made rank-deficient and too-short matrices."""
+    profile = pr.validate_profile(pr.bundled_profile("pluripotent"))
+    values = pr.generate_dataset(
+        stemcell_design, profile, n_genes=2000, n_planted=5, seed=8
+    ).expression.values.copy()
+    rng = np.random.default_rng([8, 1])
+    values.flat[rng.choice(values.size, size=values.size // 20, replace=False)] = np.nan
+    masks = np.unique(np.isfinite(values), axis=0)
+    assert len(masks) > 100
+    cases = [model.x[mask] for mask in masks]
+    col = model.x[:, :1]
+    cases += [
+        np.hstack([col, 2.0 * col, model.x[:, 1:2]]),  # proportional columns
+        np.hstack([col, col + 1e-14 * model.x[:, 1:2]]),  # rank 1 under the tolerance
+        np.zeros((5, 2)),
+        model.x[:2],  # fewer rows than columns
+        model.x[[0, 5, 10]],  # as many rows as columns
+    ]
+    return cases
+
+
+def test_least_squares_operator_matches_pinv_and_rank(stemcell_design, stemcell_model):
+    n_none = 0
+    for x in _operator_cases(stemcell_design, stemcell_model):
+        solved = least_squares_operator(x)
+        assert (solved is None) == (_svd_rank(x) < x.shape[1]), x
+        if solved is None:
+            n_none += 1
+            continue
+        pinv, unscaled_se = solved
+        reference = np.linalg.pinv(x)
+        assert np.array_equal(pinv, reference)
+        assert np.array_equal(unscaled_se, np.sqrt(np.diag(reference @ reference.T)))
+    assert n_none >= 4
 
 
 def test_condition_mismatch_rejected(pluripotent):
