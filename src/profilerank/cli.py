@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 invalid configuration or design/profile input,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -68,12 +67,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.top_n < 1:
             raise ValidationError(f"--top-n must be >= 1, got {self.top_n}")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ValidationError(f"--epsilon must be > 0, got {self.epsilon}")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValidationError(f"--epsilon must be a finite number > 0, got {self.epsilon}")
         if not 0.0 < self.alpha < 0.5:
             raise ValidationError(f"--alpha must lie in (0, 0.5), got {self.alpha}")
-        if any(not g > 0.0 for g in self.grid):
-            raise ValidationError(f"--grid values must be > 0, got {list(self.grid)}")
+        if any(not 0.0 < g < math.inf for g in self.grid):
+            raise ValidationError(
+                f"--grid values must be finite numbers > 0, got {list(self.grid)}"
+            )
 
 
 def _require_file(path: str, what: str) -> None:
@@ -148,12 +149,12 @@ def _write_excluded_csv(table: RankedTable, path: str) -> None:
     s, rows = table.scores, table.dropped
     n_u = s.u_values.shape[1]
     header = ["gene_id", "reason"] + [f"U_{i + 1}" for i in range(n_u)]
-    scored = zip([s.gene_ids[j] for j in rows.tolist()], s.reason[rows].tolist(),
-                 s.u_values[rows].tolist())
-    blanks = [""] * n_u
-    write_csv(path, header, itertools.chain(
-        ([gene_id, REASONS[code], *map(_fmt, u_values)] for gene_id, code, u_values in scored),
-        ([gene_id, REASON_INSUFFICIENT, *blanks] for gene_id in table.unfit),
+    reasons = [REASONS[code] for code in s.reason[rows].tolist()]
+    excluded = zip([s.gene_ids[j] for j in rows.tolist()], reasons, s.u_values[rows].tolist())
+    blanks = [""] * n_u  # a gene without a fit has no U values
+    write_csv(path, header, (
+        [gene_id, reason, *(blanks if reason == REASON_INSUFFICIENT else map(_fmt, u_values))]
+        for gene_id, reason, u_values in excluded
     ))
 
 
@@ -178,9 +179,8 @@ def _write_moderation_json(
 
 def _write_profiles_svg(fitted, profile, table: RankedTable, top_n: int, path: str) -> None:
     genes = []
-    top = table.scores.fit_rows[table.order[:top_n]]
-    for rank, fit_row in enumerate(top.tolist(), start=1):
-        fit = fitted.fits[fit_row]
+    for rank, row in enumerate(table.order[:top_n].tolist(), start=1):
+        fit = fitted.fits[row]
         rel = fitted_relative_profile(fit, profile, fitted.model)
         genes.append((fit.gene_id, rank, rel))
     title = (
@@ -204,7 +204,7 @@ def _alpha_pass_count(fitted: FittedExperiment, stats: ScoreTable, alpha: float)
     """Included genes whose every U exceeds the one-sided t quantile at
     their moderated df: iut_decision, one quantile per distinct df."""
     included = stats.included
-    df = fitted.moderation.posterior_df[stats.fit_rows[included]]
+    df = fitted.moderation.posterior_df[included]
     distinct, which = np.unique(df, return_inverse=True)
     tstar = np.array([student_t_upper_quantile(alpha, float(d)) for d in distinct])
     return int(np.all(stats.u_values[included] > tstar[which][:, None], axis=1).sum())
@@ -291,7 +291,9 @@ def _add_input_flags(p: argparse.ArgumentParser, with_data: bool = True) -> None
                    help="override a positivity threshold (repeatable)")
 
 
-def _config_from_args(args, need_grid: bool = False) -> RunConfig:
+def _config_from_args(args, need_grid: bool = False, **options) -> RunConfig:
+    """A RunConfig from the shared flags; ``options`` holds the
+    command-specific fields, the rest keep their defaults."""
     grid = _parse_grid(args.grid)
     if need_grid and not grid:
         raise ValidationError("--grid is required for the sensitivity command")
@@ -303,14 +305,13 @@ def _config_from_args(args, need_grid: bool = False) -> RunConfig:
         out_dir=args.out,
         epsilon=args.epsilon,
         deltas=_parse_deltas(args.delta),
-        alpha=args.alpha,
         grid=grid,
-        top_n=args.top_n,
+        **options,
     )
 
 
 def _cmd_rank(args) -> int:
-    return run(_config_from_args(args))
+    return run(_config_from_args(args, alpha=args.alpha, top_n=args.top_n))
 
 
 def _cmd_sensitivity(args) -> int:
@@ -420,9 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sens = sub.add_parser("sensitivity", help="rank under a grid of equivalence margins")
     _add_input_flags(p_sens)
-    p_sens.add_argument("--alpha", type=float, default=0.05, help=argparse.SUPPRESS)
     p_sens.add_argument("--grid", required=True, help="comma-separated equivalence margins")
-    p_sens.add_argument("--top-n", type=int, default=15, help=argparse.SUPPRESS)
     p_sens.add_argument("--out", required=True, help="output directory")
     p_sens.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_sens.set_defaults(func=_cmd_sensitivity)

@@ -15,6 +15,7 @@ tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
@@ -57,6 +58,10 @@ class Constraint:
     def __post_init__(self) -> None:
         if self.kind not in ("free", "pos", "equiv"):
             raise ValidationError(f"unknown constraint kind {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ValidationError(
+                f"{self.kind} constraint value must be a finite number, got {self.value!r}"
+            )
         if self.kind == "equiv" and not self.value > 0.0:
             raise ValidationError(
                 f"equivalence margin must be > 0, got {self.value!r}"
@@ -180,11 +185,17 @@ class ProfileSpec:
                     f"{n_cond} conditions"
                 )
             try:
-                parsed.append([float(v) for v in column])
+                values = [float(v) for v in column]
             except ValueError as exc:
                 raise ValidationError(
                     f"coefficient {cname!r}: non-numeric basis entry"
                 ) from exc
+            for text, value in zip(column, values):
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"coefficient {cname!r}: basis entry {text!r} is not a finite number"
+                    )
+            parsed.append(values)
         basis = np.array(parsed, dtype=float).T.reshape(n_cond, n_coef)
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)

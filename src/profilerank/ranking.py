@@ -61,8 +61,8 @@ __all__ = [
 REASON_VIOLATED = "criterion violated"
 REASON_DEGENERATE = "degenerate variance"
 # Codes of ScoreTable.reason and the exclusion reason each one stands for.
-REASONS = (None, REASON_VIOLATED, REASON_DEGENERATE)
-_INCLUDED, _VIOLATED, _DEGENERATE = range(len(REASONS))
+REASONS = (None, REASON_VIOLATED, REASON_DEGENERATE, REASON_INSUFFICIENT)
+_INCLUDED, _VIOLATED, _DEGENERATE, _INSUFFICIENT = range(len(REASONS))
 
 
 @dataclass(frozen=True)
@@ -175,18 +175,18 @@ def _u_column(gamma: np.ndarray, se: np.ndarray, constraint: Constraint) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class ScoreTable(LazyRows):
-    """U statistics of every scored gene, one row per gene, in fit order.
+    """U statistics of every gene, one row per row of the fit table.
 
-    ``fit_rows`` holds each gene's row in the fit table. ``gamma`` and ``se``
-    cover all retained coefficients, so they have one column per model
-    column; ``u_values`` has one column per test-bearing coefficient of the
-    profile, and ``u`` is its row minimum. ``reason`` codes the verdict as
-    an index into ``REASONS``, whose entry 0 (None) means included. As a
-    sequence the table yields one ``UStatistics`` per gene.
+    ``gamma`` and ``se`` cover all retained coefficients, so they have one
+    column per model column; ``u_values`` has one column per test-bearing
+    coefficient of the profile, and ``u`` is its row minimum. ``reason``
+    codes the verdict as an index into ``REASONS``, whose entry 0 (None)
+    means included; genes the fit excluded read ``insufficient data`` and
+    hold NaN in every float column. As a sequence the table yields one
+    ``UStatistics`` per gene.
     """
 
     gene_ids: tuple[str, ...]
-    fit_rows: np.ndarray
     gamma: np.ndarray
     se: np.ndarray
     u_values: np.ndarray
@@ -196,8 +196,8 @@ class ScoreTable(LazyRows):
     posterior_s2: np.ndarray
 
     def __post_init__(self) -> None:
-        for column in (self.fit_rows, self.gamma, self.se, self.u_values, self.u,
-                       self.reason, self.s2, self.posterior_s2):
+        for column in (self.gamma, self.se, self.u_values, self.u, self.reason,
+                       self.s2, self.posterior_s2):
             column.setflags(write=False)
 
     def __len__(self) -> int:
@@ -222,8 +222,7 @@ class ScoreTable(LazyRows):
 
     @classmethod
     def from_stats(cls, stats) -> "ScoreTable":
-        """Stack per-gene ``UStatistics`` into columns, taking the i-th
-        statistic to come from fit-table row i."""
+        """Stack per-gene ``UStatistics`` into columns, one row each."""
         stats = list(stats)
 
         def column(values):
@@ -233,7 +232,6 @@ class ScoreTable(LazyRows):
 
         return cls(
             gene_ids=tuple(s.gene_id for s in stats),
-            fit_rows=np.arange(len(stats)),
             gamma=column([s.gamma_hat for s in stats]),
             se=column([s.se for s in stats]),
             u_values=column([s.u_values for s in stats]),
@@ -273,17 +271,15 @@ class RankedTable:
     """Included genes in rank order plus the excluded list and run metadata.
 
     Index arrays into one ``ScoreTable``: ``order`` holds the rows of the
-    included genes in rank order and ``dropped`` the rows of the scored
-    genes that were excluded, in score order. ``unfit`` names the genes
-    that could not be fitted. ``rows`` and ``excluded`` present the same
-    data as ``RankedGene`` and ``ExcludedGene`` sequences; the excluded
-    list puts the scored genes before the unfit ones.
+    included genes in rank order and ``dropped`` the rows of the excluded
+    genes, those excluded for ``insufficient data`` last, each group in row
+    order. ``rows`` and ``excluded`` present the same data as
+    ``RankedGene`` and ``ExcludedGene`` sequences.
     """
 
     scores: ScoreTable
     order: np.ndarray
     dropped: np.ndarray
-    unfit: tuple[str, ...] = ()
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -334,17 +330,16 @@ class _ExcludedRows(LazyRows):
         self._table = table
 
     def __len__(self) -> int:
-        return len(self._table.dropped) + len(self._table.unfit)
+        return len(self._table.dropped)
 
     def _row(self, i: int) -> ExcludedGene:
-        t = self._table
-        if i >= len(t.dropped):
-            return ExcludedGene(gene_id=t.unfit[i - len(t.dropped)], reason=REASON_INSUFFICIENT)
-        j = t.dropped[i]
+        s = self._table.scores
+        j = self._table.dropped[i]
+        code = s.reason[j]
         return ExcludedGene(
-            gene_id=t.scores.gene_ids[j],
-            reason=REASONS[t.scores.reason[j]],
-            u_values=t.scores.u_values[j],
+            gene_id=s.gene_ids[j],
+            reason=REASONS[code],
+            u_values=None if code == _INSUFFICIENT else s.u_values[j],
         )
 
 
@@ -355,17 +350,15 @@ def _id_order(ids: list[str]) -> np.ndarray:
     return key
 
 
-def _rank(scores: ScoreTable, unfit: tuple[str, ...], metadata: dict) -> RankedTable:
+def _rank(scores: ScoreTable, metadata: dict) -> RankedTable:
     """Included genes by descending U, ties by gene id: one stable sort."""
     included = np.flatnonzero(scores.included)
     ids = [scores.gene_ids[i] for i in included.tolist()]
     order = included[np.lexsort((_id_order(ids), -scores.u[included]))]
+    excluded = np.flatnonzero(~scores.included)
+    unfit_last = np.argsort(scores.reason[excluded] == _INSUFFICIENT, kind="stable")
     return RankedTable(
-        scores=scores,
-        order=order,
-        dropped=np.flatnonzero(~scores.included),
-        unfit=unfit,
-        metadata=metadata,
+        scores=scores, order=order, dropped=excluded[unfit_last], metadata=metadata
     )
 
 
@@ -381,10 +374,14 @@ def rank_genes(stats, metadata: dict | None = None) -> RankedTable:
         (i for i, s in enumerate(stats) if s.included),
         key=lambda i: (-stats[i].u, stats[i].gene_id),
     )
+    dropped = sorted(
+        (i for i, s in enumerate(stats) if not s.included),
+        key=lambda i: stats[i].exclusion_reason == REASON_INSUFFICIENT,
+    )
     return RankedTable(
         scores=ScoreTable.from_stats(stats),
         order=np.array(order, dtype=np.intp),
-        dropped=np.array([i for i, s in enumerate(stats) if not s.included], dtype=np.intp),
+        dropped=np.array(dropped, dtype=np.intp),
         metadata=dict(metadata or {}),
     )
 
@@ -479,33 +476,33 @@ def fit_experiment(
 
 
 def gene_statistics(fitted: FittedExperiment, profile: ValidatedProfile) -> ScoreTable:
-    """U statistics for every gene that could be fitted, in one vectorized
-    pass."""
+    """U statistics for every gene of the fit table, in one vectorized pass.
+
+    The table shares ``gene_ids``, ``gamma`` and ``s2`` with the fit table
+    and ``posterior_s2`` with the moderation result; the NaN of an unfit
+    gene carries through to its ``se`` and U values.
+    """
     positions = _model_positions(profile, fitted.model)
     constraints = [profile.constraints[j] for j in profile.test_bearing]
     fits, mod = fitted.fits, fitted.moderation
-    fit_rows = np.flatnonzero(fits.ok)
-    ids = fits.gene_ids
-    gene_ids = ids if len(fit_rows) == len(ids) else tuple(ids[i] for i in fit_rows.tolist())
-    posterior_s2 = mod.posterior_s2[fit_rows]
-    gamma = fits.gamma[fit_rows]
-    se = fits.unscaled_se[fit_rows] * np.sqrt(posterior_s2)[:, None]
-    u_values = np.empty((len(fit_rows), len(positions)))
+    se = fits.unscaled_se * np.sqrt(mod.posterior_s2)[:, None]
+    u_values = np.empty((len(fits), len(positions)))
     for col, (p, con) in enumerate(zip(positions, constraints)):
-        u_values[:, col] = _u_column(gamma[:, p], se[:, p], con)
+        u_values[:, col] = _u_column(fits.gamma[:, p], se[:, p], con)
     u = u_values.min(axis=1)
     included = np.all(u_values > 0.0, axis=1) & np.all(np.isfinite(u_values), axis=1)
-    reason = np.where(included, _INCLUDED, np.where(u > 0.0, _DEGENERATE, _VIOLATED))
+    reason = np.select(
+        [~fits.ok, included, u > 0.0], [_INSUFFICIENT, _INCLUDED, _DEGENERATE], _VIOLATED
+    )
     return ScoreTable(
-        gene_ids=gene_ids,
-        fit_rows=fit_rows,
-        gamma=gamma,
+        gene_ids=fits.gene_ids,
+        gamma=fits.gamma,
         se=se,
         u_values=u_values,
         u=u,
         reason=reason.astype(np.int8),
-        s2=fits.s2[fit_rows],
-        posterior_s2=posterior_s2,
+        s2=fits.s2,
+        posterior_s2=mod.posterior_s2,
     )
 
 
@@ -521,10 +518,6 @@ def _metadata(fitted: FittedExperiment, profile: ValidatedProfile) -> dict:
     }
 
 
-def _unfit_ids(fits: FitTable) -> tuple[str, ...]:
-    return tuple(fits.gene_ids[i] for i in np.flatnonzero(~fits.ok).tolist())
-
-
 def rank_from_fits(
     fitted: FittedExperiment,
     profile: ValidatedProfile,
@@ -534,7 +527,6 @@ def rank_from_fits(
     ``stats`` reuses a ``gene_statistics`` result for the same profile."""
     return _rank(
         stats if stats is not None else gene_statistics(fitted, profile),
-        _unfit_ids(fitted.fits),
         _metadata(fitted, profile),
     )
 
@@ -579,13 +571,12 @@ def sweep_from_fits(
         raise ValidationError("sensitivity sweep needs at least one margin")
     if any(not e > 0.0 for e in eps):
         raise ValidationError(f"sweep margins must be > 0, got {eps}")
-    unfit = _unfit_ids(fitted.fits)
     tables = []
     for e in eps:
         margin_profile = profile.with_margins(epsilon=e)
         scores = gene_statistics(fitted, margin_profile)
-        tables.append(_rank(scores, unfit, _metadata(fitted, margin_profile)))
-    # ranks[i, t]: rank of score row i at margin t, 0 where excluded.
+        tables.append(_rank(scores, _metadata(fitted, margin_profile)))
+    # ranks[i, t]: rank of gene i at margin t, 0 where excluded.
     ranks = np.zeros((len(scores), len(eps)), dtype=np.intp)
     for t, table in enumerate(tables):
         ranks[table.order, t] = np.arange(1, len(table.order) + 1)

@@ -68,6 +68,12 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return ticks
 
 
+def _escape(text: str) -> str:
+    # XML character data; xml.sax.saxutils.escape does the same but its
+    # import (urllib.request and ~40 other modules) adds ~7 MB to every run.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_profiles_svg(
     genes: list[tuple[str, int, np.ndarray]],
     condition_labels: tuple[str, ...],
@@ -76,7 +82,8 @@ def render_profiles_svg(
     """Render one panel of overlaid trajectories.
 
     ``genes`` holds (gene_id, rank, relative profile values) triples; one
-    polyline is emitted per gene, plus a legend keyed by rank.
+    polyline is emitted per gene, plus a legend keyed by rank. Gene ids,
+    labels and the title are XML-escaped.
     """
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -101,7 +108,7 @@ def render_profiles_svg(
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_MARGIN_LEFT}" y="28" font-family="sans-serif" '
-        f'font-size="16" fill="#222">{title}</text>',
+        f'font-size="16" fill="#222">{_escape(title)}</text>',
     ]
     frame = (
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
@@ -125,7 +132,7 @@ def render_profiles_svg(
         out.append(
             f'<text x="{x:.2f}" y="{_MARGIN_TOP + plot_h + 20}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-            f'fill="#444">{label}</text>'
+            f'fill="#444">{_escape(label)}</text>'
         )
     for idx, (gene_id, rank, vals) in enumerate(genes):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -144,7 +151,7 @@ def render_profiles_svg(
         )
         out.append(
             f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11" fill="#222">{rank}. {gene_id}</text>'
+            f'font-size="11" fill="#222">{rank}. {_escape(gene_id)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -19,6 +19,7 @@ Everything is driven by one seed; outputs are byte-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,7 @@ class GammaRanges:
     def __post_init__(self) -> None:
         for name in ("pos_margin", "equiv_band", "violate_pos", "violate_equiv"):
             lo, hi = getattr(self, name)
-            if not (0.0 <= lo <= hi):
+            if not 0.0 <= lo <= hi < math.inf:
                 raise ValidationError(f"invalid range {name}: ({lo}, {hi})")
 
 
@@ -147,8 +148,10 @@ def generate_dataset(
         raise ValidationError(
             f"n_planted must lie in [0, n_genes], got {n_planted} of {n_genes}"
         )
-    if not (d0 > 0.0 and s0_2 > 0.0):
-        raise ValidationError("variance prior needs d0 > 0 and s0_2 > 0")
+    if not (0.0 < d0 < math.inf and 0.0 < s0_2 < math.inf):
+        raise ValidationError(
+            f"variance prior needs finite d0 > 0 and s0_2 > 0, got d0={d0}, s0_2={s0_2}"
+        )
     equiv_margins = [c.value for c in profile.constraints if c.kind == "equiv"]
     if equiv_margins and ranges.equiv_band[1] >= min(equiv_margins):
         raise ValidationError(

@@ -204,6 +204,63 @@ def test_non_finite_expression_token_exits_3(workdir, tmp_path, capsys, token):
     assert "bad.csv:3: column 4: not a finite number" in capsys.readouterr().err
 
 
+def _profile_with(root, tmp_path, old, new):
+    text = (root / "pluripotent.profile").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "edited.profile"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        ("rank", ["--delta", "day6_vs_day9=nan"], "got nan"),
+        ("rank", ["--delta", "day6_vs_day9=inf"], "got inf"),
+        ("rank", ["--epsilon", "inf"], "got inf"),
+        ("rank", ["--grid", "0.5,inf"], "got [0.5, inf]"),
+        ("rank", ["--profile", ("equiv:1", "equiv:inf")], "got inf"),
+        ("rank", ["--profile", ("1,1,1,0 pos", "1,1,1,0 pos:1e400")], "got inf"),
+        ("validate", ["--profile", ("1,1,1,1 free", "1,1,1,1e400 free")], "'1e400'"),
+        ("synth", ["--s02", "inf"], "s0_2=inf"),
+        ("synth", ["--d0", "inf"], "d0=inf"),
+        ("synth", ["--pos-margin", "1,inf"], "(1.0, inf)"),
+    ],
+    ids=["delta-nan", "delta-inf", "epsilon-inf", "grid-inf", "equiv-inf", "pos-1e400",
+         "basis-1e400", "s02-inf", "d0-inf", "pos-margin-inf"],
+)
+def test_non_finite_option_values_exit_2(workdir, tmp_path, capsys, command, flags, named):
+    out = tmp_path / "out"
+    if command == "rank":
+        args = _rank_args(workdir, out)
+    else:
+        args = [command, "--design", str(workdir / "design.csv"),
+                "--conditions", str(workdir / "conditions.csv"),
+                "--profile", str(workdir / "pluripotent.profile")]
+        if command == "synth":
+            args += ["--genes", "50", "--seed", "1", "--out", str(out)]
+    flag, value = flags
+    if flag == "--profile":
+        value = _profile_with(workdir, tmp_path, *value)
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    assert main(args) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flag", [["--alpha", "0.7"], ["--top-n", "0"]], ids=["alpha", "top-n"])
+def test_sensitivity_rejects_rank_only_flags(workdir, tmp_path, capsys, flag):
+    args = _rank_args(workdir, tmp_path / "out", ["--grid", "1", *flag])
+    args[0] = "sensitivity"
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 WEIRD_ID = 'weird,"id'
 
 
@@ -379,13 +436,24 @@ def test_planted_gene_shape(workdir, stemcell_design, analysis_profile):
 
 
 def test_svg_valid_xml_with_exact_polyline_count(workdir, tmp_path):
-    out = tmp_path / "out"
-    assert main(_rank_args(workdir, out, ["--top-n", "6"])) == 0
-    svg = (out / "profiles.svg").read_text()
-    root = ET.fromstring(svg)
-    assert root.tag.endswith("svg")
-    polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
-    assert len(polylines) == 6
+    # Also with the top gene renamed to an id that needs XML escaping.
+    top = next(r["gene_id"] for r in _read_truth(workdir) if r["role"] == "planted_top")
+    with open(workdir / "data" / "expression.csv", newline="") as fh:
+        rows = [["Ag01718,B<1>&" if row[0] == top else row[0], *row[1:]] for row in csv.reader(fh)]
+    markup = tmp_path / "markup.csv"
+    with open(markup, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    for data, legend in ((workdir / "data" / "expression.csv", f"1. {top}"),
+                         (markup, "1. Ag01718,B<1>&")):
+        out = tmp_path / data.stem
+        args = _rank_args(workdir, out, ["--top-n", "6"])
+        args[args.index("--data") + 1] = str(data)
+        assert main(args) == 0
+        root = ET.fromstring((out / "profiles.svg").read_text())
+        assert root.tag.endswith("svg")
+        polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
+        assert len(polylines) == 6
+        assert legend in [e.text for e in root.iter() if e.tag.endswith("text")]
 
 
 def test_svg_render_deterministic():

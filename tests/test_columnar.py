@@ -19,7 +19,7 @@ import profilerank as pr
 from profilerank import cli, ranking
 from profilerank.errors import DataError
 from profilerank.fitting import posterior_variance
-from profilerank.ranking import FittedExperiment, ScoreTable, SweepResult
+from profilerank.ranking import FittedExperiment, ScoreTable, SweepResult, UStatistics
 
 from test_design import make_design
 
@@ -55,6 +55,19 @@ def small():
 def _close(a, b, scale):
     # Relative agreement, with an absolute floor at the data's own scale.
     return abs(a - b) <= 1e-12 * max(abs(b), scale)
+
+
+def _oracle_u_statistics(fitted, profile, i):
+    # u_statistics for a fitted gene; an unfit gene's row is all NaN.
+    fit = fitted.fits[i]
+    if fit.ok:
+        return pr.u_statistics(fit, fitted.moderation, profile, fitted.model, i)
+    k, m = fitted.model.n_coefficients, len(profile.test_bearing)
+    return UStatistics(
+        gene_id=fit.gene_id, gamma_hat=np.full(k, math.nan), se=np.full(k, math.nan),
+        u_values=np.full(m, math.nan), u=math.nan, included=False,
+        exclusion_reason="insufficient data", s2=math.nan, posterior_s2=math.nan,
+    )
 
 
 finite = st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False)
@@ -107,25 +120,20 @@ def test_columnar_path_matches_per_gene_oracles(small, values, zero_se):
     zero = np.array(zero_se[: len(table)]) & table.ok
     mod = replace(mod, posterior_s2=np.where(zero, 0.0, mod.posterior_s2))
     fitted = FittedExperiment(design=design, model=model, fits=table, moderation=mod)
-    ok_rows = [i for i, f in enumerate(table) if f.ok]
-    unfit = tuple(ids[i] for i, f in enumerate(table) if not f.ok)
     sweep = pr.sweep_from_fits(fitted, profile, [0.25, 1.0, 3.0])
     for margins, swept in [(profile, None)] + [
         (profile.with_margins(epsilon=e), t) for e, t in zip(sweep.epsilons, sweep.tables)
     ]:
         scores = pr.gene_statistics(fitted, margins)
-        per_gene = [
-            pr.u_statistics(table[i], mod, margins, model, i) for i in ok_rows
-        ]
-        assert scores.fit_rows.tolist() == ok_rows
+        per_gene = [_oracle_u_statistics(fitted, margins, i) for i in range(len(table))]
+        assert len(scores) == len(per_gene)
         for got, want in zip(scores, per_gene):
             assert got.gene_id == want.gene_id
-            assert np.array_equal(got.u_values, want.u_values)
+            assert np.array_equal(got.u_values, want.u_values, equal_nan=True)
             assert got.u == want.u or (math.isnan(got.u) and math.isnan(want.u))
             assert (got.included, got.exclusion_reason) == (want.included, want.exclusion_reason)
         want_table = pr.rank_genes(per_gene)
         want_excluded = [(e.gene_id, e.reason) for e in want_table.excluded]
-        want_excluded += [(g, "insufficient data") for g in unfit]
         for got_table in (pr.rank_from_fits(fitted, margins), swept):
             if got_table is None:
                 continue
@@ -170,6 +178,30 @@ def test_fit_table_behaves_like_a_list_of_fits(small):
     assert np.array_equal(mod_table.posterior_s2, mod_list.posterior_s2, equal_nan=True)
 
 
+def test_score_table_has_one_row_per_fit_with_an_early_unfit_gene(small):
+    design, profile, model = small
+    values = np.random.default_rng(7).normal(0, 1, (6, 6))
+    values[1, :3] = np.nan  # three observed arrays for three coefficients
+    ids = ("a", "b", "c", "d", "e", "f")
+    expr = pr.ExpressionMatrix(gene_ids=ids, array_ids=design.array_ids, values=values)
+    fitted = pr.fit_experiment(expr, design, profile)
+    posterior_df = fitted.moderation.posterior_df
+    scores = pr.gene_statistics(fitted, profile)
+    # Score row i is fit row i, so the moderated df of row i belongs to it.
+    decisions = [pr.iut_decision(s, posterior_df[i], 0.05) for i, s in enumerate(scores)]
+    assert decisions[1] is False
+    assert len(scores) == len(fitted.fits)
+    assert scores.gene_ids is fitted.fits.gene_ids
+    assert scores.gamma is fitted.fits.gamma and scores.s2 is fitted.fits.s2
+    assert scores.posterior_s2 is fitted.moderation.posterior_s2
+    assert scores[1].exclusion_reason == "insufficient data"
+    assert math.isnan(scores[1].u) and np.isnan(scores.se[1]).all()
+    table = pr.rank_from_fits(fitted, profile, stats=scores)
+    unfit = [e for e in table.excluded if e.gene_id == "b"]
+    assert [(e.reason, e.u_values) for e in unfit] == [("insufficient data", None)]
+    assert len(table.rows) + len(table.excluded) == len(ids)
+
+
 # ---------------------------------------------------------------------------
 # whole CLI runs against the per-gene path
 # ---------------------------------------------------------------------------
@@ -184,22 +216,14 @@ def _oracle_fit_experiment(expr, design, profile):
 
 
 def _oracle_statistics(fitted, profile):
-    rows = [i for i, f in enumerate(fitted.fits) if f.ok]
-    stats = [
-        pr.u_statistics(fitted.fits[i], fitted.moderation, profile, fitted.model, i)
-        for i in rows
-    ]
-    return replace(ScoreTable.from_stats(stats), fit_rows=np.array(rows))
+    return ScoreTable.from_stats(
+        _oracle_u_statistics(fitted, profile, i) for i in range(len(fitted.fits))
+    )
 
 
 def _oracle_rank(fitted, profile, stats=None):
     stats = _oracle_statistics(fitted, profile) if stats is None else stats
-    table = pr.rank_genes(list(stats), metadata=ranking._metadata(fitted, profile))
-    return replace(
-        table,
-        scores=replace(table.scores, fit_rows=stats.fit_rows),
-        unfit=tuple(f.gene_id for f in fitted.fits if not f.ok),
-    )
+    return pr.rank_genes(list(stats), metadata=ranking._metadata(fitted, profile))
 
 
 def _oracle_sweep(fitted, profile, epsilons):
@@ -292,11 +316,11 @@ def test_alpha_pass_count_matches_iut_decision(missing_data):
     fitted = pr.fit_experiment(expr, design, profile)
     scores = pr.gene_statistics(fitted, profile)
     posterior_df = fitted.moderation.posterior_df
-    assert len(set(posterior_df[scores.fit_rows[scores.included]])) > 1
+    assert len(set(posterior_df[scores.included])) > 1
     for alpha in (0.2, 0.05, 0.001):
         want = sum(
-            pr.iut_decision(s, float(posterior_df[row]), alpha)
-            for s, row in zip(scores, scores.fit_rows)
+            pr.iut_decision(s, float(posterior_df[i]), alpha)
+            for i, s in enumerate(scores)
             if s.included
         )
         assert cli._alpha_pass_count(fitted, scores, alpha) == want

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,10 @@ def test_margin_domain_checks():
         pr.Constraint.equivalent_zero(-1.0)
     with pytest.raises(ValidationError, match=">= 0"):
         pr.Constraint.positive_above(-0.5)
+    for kind, value in [("pos", math.inf), ("pos", math.nan), ("equiv", math.inf),
+                        ("equiv", math.nan)]:
+        with pytest.raises(ValidationError, match=f"finite number, got {value!r}"):
+            pr.Constraint(kind, value)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +157,11 @@ def test_parse_bad_constraints():
         parse_profile(base + "coef c1 1,0 equiv:0\n")
     with pytest.raises(ValidationError, match="non-numeric basis entry"):
         parse_profile(base + "coef c1 one,0 free\n")
+    for entry in ("1e400", "inf", "nan"):
+        with pytest.raises(ValidationError, match=f"basis entry '{entry}' is not a finite"):
+            parse_profile(base + f"coef c1 {entry},0 free\n")
+    with pytest.raises(ValidationError, match="finite number, got inf"):
+        parse_profile(base + "coef c1 1,0 pos:1e400\n")
 
 
 def test_comments_and_blanks_ignored():

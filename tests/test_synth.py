@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,11 @@ def test_invalid_parameters_rejected(stemcell_design, analysis_profile):
         pr.generate_dataset(stemcell_design, analysis_profile, 0, 0, seed=1)
     with pytest.raises(ValidationError, match="invalid range"):
         pr.GammaRanges(pos_margin=(2.0, 1.0))
+    with pytest.raises(ValidationError, match=r"invalid range violate_pos: \(1.0, inf\)"):
+        pr.GammaRanges(violate_pos=(1.0, math.inf))
+    for prior in ({"s0_2": math.inf}, {"d0": math.inf}, {"d0": math.nan}):
+        with pytest.raises(ValidationError, match="variance prior needs finite"):
+            pr.generate_dataset(stemcell_design, analysis_profile, 10, 2, seed=1, **prior)
     with pytest.raises(ValidationError, match="equiv_band"):
         pr.generate_dataset(
             stemcell_design, analysis_profile, 10, 2, seed=1,
