@@ -67,8 +67,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.top_n < 1:
             raise ValidationError(f"--top-n must be >= 1, got {self.top_n}")
-        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
-            raise ValidationError(f"--epsilon must be a finite number > 0, got {self.epsilon}")
         if not 0.0 < self.alpha < 0.5:
             raise ValidationError(f"--alpha must lie in (0, 0.5), got {self.alpha}")
         if any(not 0.0 < g < math.inf for g in self.grid):
@@ -92,9 +90,11 @@ def _eps_label(e: float) -> str:
 
 def _load_inputs(conditions_path, design_path, profile_path, data_path=None,
                  epsilon=None, deltas=None):
-    """Check that every input file exists, then parse them: the design, the
-    profile under the given margins, and the expression data when
-    ``data_path`` is given (else None)."""
+    """Check ``epsilon`` and that every input file exists, then parse them:
+    the design, the profile under the given margins, and the expression
+    data when ``data_path`` is given (else None)."""
+    if epsilon is not None and not 0.0 < epsilon < math.inf:
+        raise ValidationError(f"--epsilon must be a finite number > 0, got {epsilon}")
     _require_file(conditions_path, "conditions")
     _require_file(design_path, "design")
     _require_file(profile_path, "profile")
@@ -392,9 +392,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-_THREADS_HELP = "CLI-only, accepted and ignored: fitting is a few numpy calls per missingness pattern"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="profilerank",
@@ -416,14 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--grid", default=None, help="comma-separated equivalence margins for an extra sensitivity sweep")
     p_rank.add_argument("--top-n", type=int, default=15, help="trajectories to plot (default 15)")
     p_rank.add_argument("--out", required=True, help="output directory")
-    p_rank.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p_rank.add_argument("--threads", type=int, default=1, help="accepted and ignored: fitting is a few numpy calls per missingness pattern")
     p_rank.set_defaults(func=_cmd_rank)
 
     p_sens = sub.add_parser("sensitivity", help="rank under a grid of equivalence margins")
     _add_input_flags(p_sens)
     p_sens.add_argument("--grid", required=True, help="comma-separated equivalence margins")
     p_sens.add_argument("--out", required=True, help="output directory")
-    p_sens.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_sens.set_defaults(func=_cmd_sensitivity)
 
     p_synth = sub.add_parser("synth", help="generate a seeded synthetic benchmark")

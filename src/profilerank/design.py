@@ -105,7 +105,6 @@ class ComparisonMatrix:
 
     values: np.ndarray = field(compare=False)
     conditions: tuple[str, ...] = ()
-    array_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         self.values.setflags(write=False)
@@ -118,21 +117,32 @@ class ModelMatrix:
     ``x`` holds only estimable columns; ``dropped_coefficients`` records the
     basis-column indices removed because the comparisons cancel them.
     ``coefficient_indices`` maps retained columns back to basis columns.
-    ``unscaled_se`` is sqrt of the diagonal of (X'X)^-1 for a gene that
-    observed every array.
+    ``x`` must have full column rank and leave at least one residual degree
+    of freedom; the one SVD that checks this also gives ``unscaled_se``,
+    sqrt of the diagonal of (X'X)^-1 for a gene that observed every array.
     """
 
     x: np.ndarray = field(compare=False)
     coefficient_indices: tuple[int, ...] = ()
     dropped_coefficients: tuple[int, ...] = ()
-    rank: int = 0
-    residual_df: int = 0
-    unscaled_se: np.ndarray | None = field(compare=False, repr=False, default=None)
+    unscaled_se: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.x.setflags(write=False)
-        if self.unscaled_se is not None:
-            self.unscaled_se.setflags(write=False)
+        solved = least_squares_operator(self.x)
+        if solved is None:
+            rank = _rank(np.linalg.svd(self.x, compute_uv=False))
+            raise ValidationError(
+                "profile not identifiable under this design: retained model matrix "
+                f"has rank {rank} < {self.n_coefficients} columns"
+            )
+        if self.residual_df < 1:
+            raise ValidationError(
+                f"insufficient residual degrees of freedom: {self.n_arrays} arrays "
+                f"for {self.rank} coefficients"
+            )
+        solved[1].setflags(write=False)
+        object.__setattr__(self, "unscaled_se", solved[1])
 
     @property
     def n_arrays(self) -> int:
@@ -141,6 +151,14 @@ class ModelMatrix:
     @property
     def n_coefficients(self) -> int:
         return self.x.shape[1]
+
+    @property
+    def rank(self) -> int:
+        return self.n_coefficients  # full column rank, checked in __post_init__
+
+    @property
+    def residual_df(self) -> int:
+        return self.n_arrays - self.rank
 
 
 def _rank(s: np.ndarray) -> int:
@@ -169,9 +187,7 @@ def build_comparison_matrix(design: ComparisonDesign) -> ComparisonMatrix:
     for i, arr in enumerate(design.arrays):
         values[i, col[arr.cy5]] = 1.0
         values[i, col[arr.cy3]] = -1.0
-    return ComparisonMatrix(
-        values=values, conditions=design.conditions, array_ids=design.array_ids
-    )
+    return ComparisonMatrix(values=values, conditions=design.conditions)
 
 
 def compose_model_matrix(xstar: ComparisonMatrix, profile) -> ModelMatrix:
@@ -179,8 +195,8 @@ def compose_model_matrix(xstar: ComparisonMatrix, profile) -> ModelMatrix:
 
     Columns that come out identically zero are unestimable: they are dropped
     when the coefficient is unconstrained and rejected when it carries a
-    test. The retained matrix must have full column rank and leave at least
-    one residual degree of freedom.
+    test. ``ModelMatrix`` checks that the retained matrix has full column
+    rank and leaves at least one residual degree of freedom.
     """
     if tuple(profile.condition_labels) != tuple(xstar.conditions):
         raise ValidationError(
@@ -205,29 +221,8 @@ def compose_model_matrix(xstar: ComparisonMatrix, profile) -> ModelMatrix:
             dropped.append(j)
         else:
             retained.append(j)
-    x = full[:, retained]
-    solved = least_squares_operator(x)
-    if solved is None:
-        rank = _rank(np.linalg.svd(x, compute_uv=False))
-        raise ValidationError(
-            "profile not identifiable under this design: retained model matrix "
-            f"has rank {rank} < {x.shape[1]} columns"
-        )
-    rank = x.shape[1]
-    residual_df = x.shape[0] - rank
-    if residual_df < 1:
-        raise ValidationError(
-            f"insufficient residual degrees of freedom: {x.shape[0]} arrays "
-            f"for {rank} coefficients"
-        )
-    return ModelMatrix(
-        x=x,
-        coefficient_indices=tuple(retained),
-        dropped_coefficients=tuple(dropped),
-        rank=rank,
-        residual_df=residual_df,
-        unscaled_se=solved[1],
-    )
+    return ModelMatrix(x=full[:, retained], coefficient_indices=tuple(retained),
+                       dropped_coefficients=tuple(dropped))
 
 
 def read_conditions_csv(path) -> tuple[str, ...]:

@@ -17,6 +17,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -130,9 +131,9 @@ class FitTable(LazyRows):
 
     ``gamma`` and ``unscaled_se`` are genes x coefficients, ``s2`` the
     residual variance, ``df`` the residual degrees of freedom and
-    ``n_used`` the number of observed arrays; ``ok`` is False for genes
-    excluded as ``insufficient data``, whose float columns are NaN and whose
-    ``df`` is 0. As a sequence the table yields one ``GeneFit`` per gene.
+    ``n_used`` the number of observed arrays; ``ok`` (``df > 0``) is False
+    for genes excluded as ``insufficient data``, whose float columns are NaN.
+    As a sequence the table yields one ``GeneFit`` per gene.
     """
 
     gene_ids: tuple[str, ...]
@@ -141,11 +142,16 @@ class FitTable(LazyRows):
     s2: np.ndarray
     df: np.ndarray
     n_used: np.ndarray
-    ok: np.ndarray
 
     def __post_init__(self) -> None:
-        for column in (self.gamma, self.unscaled_se, self.s2, self.df, self.n_used, self.ok):
+        for column in (self.gamma, self.unscaled_se, self.s2, self.df, self.n_used):
             column.setflags(write=False)
+
+    @cached_property
+    def ok(self) -> np.ndarray:
+        ok = self.df > 0
+        ok.setflags(write=False)
+        return ok
 
     def __len__(self) -> int:
         return len(self.gene_ids)
@@ -255,7 +261,6 @@ def fit_all(expr: ExpressionMatrix, model: ModelMatrix) -> FitTable:
         s2=s2,
         df=df,
         n_used=n_used,
-        ok=df > 0,
     )
 
 
@@ -370,9 +375,9 @@ def moderate_variances(fits) -> ModerationResult:
 
 def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
     """Read a log-ratio table: header ``gene_id,<array ids...>`` matching the
-    design order exactly; values are finite decimals, with ``NA`` or an
-    empty field for missing. ``inf``, ``nan`` and values that overflow to
-    infinity are errors, not missing spots."""
+    design order exactly; a gene id (stripped) must be non-empty, without a
+    carriage return; values are finite decimals, ``NA`` or empty for missing
+    (``inf``, ``nan`` and overflow are errors, not missing spots)."""
     n_arrays = len(array_ids)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -399,6 +404,9 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
                         f"got {len(row)}"
                     )
                 gene_ids.append(row[0].strip())
+                if not gene_ids[-1] or "\r" in gene_ids[-1]:
+                    raise DataError(f"{path}:{lineno}: column 1: a gene id must be non-empty "
+                                    f"and hold no carriage return, got {row[0]!r}")
                 linenos.append(lineno)
                 values = []
                 for col, text in enumerate(row[1:], start=2):

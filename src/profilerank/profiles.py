@@ -97,25 +97,21 @@ class Constraint:
 
 def _parse_constraint(token: str, where: str) -> Constraint:
     name, sep, arg = token.partition(":")
-    if name == "free":
-        if sep:
-            raise ValidationError(f"{where}: 'free' takes no argument")
-        return Constraint.unconstrained()
-    if name == "pos":
-        if not sep:
-            return Constraint.positive_above(0.0)
-        try:
-            return Constraint.positive_above(float(arg))
-        except ValueError as exc:
-            raise ValidationError(f"{where}: bad pos threshold {arg!r}") from exc
-    if name == "equiv":
-        if not sep:
-            raise ValidationError(f"{where}: 'equiv' needs a margin, e.g. equiv:1")
-        try:
-            return Constraint.equivalent_zero(float(arg))
-        except ValueError as exc:
-            raise ValidationError(f"{where}: bad equiv margin {arg!r}") from exc
-    raise ValidationError(f"{where}: unknown constraint {token!r}")
+    if name not in ("free", "pos", "equiv"):
+        raise ValidationError(f"{where}: unknown constraint {token!r}")
+    if name == "free" and sep:
+        raise ValidationError(f"{where}: 'free' takes no argument")
+    if name == "equiv" and not sep:
+        raise ValidationError(f"{where}: 'equiv' needs a margin, e.g. equiv:1")
+    try:
+        value = float(arg) if sep else 0.0
+    except ValueError as exc:
+        what = "pos threshold" if name == "pos" else "equiv margin"
+        raise ValidationError(f"{where}: bad {what} {arg!r}") from exc
+    try:
+        return Constraint(name, value)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {token}: {exc}") from exc
 
 
 def _exact_rank(columns: list[list[Fraction]]) -> int:
@@ -145,8 +141,8 @@ class ProfileSpec:
     """A named basis over conditions with one constraint per coefficient.
 
     ``basis_text`` keeps the exact decimal entries for auditability and file
-    round-trips; ``basis`` is the parsed float matrix actually used in
-    computation (conditions x coefficients).
+    round-trips; ``basis`` is parsed from it and is the float matrix
+    actually used in computation (conditions x coefficients).
     """
 
     name: str
@@ -154,7 +150,7 @@ class ProfileSpec:
     coefficient_names: tuple[str, ...]
     basis_text: tuple[tuple[str, ...], ...]  # one inner tuple per coefficient
     constraints: tuple[Constraint, ...]
-    basis: np.ndarray = field(compare=False, repr=False, default=None)
+    basis: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not LABEL_PATTERN.match(self.name):
@@ -226,7 +222,11 @@ class ValidatedProfile:
     """A ProfileSpec whose basis columns are certified linearly independent."""
 
     spec: ProfileSpec
-    test_bearing: tuple[int, ...]  # coefficient indices that carry a test
+
+    @property
+    def test_bearing(self) -> tuple[int, ...]:
+        """Indices of the coefficients that carry a test."""
+        return tuple(j for j, con in enumerate(self.constraints) if con.is_test_bearing)
 
     @property
     def name(self) -> str:
@@ -272,13 +272,13 @@ class ValidatedProfile:
                     )
                 con = Constraint.positive_above(deltas[cname])
             new.append(con)
-        spec = replace(self.spec, constraints=tuple(new), basis=None)
-        return ValidatedProfile(spec=spec, test_bearing=self.test_bearing)
+        spec = replace(self.spec, constraints=tuple(new))
+        return ValidatedProfile(spec=spec)
 
 
 def validate_profile(spec: ProfileSpec) -> ValidatedProfile:
-    """Certify linear independence of the basis and locate the test-bearing
-    coefficients.
+    """Certify linear independence of the basis and that at least one
+    coefficient carries a test.
 
     Rank is computed exactly over rationals parsed from the decimal text,
     so acceptance matches brute-force elimination by construction.
@@ -295,15 +295,13 @@ def validate_profile(spec: ProfileSpec) -> ValidatedProfile:
         raise ValidationError(
             f"profile {spec.name!r}: basis columns are linearly dependent"
         )
-    test_bearing = tuple(
-        j for j, con in enumerate(spec.constraints) if con.is_test_bearing
-    )
-    if not test_bearing:
+    profile = ValidatedProfile(spec=spec)
+    if not profile.test_bearing:
         raise ValidationError(
             f"profile {spec.name!r}: every coefficient is unconstrained, "
             "so there is nothing to rank by"
         )
-    return ValidatedProfile(spec=spec, test_bearing=test_bearing)
+    return profile
 
 
 def parse_profile(text: str, source: str = "<string>") -> ProfileSpec:

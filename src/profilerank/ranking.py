@@ -447,12 +447,18 @@ def iut_decision(u: UStatistics, posterior_df: float, alpha: float) -> bool:
 @dataclass(frozen=True)
 class FittedExperiment:
     """Everything that does not depend on the test margins: the composed
-    model, per-gene fits, and the variance moderation."""
+    model, per-gene fits, the variance moderation and the standard errors
+    ``se`` built from the last two, which every score table shares."""
 
-    design: ComparisonDesign
     model: ModelMatrix
     fits: FitTable
     moderation: ModerationResult
+
+    @cached_property
+    def se(self) -> np.ndarray:
+        se = self.fits.unscaled_se * np.sqrt(self.moderation.posterior_s2)[:, None]
+        se.setflags(write=False)
+        return se
 
 
 def fit_experiment(
@@ -470,22 +476,19 @@ def fit_experiment(
     model = compose_model_matrix(xstar, profile)
     fits = fit_all(expr, model)
     moderation = moderate_variances(fits)
-    return FittedExperiment(
-        design=design, model=model, fits=fits, moderation=moderation
-    )
+    return FittedExperiment(model=model, fits=fits, moderation=moderation)
 
 
 def gene_statistics(fitted: FittedExperiment, profile: ValidatedProfile) -> ScoreTable:
     """U statistics for every gene of the fit table, in one vectorized pass.
 
-    The table shares ``gene_ids``, ``gamma`` and ``s2`` with the fit table
-    and ``posterior_s2`` with the moderation result; the NaN of an unfit
-    gene carries through to its ``se`` and U values.
+    The table shares ``gene_ids``, ``gamma`` and ``s2`` with the fit table,
+    ``posterior_s2`` with the moderation result and ``se`` with ``fitted``;
+    the NaN of an unfit gene carries through to its ``se`` and U values.
     """
     positions = _model_positions(profile, fitted.model)
     constraints = [profile.constraints[j] for j in profile.test_bearing]
-    fits, mod = fitted.fits, fitted.moderation
-    se = fits.unscaled_se * np.sqrt(mod.posterior_s2)[:, None]
+    fits, se = fitted.fits, fitted.se
     u_values = np.empty((len(fits), len(positions)))
     for col, (p, con) in enumerate(zip(positions, constraints)):
         u_values[:, col] = _u_column(fits.gamma[:, p], se[:, p], con)
@@ -502,19 +505,17 @@ def gene_statistics(fitted: FittedExperiment, profile: ValidatedProfile) -> Scor
         u=u,
         reason=reason.astype(np.int8),
         s2=fits.s2,
-        posterior_s2=mod.posterior_s2,
+        posterior_s2=fitted.moderation.posterior_s2,
     )
 
 
-def _metadata(fitted: FittedExperiment, profile: ValidatedProfile) -> dict:
+def _metadata(profile: ValidatedProfile) -> dict:
     return {
         "profile": profile.name,
         "margins": {
             profile.coefficient_names[j]: profile.constraints[j].token()
             for j in profile.test_bearing
         },
-        "d0": fitted.moderation.d0,
-        "s0_2": fitted.moderation.s0_2,
     }
 
 
@@ -527,7 +528,7 @@ def rank_from_fits(
     ``stats`` reuses a ``gene_statistics`` result for the same profile."""
     return _rank(
         stats if stats is not None else gene_statistics(fitted, profile),
-        _metadata(fitted, profile),
+        _metadata(profile),
     )
 
 
@@ -575,7 +576,7 @@ def sweep_from_fits(
     for e in eps:
         margin_profile = profile.with_margins(epsilon=e)
         scores = gene_statistics(fitted, margin_profile)
-        tables.append(_rank(scores, _metadata(fitted, margin_profile)))
+        tables.append(_rank(scores, _metadata(margin_profile)))
     # ranks[i, t]: rank of gene i at margin t, 0 where excluded.
     ranks = np.zeros((len(scores), len(eps)), dtype=np.intp)
     for t, table in enumerate(tables):

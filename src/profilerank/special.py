@@ -118,11 +118,12 @@ def tetragamma(x: float) -> float:
     return acc - inv2 - inv * inv2 + series
 
 
-def trigamma_inverse(x: float, max_iter: int = 50, rel_tol: float = 1e-8) -> float:
+def trigamma_inverse(x: float) -> float:
     """Solve trigamma(y) = x for y > 0.
 
     Newton iteration on the reciprocal (which is nearly linear in y),
-    started from y = 0.5 + 1/x. Extreme arguments use the limiting forms
+    started from y = 0.5 + 1/x, until a step moves y by less than 1e-8
+    relative (at most 50 steps). Extreme arguments use the limiting forms
     trigamma(y) ~ 1/y (large y) and ~ 1/y**2 (small y).
     """
     x = _require_positive(x, "x")
@@ -131,11 +132,11 @@ def trigamma_inverse(x: float, max_iter: int = 50, rel_tol: float = 1e-8) -> flo
     if x < 1e-6:
         return 1.0 / x
     y = 0.5 + 1.0 / x
-    for _ in range(max_iter):
+    for _ in range(50):
         tri = trigamma(y)
         step = tri * (1.0 - tri / x) / tetragamma(y)
         y += step
-        if -step / y < rel_tol:
+        if -step / y < 1e-8:
             break
     return y
 

@@ -219,8 +219,10 @@ def _profile_with(root, tmp_path, old, new):
         ("rank", ["--delta", "day6_vs_day9=inf"], "got inf"),
         ("rank", ["--epsilon", "inf"], "got inf"),
         ("rank", ["--grid", "0.5,inf"], "got [0.5, inf]"),
-        ("rank", ["--profile", ("equiv:1", "equiv:inf")], "got inf"),
-        ("rank", ["--profile", ("1,1,1,0 pos", "1,1,1,0 pos:1e400")], "got inf"),
+        ("rank", ["--profile", ("equiv:1", "equiv:inf")],
+         "edited.profile:15: equiv:inf: equiv constraint value must be a finite number, got inf"),
+        ("rank", ["--profile", ("1,1,1,0 pos", "1,1,1,0 pos:1e400")],
+         "edited.profile:14: pos:1e400: pos constraint value must be a finite number, got inf"),
         ("validate", ["--profile", ("1,1,1,1 free", "1,1,1,1e400 free")], "'1e400'"),
         ("synth", ["--s02", "inf"], "s0_2=inf"),
         ("synth", ["--d0", "inf"], "d0=inf"),
@@ -251,7 +253,10 @@ def test_non_finite_option_values_exit_2(workdir, tmp_path, capsys, command, fla
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("flag", [["--alpha", "0.7"], ["--top-n", "0"]], ids=["alpha", "top-n"])
+@pytest.mark.parametrize(
+    "flag", [["--alpha", "0.7"], ["--top-n", "0"], ["--threads", "2"]],
+    ids=["alpha", "top-n", "threads"],
+)
 def test_sensitivity_rejects_rank_only_flags(workdir, tmp_path, capsys, flag):
     args = _rank_args(workdir, tmp_path / "out", ["--grid", "1", *flag])
     args[0] = "sensitivity"
@@ -259,6 +264,36 @@ def test_sensitivity_rejects_rank_only_flags(workdir, tmp_path, capsys, flag):
         main(args)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rank", "sensitivity", "synth", "validate"])
+def test_bad_epsilon_exits_2_without_an_equivalence_margin(workdir, tmp_path, capsys, command):
+    # The profile has no equiv coefficient, so no Constraint ever sees the value.
+    profile = _profile_with(workdir, tmp_path, "coef day0_vs_day3 0.5,-0.5,0,0 equiv:1\n", "")
+    out = tmp_path / "out"
+    args = _rank_args(workdir, out, ["--epsilon", "-1"])
+    args[args.index("--profile") + 1] = profile
+    args[0] = command
+    if command == "sensitivity":
+        args += ["--grid", "1"]
+    elif command == "synth":
+        del args[1:3]  # --data
+        args += ["--genes", "50", "--seed", "1"]
+    elif command == "validate":
+        del args[args.index("--out"):args.index("--out") + 2]
+    assert main(args) == 2
+    assert "--epsilon must be a finite number > 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_gene_id_exits_3(workdir, tmp_path, capsys):
+    lines = (workdir / "data" / "expression.csv").read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([lines[0], lines[1], "," + lines[2].partition(",")[2]]) + "\n")
+    args = _rank_args(workdir, tmp_path / "out")
+    args[args.index("--data") + 1] = str(bad)
+    assert main(args) == 3
+    assert "bad.csv:3: column 1: a gene id must be non-empty" in capsys.readouterr().err
 
 
 WEIRD_ID = 'weird,"id'
@@ -333,7 +368,7 @@ def test_moderation_json_serializes_infinite_prior(tmp_path):
     from profilerank.ranking import FittedExperiment
 
     fitted = FittedExperiment(
-        design=None, model=None, fits=[],
+        model=None, fits=[],
         moderation=pr.ModerationResult(
             d0=math.inf, s0_2=0.07,
             posterior_s2=np.array([0.07]),

@@ -119,7 +119,7 @@ def test_columnar_path_matches_per_gene_oracles(small, values, zero_se):
     # Zero posterior variances exercise the zero-standard-error rule.
     zero = np.array(zero_se[: len(table)]) & table.ok
     mod = replace(mod, posterior_s2=np.where(zero, 0.0, mod.posterior_s2))
-    fitted = FittedExperiment(design=design, model=model, fits=table, moderation=mod)
+    fitted = FittedExperiment(model=model, fits=table, moderation=mod)
     sweep = pr.sweep_from_fits(fitted, profile, [0.25, 1.0, 3.0])
     for margins, swept in [(profile, None)] + [
         (profile.with_margins(epsilon=e), t) for e, t in zip(sweep.epsilons, sweep.tables)
@@ -169,10 +169,14 @@ def test_fit_table_behaves_like_a_list_of_fits(small):
     assert table == fits and len(table) == 4
     assert table[-1] == fits[3] and table[1:3] == tuple(fits[1:3])
     assert not table[1].ok and table[1].reason == "insufficient data"
+    assert table.ok.tolist() == (table.df > 0).tolist() == [True, False, True, True]
+    assert table.ok is table.ok  # computed once, not per row
     with pytest.raises(IndexError):
         table[4]
     with pytest.raises(ValueError):
         table.gamma[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        table.ok[1] = True
     mod_table, mod_list = pr.moderate_variances(table), pr.moderate_variances(fits)
     assert (mod_table.d0, mod_table.s0_2) == (mod_list.d0, mod_list.s0_2)
     assert np.array_equal(mod_table.posterior_s2, mod_list.posterior_s2, equal_nan=True)
@@ -202,6 +206,22 @@ def test_score_table_has_one_row_per_fit_with_an_early_unfit_gene(small):
     assert len(table.rows) + len(table.excluded) == len(ids)
 
 
+def test_margins_share_one_standard_error_array(small):
+    design, profile, model = small
+    values = np.random.default_rng(8).normal(0, 1, (6, 6))
+    values[2, :3] = np.nan  # an unfit gene: its se row is NaN
+    expr = pr.ExpressionMatrix(gene_ids=tuple("abcdef"), array_ids=design.array_ids, values=values)
+    fitted = pr.fit_experiment(expr, design, profile)
+    want = fitted.fits.unscaled_se * np.sqrt(fitted.moderation.posterior_s2)[:, None]
+    assert np.array_equal(fitted.se, want, equal_nan=True)
+    table = pr.rank_from_fits(fitted, profile)
+    sweep = pr.sweep_from_fits(fitted, profile, [0.25, 1.0, 3.0])
+    assert table.scores.se is fitted.se
+    assert all(t.scores.se is table.scores.se for t in sweep.tables)
+    with pytest.raises(ValueError):
+        fitted.se[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # whole CLI runs against the per-gene path
 # ---------------------------------------------------------------------------
@@ -210,9 +230,7 @@ def test_score_table_has_one_row_per_fit_with_an_early_unfit_gene(small):
 def _oracle_fit_experiment(expr, design, profile):
     model = pr.compose_model_matrix(pr.build_comparison_matrix(design), profile)
     fits = [pr.fit_gene(y, model, gene_id=g) for g, y in zip(expr.gene_ids, expr.values)]
-    return FittedExperiment(
-        design=design, model=model, fits=fits, moderation=pr.moderate_variances(fits)
-    )
+    return FittedExperiment(model=model, fits=fits, moderation=pr.moderate_variances(fits))
 
 
 def _oracle_statistics(fitted, profile):
@@ -223,7 +241,7 @@ def _oracle_statistics(fitted, profile):
 
 def _oracle_rank(fitted, profile, stats=None):
     stats = _oracle_statistics(fitted, profile) if stats is None else stats
-    return pr.rank_genes(list(stats), metadata=ranking._metadata(fitted, profile))
+    return pr.rank_genes(list(stats), metadata=ranking._metadata(profile))
 
 
 def _oracle_sweep(fitted, profile, epsilons):

@@ -1,3 +1,6 @@
+import inspect
+import re
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 import profilerank as pr
 from profilerank.design import RANK_TOLERANCE, least_squares_operator
 from profilerank.errors import ValidationError
+from profilerank.special import trigamma_inverse
 
 
 def make_design(conditions, pairs):
@@ -184,6 +188,54 @@ def test_no_residual_df_rejected():
     design = make_design(["a", "b"], [("a", "b")])
     with pytest.raises(ValidationError, match="residual degrees of freedom"):
         pr.compose_model_matrix(pr.build_comparison_matrix(design), profile)
+
+
+def test_hand_built_model_matrix_derives_rank_df_and_se(stemcell_model):
+    bare = pr.ModelMatrix(
+        x=np.array(stemcell_model.x),
+        coefficient_indices=stemcell_model.coefficient_indices,
+        dropped_coefficients=stemcell_model.dropped_coefficients,
+    )
+    assert (bare.rank, bare.residual_df) == (stemcell_model.rank, stemcell_model.residual_df)
+    assert (bare.rank, bare.residual_df) == (3, 17)
+    assert np.array_equal(bare.unscaled_se, stemcell_model.unscaled_se)
+    assert np.array_equal(bare.unscaled_se, least_squares_operator(bare.x)[1])
+    with pytest.raises(ValueError):
+        bare.unscaled_se[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ([[1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]],
+         "profile not identifiable under this design: retained model matrix "
+         "has rank 1 < 2 columns"),
+        ([[1.0, 0.0, 2.0]], "retained model matrix has rank 1 < 3 columns"),
+        ([[1.0, 0.0], [0.0, 1.0]],
+         "insufficient residual degrees of freedom: 2 arrays for 2 coefficients"),
+    ],
+    ids=["rank-deficient", "fewer-rows-than-columns", "zero-df"],
+)
+def test_hand_built_model_matrix_checks_rank_and_df(x, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        pr.ModelMatrix(x=np.array(x))
+
+
+def test_constructors_take_only_inputs():
+    # What the code derives (rank, residual df, unscaled_se, ok, se, the
+    # parsed basis, the test-bearing indices) is not a constructor argument.
+    def init(cls):
+        return [f.name for f in fields(cls) if f.init]
+
+    assert init(pr.ComparisonMatrix) == ["values", "conditions"]
+    assert init(pr.ModelMatrix) == ["x", "coefficient_indices", "dropped_coefficients"]
+    assert init(pr.ProfileSpec) == [
+        "name", "condition_labels", "coefficient_names", "basis_text", "constraints"
+    ]
+    assert init(pr.ValidatedProfile) == ["spec"]
+    assert init(pr.FitTable) == ["gene_ids", "gamma", "unscaled_se", "s2", "df", "n_used"]
+    assert init(pr.FittedExperiment) == ["model", "fits", "moderation"]
+    assert list(inspect.signature(trigamma_inverse).parameters) == ["x"]
 
 
 def _svd_rank(x):

@@ -1,13 +1,17 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import profilerank as pr
 from profilerank.errors import DataError
 from profilerank.fitting import posterior_variance
+from profilerank.synth import write_expression_csv
 
 from test_design import _profile, make_design
 
@@ -323,6 +327,50 @@ def test_read_expression_non_finite_token_reports_position(tmp_path, token):
         pr.read_expression_csv(p, ("a1", "a2", "a3"))
 
 
+@pytest.mark.parametrize(
+    "gene_id", ["", "  ", '"a\rb"'], ids=["empty", "blank", "carriage-return"]
+)
+def test_read_expression_bad_gene_id_reports_position(tmp_path, gene_id):
+    p = tmp_path / "expr.csv"
+    p.write_text(f"gene_id,a1,a2,a3\ng1,1.0,2.0,3.0\n{gene_id},4.0,5.0,6.0\n", newline="")
+    with pytest.raises(DataError, match=r"expr.csv:3: column 1: a gene id must be non-empty"):
+        pr.read_expression_csv(p, ("a1", "a2", "a3"))
+
+
+# Gene ids hold commas, quotes and line feeds but no surrounding whitespace,
+# which the reader strips, and no carriage return, which it rejects.
+_GENE_IDS = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from(',"\n'),
+    min_size=1, max_size=6,
+).filter(lambda s: s == s.strip())
+_EXTREMES = (1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324,
+             2.2250738585072014e-308, -0.0, math.nan)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_expression_csv_round_trip(data):
+    n_arrays = data.draw(st.integers(1, 4))
+    gene_ids = tuple(data.draw(st.lists(_GENE_IDS, min_size=1, max_size=6, unique=True)))
+    values = data.draw(arrays(
+        float, (len(gene_ids), n_arrays),
+        elements=st.sampled_from(_EXTREMES) | st.floats(allow_infinity=False),
+        fill=st.nothing(),
+    ))
+    array_ids = tuple(f"a{j}" for j in range(n_arrays))
+    expr = pr.ExpressionMatrix(gene_ids=gene_ids, array_ids=array_ids, values=values)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+        write_expression_csv(expr, first)
+        back = pr.read_expression_csv(first, array_ids)
+        write_expression_csv(back, second)
+        assert second.read_bytes() == first.read_bytes()
+    assert back.gene_ids == gene_ids
+    missing = np.isnan(values)
+    assert np.array_equal(np.isnan(back.values), missing)
+    assert np.array_equal(back.values[~missing].view(np.uint64), values[~missing].view(np.uint64))
+
+
 def test_read_expression_duplicate_gene_ids(tmp_path):
     p = tmp_path / "expr.csv"
     p.write_text("gene_id,a1,a2\ng1,0.5,0.5\ng1,0.1,0.1\n")
@@ -335,8 +383,6 @@ def test_fit_gene_without_cached_solver(stemcell_model):
         x=np.array(stemcell_model.x),
         coefficient_indices=stemcell_model.coefficient_indices,
         dropped_coefficients=stemcell_model.dropped_coefficients,
-        rank=stemcell_model.rank,
-        residual_df=stemcell_model.residual_df,
     )
     rng = np.random.default_rng(19)
     y = rng.normal(0, 1, 20)

@@ -1,6 +1,9 @@
 import math
+import re
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +165,16 @@ def test_parse_bad_constraints():
             parse_profile(base + f"coef c1 {entry},0 free\n")
     with pytest.raises(ValidationError, match="finite number, got inf"):
         parse_profile(base + "coef c1 1,0 pos:1e400\n")
+    # Errors of the constraint value itself name the line and the token.
+    for token, message in [
+        ("equiv:0", "equivalence margin must be > 0, got 0.0"),
+        ("equiv:-2", "equivalence margin must be > 0, got -2.0"),
+        ("equiv:inf", "equiv constraint value must be a finite number, got inf"),
+        ("pos:1e400", "pos constraint value must be a finite number, got inf"),
+        ("pos:-1", "positivity threshold must be >= 0, got -1.0"),
+    ]:
+        with pytest.raises(ValidationError, match=re.escape(f"<string>:4: {token}: {message}")):
+            parse_profile(base + f"coef c0 1,1 free\ncoef c1 1,0 {token}\n")
 
 
 def test_comments_and_blanks_ignored():
@@ -249,6 +262,24 @@ def test_with_margins_rejects_unknown_or_untestable(pluripotent):
         pluripotent.with_margins(deltas={"baseline": 1.0})
     with pytest.raises(ValidationError, match="must be > 0"):
         pluripotent.with_margins(epsilon=-1.0)
+
+
+def test_test_bearing_follows_the_constraints(pluripotent):
+    assert pluripotent.test_bearing == (1, 2, 3)
+    constraints = (pr.Constraint.positive_above(), *pluripotent.constraints[1:])
+    spec = replace(pluripotent.spec, constraints=constraints)
+    assert pr.ValidatedProfile(spec=spec).test_bearing == (0, 1, 2, 3)
+
+
+def test_basis_is_parsed_from_text_only(pluripotent):
+    spec = pluripotent.spec
+    with pytest.raises(ValueError, match="init=False"):
+        replace(spec, basis=np.zeros_like(spec.basis))
+    swapped = replace(spec, basis_text=tuple(reversed(spec.basis_text)))
+    assert swapped.basis.tolist() == spec.basis[:, ::-1].tolist()
+    narrowed = pluripotent.with_margins(epsilon=0.5)
+    assert narrowed.basis is not spec.basis
+    assert narrowed.basis.tolist() == spec.basis.tolist()
 
 
 def test_basis_is_readonly(pluripotent):
