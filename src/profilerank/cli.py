@@ -113,6 +113,10 @@ def _fit_run(config: RunConfig):
         config.conditions_path, config.design_path, config.profile_path,
         config.data_path, config.epsilon, config.deltas,
     )
+    if config.grid and not any(con.kind == "equiv" for con in profile.constraints):
+        raise ValidationError(
+            f"profile {profile.name!r} has no equiv coefficient, so --grid would vary nothing"
+        )
     os.makedirs(config.out_dir, exist_ok=True)
     return profile, fit_experiment(expr, design, profile)
 
@@ -139,7 +143,7 @@ def _write_ranked_csv(table: RankedTable, path: str) -> None:
         s.posterior_s2[rows].tolist(),
     )
     write_csv(path, header, (
-        [rank, gene_id, _fmt(u), *map(_fmt, u_values), *map(_fmt, gamma),
+        [str(rank), gene_id, _fmt(u), *map(_fmt, u_values), *map(_fmt, gamma),
          *map(_fmt, se), _fmt(s2), _fmt(posterior_s2)]
         for rank, (gene_id, u, u_values, gamma, se, s2, posterior_s2) in enumerate(columns, 1)
     ))
@@ -195,7 +199,7 @@ def _write_profiles_svg(fitted, profile, table: RankedTable, top_n: int, path: s
 def _write_sensitivity_csv(sweep: SweepResult, path: str) -> None:
     header = ["gene_id"] + [f"rank_eps_{_eps_label(e)}" for e in sweep.epsilons]
     write_csv(path, header, (
-        [gene_id, *("" if r is None else r for r in ranks)]
+        [gene_id, *("" if r is None else str(r) for r in ranks)]
         for gene_id, ranks in sweep.stability
     ))
 

@@ -1,12 +1,23 @@
 """The one CSV writer behind every table profilerank writes."""
 
-import csv
-
 
 def write_csv(path, header, rows) -> None:
-    """Write ``header`` and then ``rows`` with ``\\n`` line ends; a field is
-    quoted only when it holds a comma, a quote or a line break."""
+    """Write ``header`` and then ``rows``, lists of strings, with ``\\n``
+    line ends; a field is quoted only when it holds a comma, a quote or a
+    line break (``\\n`` or ``\\r``)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_line(header))
+        fh.writelines(map(_line, rows))
+
+
+def _line(row) -> str:
+    line = ",".join(row)
+    if '"' in line or "\n" in line or "\r" in line or line.count(",") != len(row) - 1:
+        line = ",".join(map(_quoted, row))
+    return line + "\n"
+
+
+def _quoted(field: str) -> str:
+    if "," in field or '"' in field or "\n" in field or "\r" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field

@@ -267,6 +267,8 @@ def read_design_csv(path, conditions: tuple[str, ...]) -> ComparisonDesign:
                         f"{path}:{lineno}: expected 4 fields, got {len(row)}"
                     )
                 arrays.append(ArrayComparison(*[f.strip() for f in row]))
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise ValidationError(f"cannot read design file {path}: {exc}") from exc
     return ComparisonDesign(conditions=tuple(conditions), arrays=tuple(arrays))

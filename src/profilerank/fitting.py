@@ -13,6 +13,7 @@ freedom for the downstream tests.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -377,7 +378,79 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
     """Read a log-ratio table: header ``gene_id,<array ids...>`` matching the
     design order exactly; a gene id (stripped) must be non-empty, without a
     carriage return; values are finite decimals, ``NA`` or empty for missing
-    (``inf``, ``nan`` and overflow are errors, not missing spots)."""
+    (``inf``, ``nan`` and overflow are errors, not missing spots).
+
+    Plain files are parsed by numpy's C reader; anything else, and every
+    file with an error, goes through the ``csv`` loop, which names the
+    file, line and column of the first problem.
+    """
+    array_ids = tuple(array_ids)
+    try:
+        gene_ids, values = _parse_fast(path, array_ids) or _parse_csv(path, array_ids)
+    except OSError as exc:
+        raise DataError(f"cannot read expression file {path}: {exc}") from exc
+    return ExpressionMatrix(gene_ids=gene_ids, array_ids=array_ids, values=values)
+
+
+class _Declined(Exception):
+    """A line that only the csv loop may judge."""
+
+
+def _parse_fast(path, array_ids: tuple[str, ...]):
+    """``(gene ids, values)`` from ``np.loadtxt``, or None where the csv loop
+    could read the file differently or must report an error.
+
+    Only plain lines are taken: no quote, carriage return, NUL, space or
+    tab, no empty field, no blank line, no line longer than the csv field
+    limit, and ``NA`` only as a whole field, rewritten to ``nan``. The file
+    goes back to the loop when ``loadtxt`` fails, the shape is wrong, or a
+    value is non-finite without having been ``NA``.
+    """
+    limit = csv.field_size_limit()
+    gene_ids: list[str] = []
+    n_missing = 0
+
+    def bodies(lines):
+        nonlocal n_missing
+        for line in lines:
+            gene_id, _, body = line.partition(",")
+            if (not gene_id or not body or len(line) > limit or ",," in line
+                    or body.endswith((",", ",\n")) or '"' in line or "\r" in line
+                    or "\0" in line or " " in line or "\t" in line
+                    or gene_id.strip() != gene_id):
+                raise _Declined
+            n = body.count("NA")
+            if n:
+                if body.startswith("NA") + body.count(",NA") != n:
+                    raise _Declined
+                body = body.replace("NA", "nan")
+                n_missing += n
+            gene_ids.append(gene_id)
+            yield body
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = fh.readline()
+        if (header.removesuffix("\n").split(",") != ["gene_id", *array_ids]
+                or '"' in header or "\r" in header or "\0" in header):
+            return None
+        lines = bodies(fh)
+        try:
+            first = next(lines, None)
+            if first is None:
+                return None
+            values = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                                comments=None, ndmin=2, dtype=float)
+        except (_Declined, ValueError):
+            return None
+    if (values.shape != (len(gene_ids), len(array_ids))
+            or np.count_nonzero(~np.isfinite(values)) != n_missing):
+        return None
+    return tuple(gene_ids), values
+
+
+def _parse_csv(path, array_ids: tuple[str, ...]):
+    """``(gene ids, values)`` read field by field with the ``csv`` module;
+    every malformed input raises a ``DataError`` naming its position."""
     n_arrays = len(array_ids)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -423,8 +496,8 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
                             f"not a number: {text!r}"
                         ) from exc
                 rows.append(values)
-    except OSError as exc:
-        raise DataError(f"cannot read expression file {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if not gene_ids:
         raise DataError(f"{path}: no gene rows")
     values = np.array(rows, dtype=float)
@@ -437,8 +510,4 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
             f"{path}:{linenos[i]}: column {j + 2}: not a finite number "
             f"(parsed as {float(values[i, j])}); use NA for a missing spot"
         )
-    return ExpressionMatrix(
-        gene_ids=tuple(gene_ids),
-        array_ids=tuple(array_ids),
-        values=values,
-    )
+    return tuple(gene_ids), values

@@ -296,6 +296,46 @@ def test_empty_gene_id_exits_3(workdir, tmp_path, capsys):
     assert "bad.csv:3: column 1: a gene id must be non-empty" in capsys.readouterr().err
 
 
+def _validate_args(root, data=None, design=None):
+    return ["validate",
+            "--design", str(design or root / "design.csv"),
+            "--conditions", str(root / "conditions.csv"),
+            "--profile", str(root / "pluripotent.profile"),
+            *(["--data", str(data)] if data else [])]
+
+
+def test_gene_id_beyond_the_csv_field_limit_exits_3(workdir, tmp_path, capsys):
+    lines = (workdir / "data" / "expression.csv").read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([lines[0], "x" * 140000 + "," + lines[1].partition(",")[2],
+                              *lines[2:]]) + "\n")
+    assert main(_validate_args(workdir, data=bad)) == 3
+    assert "bad.csv:2: field larger than field limit" in capsys.readouterr().err
+
+
+def test_design_field_beyond_the_csv_field_limit_exits_2(workdir, tmp_path, capsys):
+    lines = (workdir / "design.csv").read_text().splitlines()
+    bad = tmp_path / "design.csv"
+    bad.write_text("\n".join([lines[0], lines[1] + "x" * 140000, *lines[2:]]) + "\n")
+    assert main(_validate_args(workdir, design=bad)) == 2
+    assert "design.csv:2: field larger than field limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rank", "sensitivity"])
+def test_grid_without_an_equivalence_margin_exits_2(workdir, tmp_path, capsys, command):
+    text = (workdir / "pluripotent.profile").read_text()
+    profile = tmp_path / "no_equiv.profile"
+    profile.write_text(text.replace("name pluripotent", "name no_equiv_margin")
+                       .replace("coef day0_vs_day3 0.5,-0.5,0,0 equiv:1\n", ""))
+    out = tmp_path / "out"
+    args = _rank_args(workdir, out, ["--grid", "0.5,1"])
+    args[args.index("--profile") + 1] = str(profile)
+    args[0] = command
+    assert main(args) == 2
+    assert "profile 'no_equiv_margin' has no equiv coefficient" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 WEIRD_ID = 'weird,"id'
 
 
