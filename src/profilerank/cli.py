@@ -37,12 +37,12 @@ from .ranking import (
     RankedTable,
     ScoreTable,
     SweepResult,
+    _passes,
     gene_statistics,
     fit_experiment,
     rank_from_fits,
     sweep_from_fits,
 )
-from .special import student_t_upper_quantile
 from .svgplot import fitted_relative_profile, render_profiles_svg
 from .synth import GammaRanges, generate_dataset, write_expression_csv, write_truth_csv
 
@@ -205,13 +205,10 @@ def _write_sensitivity_csv(sweep: SweepResult, path: str) -> None:
 
 
 def _alpha_pass_count(fitted: FittedExperiment, stats: ScoreTable, alpha: float) -> int:
-    """Included genes whose every U exceeds the one-sided t quantile at
-    their moderated df: iut_decision, one quantile per distinct df."""
+    """Included genes that pass ``iut_decision`` at level ``alpha``."""
     included = stats.included
-    df = fitted.moderation.posterior_df[included]
-    distinct, which = np.unique(df, return_inverse=True)
-    tstar = np.array([student_t_upper_quantile(alpha, float(d)) for d in distinct])
-    return int(np.all(stats.u_values[included] > tstar[which][:, None], axis=1).sum())
+    return int(_passes(stats.u_values[included], fitted.moderation.posterior_df[included],
+                       alpha).sum())
 
 
 def run(config: RunConfig) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, not_utf8
 
 __all__ = [
     "LABEL_PATTERN",
@@ -241,6 +241,8 @@ def read_conditions_csv(path) -> tuple[str, ...]:
                 labels.append(line)
     except OSError as exc:
         raise ValidationError(f"cannot read conditions file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, ValidationError) from exc
     if not labels:
         raise ValidationError(f"{path}: no condition labels found")
     return tuple(labels)
@@ -271,4 +273,6 @@ def read_design_csv(path, conditions: tuple[str, ...]) -> ComparisonDesign:
         raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise ValidationError(f"cannot read design file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, ValidationError) from exc
     return ComparisonDesign(conditions=tuple(conditions), arrays=tuple(arrays))

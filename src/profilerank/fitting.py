@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .design import ModelMatrix, least_squares_operator
-from .errors import DataError
+from .errors import DataError, not_utf8
 from .special import digamma, trigamma, trigamma_inverse
 
 __all__ = [
@@ -53,7 +53,11 @@ class ExpressionMatrix:
 
     def __post_init__(self) -> None:
         if len(set(self.gene_ids)) != len(self.gene_ids):
-            raise DataError("gene ids must be unique")
+            seen: set[str] = set()
+            for gene_id in self.gene_ids:
+                if gene_id in seen:
+                    raise DataError(f"gene ids must be unique: {gene_id!r} repeats")
+                seen.add(gene_id)
         if self.values.shape != (len(self.gene_ids), len(self.array_ids)):
             raise DataError(
                 f"expression matrix shape {self.values.shape} does not match "
@@ -172,12 +176,12 @@ class FitTable(LazyRows):
 
 
 def fit_gene(y, model: ModelMatrix, gene_id: str = "") -> GeneFit:
-    """Fit one gene's log ratios against the model matrix.
+    """Fit one gene's log ratios against the model matrix: ``fit_all`` on
+    a one-row matrix.
 
     Rows where ``y`` is missing (NaN) are removed first; the gene is
     excluded when the surviving rows cannot identify the coefficients or
-    leave no residual degree of freedom. The per-gene reference for
-    ``fit_all``.
+    leave no residual degree of freedom.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (model.n_arrays,):
@@ -185,45 +189,27 @@ def fit_gene(y, model: ModelMatrix, gene_id: str = "") -> GeneFit:
             f"gene {gene_id!r}: {y.shape[0] if y.ndim == 1 else y.shape} values "
             f"for {model.n_arrays} arrays"
         )
-    mask = np.isfinite(y)
-    n_used = int(mask.sum())
-    k = model.n_coefficients
-    if n_used - k < 1:
-        return _excluded(gene_id, REASON_INSUFFICIENT, n_used)
-    x_obs = model.x[mask]
-    solved = least_squares_operator(x_obs)
-    if solved is None:
-        return _excluded(gene_id, REASON_INSUFFICIENT, n_used)
-    pinv, unscaled_se = solved
-    y_obs = y[mask]
-    gamma = pinv @ y_obs
-    resid = y_obs - x_obs @ gamma
-    df = n_used - k
-    return GeneFit(
-        gene_id=gene_id,
-        status="ok",
-        gamma_hat=gamma,
-        s2=float(resid @ resid) / df,
-        df=df,
-        unscaled_se=unscaled_se,
-        n_used=n_used,
-    )
+    return _fit_rows((gene_id,), y[None, :], model)[0]
 
 
 def fit_all(expr: ExpressionMatrix, model: ModelMatrix) -> FitTable:
-    """Fit every gene.
+    """Fit every gene of an expression matrix whose arrays are the model's."""
+    if len(expr.array_ids) != model.n_arrays:
+        raise DataError(
+            f"expression matrix has {len(expr.array_ids)} arrays but the "
+            f"model expects {model.n_arrays}"
+        )
+    return _fit_rows(expr.gene_ids, expr.values, model)
+
+
+def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix) -> FitTable:
+    """Fit each row of ``values`` (genes x the model's arrays).
 
     Genes that observed the same set of arrays share one model matrix, so
     the identifiability check and the pseudo-inverse run once per
     missingness pattern and are applied to all of its genes with one matrix
     product.
     """
-    if len(expr.array_ids) != model.n_arrays:
-        raise DataError(
-            f"expression matrix has {len(expr.array_ids)} arrays but the "
-            f"model expects {model.n_arrays}"
-        )
-    values = expr.values
     observed = np.isfinite(values)
     n_genes, k = values.shape[0], model.n_coefficients
     gamma = np.full((n_genes, k), math.nan)
@@ -256,7 +242,7 @@ def fit_all(expr: ExpressionMatrix, model: ModelMatrix) -> FitTable:
             s2[rows] = np.einsum("ij,ij->i", resid, resid) / (n - k)
             df[rows] = n - k
     return FitTable(
-        gene_ids=expr.gene_ids,
+        gene_ids=gene_ids,
         gamma=gamma,
         unscaled_se=unscaled_se,
         s2=s2,
@@ -287,17 +273,23 @@ class ModerationResult:
 
 
 def posterior_variance(d0: float, s0_2: float, df: float, s2: float) -> float:
-    """df-weighted average of the prior and sample variance.
+    """df-weighted average of the prior and sample variance for one gene:
+    ``moderate_variances``' shrinkage of a single value."""
+    return float(_shrink(d0, s0_2, df, s2))
 
-    Equal weights when df == d0; the result is clamped to the closed
-    interval between s0_2 and s2 so the shrinkage bound holds exactly even
-    under float rounding. With d0 = inf the prior wins outright.
+
+def _shrink(d0: float, s0_2: float, df: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """df-weighted averages ``(d0*s0_2 + df*s2) / (d0 + df)`` of the prior
+    and each sample variance.
+
+    Equal weights when df == d0; each result is clamped to the closed
+    interval between s0_2 and its s2 so the shrinkage bound holds exactly
+    even under float rounding. With d0 = inf the prior wins outright.
     """
     if math.isinf(d0):
-        return s0_2
+        return np.full(np.shape(s2), s0_2)
     post = (d0 * s0_2 + df * s2) / (d0 + df)
-    lo, hi = min(s0_2, s2), max(s0_2, s2)
-    return min(max(post, lo), hi)
+    return np.minimum(np.maximum(post, np.minimum(s0_2, s2)), np.maximum(s0_2, s2))
 
 
 def _variance_columns(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -354,16 +346,8 @@ def moderate_variances(fits) -> ModerationResult:
 
     posterior_s2 = np.full(len(ok), math.nan)
     posterior_df = np.full(len(ok), math.nan)
-    ok_df, ok_s2 = df[ok], s2[ok]
-    posterior_df[ok] = d0 + ok_df
-    if math.isinf(d0):
-        posterior_s2[ok] = s0_2
-    else:
-        # posterior_variance, one gene per element.
-        post = (d0 * s0_2 + ok_df * ok_s2) / (d0 + ok_df)
-        posterior_s2[ok] = np.minimum(
-            np.maximum(post, np.minimum(s0_2, ok_s2)), np.maximum(s0_2, ok_s2)
-        )
+    posterior_df[ok] = d0 + df[ok]
+    posterior_s2[ok] = _shrink(d0, s0_2, df[ok], s2[ok])
     return ModerationResult(
         d0=d0,
         s0_2=s0_2,
@@ -389,6 +373,8 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
         gene_ids, values = _parse_fast(path, array_ids) or _parse_csv(path, array_ids)
     except OSError as exc:
         raise DataError(f"cannot read expression file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, DataError) from exc
     return ExpressionMatrix(gene_ids=gene_ids, array_ids=array_ids, values=values)
 
 
@@ -440,10 +426,13 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
                 return None
             values = np.loadtxt(itertools.chain([first], lines), delimiter=",",
                                 comments=None, ndmin=2, dtype=float)
+        except UnicodeDecodeError:
+            raise
         except (_Declined, ValueError):
             return None
     if (values.shape != (len(gene_ids), len(array_ids))
-            or np.count_nonzero(~np.isfinite(values)) != n_missing):
+            or np.count_nonzero(~np.isfinite(values)) != n_missing
+            or len(set(gene_ids)) != len(gene_ids)):
         return None
     return tuple(gene_ids), values
 
@@ -464,8 +453,7 @@ def _parse_csv(path, array_ids: tuple[str, ...]):
                     f"{path}: header does not match the design's arrays; "
                     f"expected {','.join(expected)!r}, got {','.join(header)!r}"
                 )
-            gene_ids: list[str] = []
-            linenos: list[int] = []
+            line_of: dict[str, int] = {}  # gene id -> its line, in file order
             rows: list[list[float]] = []
             missing: list[int] = []  # flat positions of NA and empty fields
             for lineno, row in enumerate(reader, start=2):
@@ -476,11 +464,14 @@ def _parse_csv(path, array_ids: tuple[str, ...]):
                         f"{path}:{lineno}: expected {len(expected)} fields, "
                         f"got {len(row)}"
                     )
-                gene_ids.append(row[0].strip())
-                if not gene_ids[-1] or "\r" in gene_ids[-1]:
+                gene_id = row[0].strip()
+                if not gene_id or "\r" in gene_id:
                     raise DataError(f"{path}:{lineno}: column 1: a gene id must be non-empty "
                                     f"and hold no carriage return, got {row[0]!r}")
-                linenos.append(lineno)
+                if gene_id in line_of:
+                    raise DataError(f"{path}:{lineno}: column 1: gene id {gene_id!r} is not "
+                                    f"unique, it is also on line {line_of[gene_id]}")
+                line_of[gene_id] = lineno
                 values = []
                 for col, text in enumerate(row[1:], start=2):
                     text = text.strip()
@@ -498,7 +489,7 @@ def _parse_csv(path, array_ids: tuple[str, ...]):
                 rows.append(values)
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    if not gene_ids:
+    if not line_of:
         raise DataError(f"{path}: no gene rows")
     values = np.array(rows, dtype=float)
     # A non-finite cell is a missing spot only where the field was NA or empty.
@@ -507,7 +498,7 @@ def _parse_csv(path, array_ids: tuple[str, ...]):
     if bad.any():
         i, j = np.argwhere(bad)[0].tolist()
         raise DataError(
-            f"{path}:{linenos[i]}: column {j + 2}: not a finite number "
+            f"{path}:{list(line_of.values())[i]}: column {j + 2}: not a finite number "
             f"(parsed as {float(values[i, j])}); use NA for a missing spot"
         )
-    return tuple(gene_ids), values
+    return tuple(line_of), values

@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .design import LABEL_PATTERN
-from .errors import ValidationError
+from .errors import ValidationError, not_utf8
 
 __all__ = [
     "Constraint",
@@ -393,6 +393,8 @@ def profile_from_file(path) -> ProfileSpec:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read profile file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, ValidationError) from exc
     return parse_profile(text, source=str(path))
 
 

@@ -99,16 +99,6 @@ def _model_positions(profile: ValidatedProfile, model: ModelMatrix) -> list[int]
     return positions
 
 
-def _single_u(gamma: float, se: float, constraint: Constraint) -> float:
-    if constraint.kind == "pos":
-        num = gamma - constraint.value
-    else:
-        num = constraint.value - abs(gamma)
-    if se == 0.0:
-        return math.inf if num > 0 else (-math.inf if num < 0 else 0.0)
-    return num / se
-
-
 def u_statistics(
     fit: GeneFit,
     mod: ModerationResult,
@@ -116,7 +106,8 @@ def u_statistics(
     model: ModelMatrix,
     gene_index: int,
 ) -> UStatistics:
-    """Compute the per-criterion U statistics for one fitted gene.
+    """Compute the per-criterion U statistics for one fitted gene: the
+    scoring pass of ``gene_statistics`` on one row.
 
     ``gene_index`` selects this gene's posterior variance from the
     moderation result. Inclusion requires strictly positive U for every
@@ -130,36 +121,24 @@ def u_statistics(
         raise ValueError(
             f"gene {fit.gene_id!r}: no moderated variance at index {gene_index}"
         )
-    scale = math.sqrt(posterior_s2)
-    se = fit.unscaled_se * scale
-    positions = _model_positions(profile, model)
-    constraints = [profile.constraints[j] for j in profile.test_bearing]
-    u_values = np.array(
-        [
-            _single_u(float(fit.gamma_hat[p]), float(se[p]), con)
-            for p, con in zip(positions, constraints)
-        ]
-    )
-    u = float(u_values.min())
-    included = bool(np.all(u_values > 0.0) and np.all(np.isfinite(u_values)))
-    reason = None
-    if not included:
-        reason = REASON_DEGENERATE if u > 0.0 else REASON_VIOLATED
-    return UStatistics(
-        gene_id=fit.gene_id,
-        gamma_hat=np.array(fit.gamma_hat),
-        se=se,
-        u_values=u_values,
-        u=u,
-        included=included,
-        exclusion_reason=reason,
-        s2=fit.s2,
-        posterior_s2=posterior_s2,
-    )
+    gamma = np.array(fit.gamma_hat, dtype=float, ndmin=2)
+    posterior_s2 = np.array([posterior_s2])
+    se = _standard_errors(fit.unscaled_se[None, :], posterior_s2)
+    return ScoreTable(
+        (fit.gene_id,), gamma, se, *_score(gamma, se, np.ones(1, bool), profile, model),
+        s2=np.array([fit.s2], dtype=float), posterior_s2=posterior_s2,
+    )[0]
+
+
+def _standard_errors(unscaled_se: np.ndarray, posterior_s2: np.ndarray) -> np.ndarray:
+    # Coefficient standard errors, genes x coefficients, from the
+    # moderated residual variance of each gene.
+    return unscaled_se * np.sqrt(posterior_s2)[:, None]
 
 
 def _u_column(gamma: np.ndarray, se: np.ndarray, constraint: Constraint) -> np.ndarray:
-    # _single_u over a column of genes.
+    # Signed distance to the criterion boundary in standard errors; a zero
+    # se gives +-inf by the sign of the distance, and 0 on the boundary.
     if constraint.kind == "pos":
         num = gamma - constraint.value
     else:
@@ -171,6 +150,24 @@ def _u_column(gamma: np.ndarray, se: np.ndarray, constraint: Constraint) -> np.n
         num = num[zero]
         u[zero] = np.where(num > 0, math.inf, np.where(num < 0, -math.inf, 0.0))
     return u
+
+
+def _score(gamma: np.ndarray, se: np.ndarray, ok: np.ndarray,
+           profile: ValidatedProfile, model: ModelMatrix):
+    """``(u_values, u, reason)`` of every row of ``gamma`` and ``se``, as
+    ``u_statistics`` describes them; rows not ``ok`` read ``insufficient
+    data``."""
+    positions = _model_positions(profile, model)
+    constraints = [profile.constraints[j] for j in profile.test_bearing]
+    u_values = np.empty((len(gamma), len(positions)))
+    for col, (p, con) in enumerate(zip(positions, constraints)):
+        u_values[:, col] = _u_column(gamma[:, p], se[:, p], con)
+    u = u_values.min(axis=1)
+    included = np.all(u_values > 0.0, axis=1) & np.all(np.isfinite(u_values), axis=1)
+    reason = np.select(
+        [~ok, included, u > 0.0], [_INSUFFICIENT, _INCLUDED, _DEGENERATE], _VIOLATED
+    )
+    return u_values, u, reason.astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,24 +363,10 @@ def rank_genes(stats, metadata: dict | None = None) -> RankedTable:
     """Sort included genes by descending U (ties by gene id) and assign
     contiguous ranks; everything else lands in the excluded list.
 
-    The per-gene reference for ``rank_from_fits``: ``stats`` is any
-    sequence of ``UStatistics``, ordered with Python's ``sorted``.
+    ``stats`` is any sequence of ``UStatistics``, stacked into one
+    ``ScoreTable`` and ranked as ``rank_from_fits`` ranks.
     """
-    stats = list(stats)
-    order = sorted(
-        (i for i, s in enumerate(stats) if s.included),
-        key=lambda i: (-stats[i].u, stats[i].gene_id),
-    )
-    dropped = sorted(
-        (i for i, s in enumerate(stats) if not s.included),
-        key=lambda i: stats[i].exclusion_reason == REASON_INSUFFICIENT,
-    )
-    return RankedTable(
-        scores=ScoreTable.from_stats(stats),
-        order=np.array(order, dtype=np.intp),
-        dropped=np.array(dropped, dtype=np.intp),
-        metadata=dict(metadata or {}),
-    )
+    return _rank(ScoreTable.from_stats(stats), dict(metadata or {}))
 
 
 @dataclass(frozen=True)
@@ -420,9 +403,8 @@ def cii_decision(
         raise ValueError(f"gene {fit.gene_id!r}: cannot test an excluded fit")
     if not constraint.is_test_bearing:
         raise ValidationError("unconstrained coefficients have no test")
-    se = float(fit.unscaled_se[coefficient]) * math.sqrt(
-        float(mod.posterior_s2[gene_index])
-    )
+    se = float(_standard_errors(fit.unscaled_se[None, :],
+                                mod.posterior_s2[[gene_index]])[0, coefficient])
     tstar = student_t_upper_quantile(alpha, float(mod.posterior_df[gene_index]))
     gamma = float(fit.gamma_hat[coefficient])
     if constraint.kind == "equiv":
@@ -440,8 +422,16 @@ def iut_decision(u: UStatistics, posterior_df: float, alpha: float) -> bool:
     alpha = _check_alpha(alpha)
     if u.u_values.size == 0 or not np.all(np.isfinite(u.u_values)):
         return False
-    tstar = student_t_upper_quantile(alpha, float(posterior_df))
-    return bool(np.all(u.u_values > tstar))
+    return bool(_passes(u.u_values[None, :], np.array([posterior_df], dtype=float), alpha)[0])
+
+
+def _passes(u_values: np.ndarray, df: np.ndarray, alpha: float) -> np.ndarray:
+    """Rows of ``u_values`` whose every U exceeds the one-sided t quantile
+    at level ``alpha`` and the row's moderated ``df``: one quantile per
+    distinct df."""
+    distinct, which = np.unique(df, return_inverse=True)
+    tstar = np.array([student_t_upper_quantile(alpha, float(d)) for d in distinct])
+    return np.all(u_values > tstar[which][:, None], axis=1)
 
 
 @dataclass(frozen=True)
@@ -456,7 +446,7 @@ class FittedExperiment:
 
     @cached_property
     def se(self) -> np.ndarray:
-        se = self.fits.unscaled_se * np.sqrt(self.moderation.posterior_s2)[:, None]
+        se = _standard_errors(self.fits.unscaled_se, self.moderation.posterior_s2)
         se.setflags(write=False)
         return se
 
@@ -486,26 +476,10 @@ def gene_statistics(fitted: FittedExperiment, profile: ValidatedProfile) -> Scor
     ``posterior_s2`` with the moderation result and ``se`` with ``fitted``;
     the NaN of an unfit gene carries through to its ``se`` and U values.
     """
-    positions = _model_positions(profile, fitted.model)
-    constraints = [profile.constraints[j] for j in profile.test_bearing]
     fits, se = fitted.fits, fitted.se
-    u_values = np.empty((len(fits), len(positions)))
-    for col, (p, con) in enumerate(zip(positions, constraints)):
-        u_values[:, col] = _u_column(fits.gamma[:, p], se[:, p], con)
-    u = u_values.min(axis=1)
-    included = np.all(u_values > 0.0, axis=1) & np.all(np.isfinite(u_values), axis=1)
-    reason = np.select(
-        [~fits.ok, included, u > 0.0], [_INSUFFICIENT, _INCLUDED, _DEGENERATE], _VIOLATED
-    )
     return ScoreTable(
-        gene_ids=fits.gene_ids,
-        gamma=fits.gamma,
-        se=se,
-        u_values=u_values,
-        u=u,
-        reason=reason.astype(np.int8),
-        s2=fits.s2,
-        posterior_s2=fitted.moderation.posterior_s2,
+        fits.gene_ids, fits.gamma, se, *_score(fits.gamma, se, fits.ok, profile, fitted.model),
+        s2=fits.s2, posterior_s2=fitted.moderation.posterior_s2,
     )
 
 

@@ -321,6 +321,40 @@ def test_design_field_beyond_the_csv_field_limit_exits_2(workdir, tmp_path, caps
     assert "design.csv:2: field larger than field limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, line, code", [
+    ("conditions.csv", 2, 2),
+    ("design.csv", 3, 2),
+    ("pluripotent.profile", 2, 2),
+    ("expression.csv", 400, 3),  # past the first chunk the reader decodes
+])
+def test_input_that_is_not_utf8_names_the_file_and_line(workdir, tmp_path, capsys,
+                                                        name, line, code):
+    inputs = {"conditions.csv": workdir / "conditions.csv",
+              "design.csv": workdir / "design.csv",
+              "pluripotent.profile": workdir / "pluripotent.profile",
+              "expression.csv": workdir / "data" / "expression.csv"}
+    lines = inputs[name].read_bytes().split(b"\n")
+    lines[line - 1] += b"\xe9"
+    inputs[name] = tmp_path / name
+    inputs[name].write_bytes(b"\n".join(lines))
+    assert main(["validate", "--conditions", str(inputs["conditions.csv"]),
+                 "--design", str(inputs["design.csv"]),
+                 "--profile", str(inputs["pluripotent.profile"]),
+                 "--data", str(inputs["expression.csv"])]) == code
+    assert f"{name}:{line}: not UTF-8 text: byte 0xe9" in capsys.readouterr().err
+
+
+def test_duplicate_gene_id_names_both_lines(workdir, tmp_path, capsys):
+    lines = (workdir / "data" / "expression.csv").read_text().splitlines()
+    first = lines[1].partition(",")[0]
+    lines[4] = first + "," + lines[4].partition(",")[2]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(_validate_args(workdir, data=bad)) == 3
+    err = capsys.readouterr().err
+    assert f"bad.csv:5: column 1: gene id {first!r} is not unique, it is also on line 2" in err
+
+
 @pytest.mark.parametrize("command", ["rank", "sensitivity"])
 def test_grid_without_an_equivalence_margin_exits_2(workdir, tmp_path, capsys, command):
     text = (workdir / "pluripotent.profile").read_text()

@@ -1,8 +1,10 @@
-"""The columnar scoring core against the per-gene reference functions.
+"""The columnar kernels against independent per-gene formulas.
 
 ``fit_all``, ``gene_statistics``, ``rank_from_fits`` and ``sweep_from_fits``
-work on whole arrays; ``fit_gene``, ``u_statistics`` and ``rank_genes``
-handle one gene (or one list) at a time and serve as their oracles.
+work on whole arrays. ``oracles`` computes the same statistics one gene at
+a time: the fit from the normal equations of acceptance criterion 1, and
+the variance shrinkage, U statistics, ranking and alpha-level test with
+scalar code.
 """
 
 import math
@@ -18,9 +20,9 @@ from hypothesis.extra.numpy import arrays
 import profilerank as pr
 from profilerank import cli, ranking
 from profilerank.errors import DataError
-from profilerank.fitting import posterior_variance
 from profilerank.ranking import FittedExperiment, ScoreTable, SweepResult, UStatistics
 
+import oracles
 from test_design import make_design
 
 CONDS = ("c0", "c1", "c2", "c3")
@@ -58,10 +60,10 @@ def _close(a, b, scale):
 
 
 def _oracle_u_statistics(fitted, profile, i):
-    # u_statistics for a fitted gene; an unfit gene's row is all NaN.
+    # U statistics of a fitted gene; an unfit gene's row is all NaN.
     fit = fitted.fits[i]
     if fit.ok:
-        return pr.u_statistics(fit, fitted.moderation, profile, fitted.model, i)
+        return oracles.u_statistics(fit, fitted.moderation, profile, fitted.model, i)
     k, m = fitted.model.n_coefficients, len(profile.test_bearing)
     return UStatistics(
         gene_id=fit.gene_id, gamma_hat=np.full(k, math.nan), se=np.full(k, math.nan),
@@ -94,17 +96,17 @@ def test_columnar_path_matches_per_gene_oracles(small, values, zero_se):
     expr = pr.ExpressionMatrix(gene_ids=ids, array_ids=design.array_ids, values=values)
 
     table = pr.fit_all(expr, model)
-    oracle = [pr.fit_gene(y, model, gene_id=g) for g, y in zip(ids, values)]
-    assert len(table) == len(oracle)
-    for i, (got, want) in enumerate(zip(table, oracle)):
-        assert (got.gene_id, got.ok, got.reason, got.n_used, got.df) == (
-            want.gene_id, want.ok, want.reason, want.n_used, want.df
-        )
-        if want.ok:
-            scale = max(1.0, float(np.nanmax(np.abs(values[i]))))
-            assert all(_close(a, b, scale) for a, b in zip(got.gamma_hat, want.gamma_hat))
-            assert _close(got.s2, want.s2, scale * scale)
-            assert np.array_equal(got.unscaled_se, want.unscaled_se)
+    assert len(table) == len(values) and table.gene_ids == ids
+    for i, (got, y) in enumerate(zip(table, values)):
+        n_used, df, gamma, s2, unscaled_se = oracles.fit_gene(y, model)
+        assert (got.n_used, got.ok, got.df or 0) == (n_used, df > 0, df)
+        if df:
+            scale = max(1.0, float(np.nanmax(np.abs(y))))
+            assert all(_close(a, b, scale) for a, b in zip(got.gamma_hat, gamma))
+            assert _close(got.s2, s2, scale * scale)
+            assert all(_close(a, b, 1.0) for a, b in zip(got.unscaled_se, unscaled_se))
+        else:
+            assert got.reason == "insufficient data"
 
     try:
         mod = pr.moderate_variances(table)
@@ -112,7 +114,9 @@ def test_columnar_path_matches_per_gene_oracles(small, values, zero_se):
         return
     for i, fit in enumerate(table):
         if fit.ok:
-            assert mod.posterior_s2[i] == posterior_variance(mod.d0, mod.s0_2, fit.df, fit.s2)
+            assert mod.posterior_s2[i] == oracles.posterior_variance(
+                mod.d0, mod.s0_2, fit.df, fit.s2
+            )
         else:
             assert math.isnan(mod.posterior_s2[i])
 
@@ -132,7 +136,7 @@ def test_columnar_path_matches_per_gene_oracles(small, values, zero_se):
             assert np.array_equal(got.u_values, want.u_values, equal_nan=True)
             assert got.u == want.u or (math.isnan(got.u) and math.isnan(want.u))
             assert (got.included, got.exclusion_reason) == (want.included, want.exclusion_reason)
-        want_table = pr.rank_genes(per_gene)
+        want_table = oracles.rank_genes(per_gene)
         want_excluded = [(e.gene_id, e.reason) for e in want_table.excluded]
         for got_table in (pr.rank_from_fits(fitted, margins), swept):
             if got_table is None:
@@ -154,7 +158,7 @@ def test_duplicate_genes_tie_and_order_by_id(small):
     table = pr.rank_from_fits(fitted, profile)
     tied = [r.gene_id for r in table.rows if r.gene_id in ("zz", "aa", "mm")]
     assert tied == ["aa", "mm", "zz"]
-    assert pr.rank_genes(pr.gene_statistics(fitted, profile)).included_ids == table.included_ids
+    assert oracles.rank_genes(pr.gene_statistics(fitted, profile)).included_ids == table.included_ids
 
 
 def test_fit_table_behaves_like_a_list_of_fits(small):
@@ -223,7 +227,7 @@ def test_margins_share_one_standard_error_array(small):
 
 
 # ---------------------------------------------------------------------------
-# whole CLI runs against the per-gene path
+# whole CLI runs against the per-gene path: one-row fits, oracle scores and ranks
 # ---------------------------------------------------------------------------
 
 
@@ -241,7 +245,7 @@ def _oracle_statistics(fitted, profile):
 
 def _oracle_rank(fitted, profile, stats=None):
     stats = _oracle_statistics(fitted, profile) if stats is None else stats
-    return pr.rank_genes(list(stats), metadata=ranking._metadata(profile))
+    return oracles.rank_genes(list(stats), metadata=ranking._metadata(profile))
 
 
 def _oracle_sweep(fitted, profile, epsilons):
@@ -336,9 +340,7 @@ def test_alpha_pass_count_matches_iut_decision(missing_data):
     posterior_df = fitted.moderation.posterior_df
     assert len(set(posterior_df[scores.included])) > 1
     for alpha in (0.2, 0.05, 0.001):
-        want = sum(
-            pr.iut_decision(s, float(posterior_df[i]), alpha)
-            for i, s in enumerate(scores)
-            if s.included
-        )
+        included = [(s, float(posterior_df[i])) for i, s in enumerate(scores) if s.included]
+        want = sum(oracles.iut_decision(s.u_values, df, alpha) for s, df in included)
         assert cli._alpha_pass_count(fitted, scores, alpha) == want
+        assert sum(pr.iut_decision(s, df, alpha) for s, df in included) == want

@@ -228,6 +228,12 @@ def test_posterior_formula_and_bounds():
         assert post == pytest.approx((d0 * s0 + df * s2) / (d0 + df), rel=1e-12)
 
 
+def test_posterior_is_clamped_where_the_average_rounds_outside_the_bounds():
+    # With s2 == s0_2 the weighted average rounds to 0.10000000000000002.
+    assert (3.0 * 0.1 + 3 * 0.1) / (3.0 + 3) > 0.1
+    assert posterior_variance(3.0, 0.1, 3, 0.1) == 0.1
+
+
 def test_moderation_monotone_in_s2():
     fits = _fits_from_s2(np.linspace(0.01, 0.4, 100))
     mod = pr.moderate_variances(fits)
@@ -376,6 +382,12 @@ def test_read_expression_duplicate_gene_ids(tmp_path):
     p.write_text("gene_id,a1,a2\ng1,0.5,0.5\ng1,0.1,0.1\n")
     with pytest.raises(DataError, match="unique"):
         pr.read_expression_csv(p, ("a1", "a2"))
+
+
+def test_expression_matrix_names_a_repeated_gene_id():
+    with pytest.raises(DataError, match="'g2' repeats"):
+        pr.ExpressionMatrix(gene_ids=("g1", "g2", "g3", "g2", "g1"), array_ids=("a1",),
+                            values=np.zeros((5, 1)))
 
 
 def test_fit_gene_without_cached_solver(stemcell_model):

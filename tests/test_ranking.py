@@ -273,6 +273,13 @@ def test_iut_examples():
     assert not pr.iut_decision(_ustat("g", [4.0, 6.0, 1.0]), df, 0.05)
 
 
+def test_iut_needs_every_u_strictly_above_the_t_quantile():
+    df, alpha = 17.0, 0.05
+    tstar = student_t_upper_quantile(alpha, df)
+    assert not pr.iut_decision(_ustat("g", [5.0, tstar, 5.0]), df, alpha)
+    assert pr.iut_decision(_ustat("g", [5.0, np.nextafter(tstar, 6.0), 5.0]), df, alpha)
+
+
 def test_iut_equals_min_u_threshold_enumeration():
     rng = np.random.default_rng(23)
     df = 21.0
