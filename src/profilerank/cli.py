@@ -22,15 +22,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .csvout import write_csv
 from .design import build_comparison_matrix, compose_model_matrix, read_conditions_csv, read_design_csv
 from .errors import DataError, ValidationError
 from .fitting import REASON_INSUFFICIENT, read_expression_csv
-from .profiles import profile_from_file, validate_profile
+from .profiles import ValidatedProfile, profile_from_file, validate_profile
 from .ranking import (
     REASONS,
     FittedExperiment,
@@ -46,33 +44,11 @@ from .ranking import (
 from .svgplot import fitted_relative_profile, render_profiles_svg
 from .synth import GammaRanges, generate_dataset, write_expression_csv, write_truth_csv
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one ranking run needs; built from CLI flags."""
-
-    data_path: str
-    design_path: str
-    conditions_path: str
-    profile_path: str
-    out_dir: str
-    epsilon: float | None = None
-    deltas: dict = field(default_factory=dict)
-    alpha: float = 0.05
-    grid: tuple[float, ...] = ()
-    top_n: int = 15
-
-    def __post_init__(self) -> None:
-        if self.top_n < 1:
-            raise ValidationError(f"--top-n must be >= 1, got {self.top_n}")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValidationError(f"--alpha must lie in (0, 0.5), got {self.alpha}")
-        if any(not 0.0 < g < math.inf for g in self.grid):
-            raise ValidationError(
-                f"--grid values must be finite numbers > 0, got {list(self.grid)}"
-            )
+# Level of the pass/fail test: the default of --alpha, and the level that
+# sensitivity, which has no --alpha, records in moderation.json.
+ALPHA = 0.05
 
 
 def _require_file(path: str, what: str) -> None:
@@ -88,37 +64,36 @@ def _eps_label(e: float) -> str:
     return f"{e:g}"
 
 
-def _load_inputs(conditions_path, design_path, profile_path, data_path=None,
-                 epsilon=None, deltas=None):
-    """Check ``epsilon`` and that every input file exists, then parse them:
-    the design, the profile under the given margins, and the expression
-    data when ``data_path`` is given (else None)."""
-    if epsilon is not None and not 0.0 < epsilon < math.inf:
-        raise ValidationError(f"--epsilon must be a finite number > 0, got {epsilon}")
-    _require_file(conditions_path, "conditions")
-    _require_file(design_path, "design")
-    _require_file(profile_path, "profile")
-    if data_path is not None:
-        _require_file(data_path, "data")
-    design = read_design_csv(design_path, read_conditions_csv(conditions_path))
-    profile = validate_profile(profile_from_file(profile_path))
-    profile = profile.with_margins(epsilon=epsilon, deltas=deltas)
-    expr = None if data_path is None else read_expression_csv(data_path, design.array_ids)
+def _load_inputs(args):
+    """Check the margin flags and that every input file exists, then parse
+    them: the design, the profile under ``--epsilon`` and ``--delta``, and
+    the expression data when ``--data`` is given (else None)."""
+    deltas = _parse_deltas(args.delta)
+    if args.epsilon is not None and not 0.0 < args.epsilon < math.inf:
+        raise ValidationError(f"--epsilon must be a finite number > 0, got {args.epsilon}")
+    _require_file(args.conditions, "conditions")
+    _require_file(args.design, "design")
+    _require_file(args.profile, "profile")
+    if args.data is not None:
+        _require_file(args.data, "data")
+    design = read_design_csv(args.design, read_conditions_csv(args.conditions))
+    profile = validate_profile(profile_from_file(args.profile))
+    profile = profile.with_margins(epsilon=args.epsilon, deltas=deltas)
+    expr = None if args.data is None else read_expression_csv(args.data, design.array_ids)
     return design, profile, expr
 
 
-def _fit_run(config: RunConfig):
-    """Load the inputs, create the output directory, fit: (profile, fitted)."""
-    design, profile, expr = _load_inputs(
-        config.conditions_path, config.design_path, config.profile_path,
-        config.data_path, config.epsilon, config.deltas,
-    )
-    if config.grid and not any(con.kind == "equiv" for con in profile.constraints):
+def _fit_run(args):
+    """Load the inputs, create the output directory and fit:
+    ``(grid, profile, fitted)``."""
+    grid = _parse_grid(args.grid)
+    design, profile, expr = _load_inputs(args)
+    if grid and not any(con.kind == "equiv" for con in profile.constraints):
         raise ValidationError(
             f"profile {profile.name!r} has no equiv coefficient, so --grid would vary nothing"
         )
-    os.makedirs(config.out_dir, exist_ok=True)
-    return profile, fit_experiment(expr, design, profile)
+    os.makedirs(args.out, exist_ok=True)
+    return grid, profile, fit_experiment(expr, design, profile)
 
 
 def _write_ranked_csv(table: RankedTable, path: str) -> None:
@@ -163,18 +138,23 @@ def _write_excluded_csv(table: RankedTable, path: str) -> None:
 
 
 def _write_moderation_json(
-    fitted: FittedExperiment, table: RankedTable, config: RunConfig, path: str
+    fitted: FittedExperiment, profile: ValidatedProfile, table: RankedTable,
+    alpha: float, path: str,
 ) -> None:
+    """The prior and the run settings; ``table`` was ranked under ``profile``."""
     mod = fitted.moderation
     payload = {
         "d0": mod.d0 if math.isfinite(mod.d0) else "inf",
         "s0_2": mod.s0_2,
         "n_estimation_genes": mod.n_estimation_genes,
-        "profile": table.metadata.get("profile"),
-        "margins": table.metadata.get("margins"),
-        "alpha": config.alpha,
-        "n_included": len(table.rows),
-        "n_excluded": len(table.excluded),
+        "profile": profile.name,
+        "margins": {
+            profile.coefficient_names[j]: profile.constraints[j].token()
+            for j in profile.test_bearing
+        },
+        "alpha": alpha,
+        "n_included": len(table.order),
+        "n_excluded": len(table.dropped),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -211,37 +191,6 @@ def _alpha_pass_count(fitted: FittedExperiment, stats: ScoreTable, alpha: float)
                        alpha).sum())
 
 
-def run(config: RunConfig) -> int:
-    """Execute the full ranking pipeline and write the output files."""
-    profile, fitted = _fit_run(config)
-    stats = gene_statistics(fitted, profile)
-    table = rank_from_fits(fitted, profile, stats=stats)
-    _write_ranked_csv(table, os.path.join(config.out_dir, "ranked.csv"))
-    _write_excluded_csv(table, os.path.join(config.out_dir, "excluded.csv"))
-    _write_moderation_json(
-        fitted, table, config, os.path.join(config.out_dir, "moderation.json")
-    )
-    _write_profiles_svg(
-        fitted, profile, table, config.top_n,
-        os.path.join(config.out_dir, "profiles.svg"),
-    )
-    if config.grid:
-        sweep = sweep_from_fits(fitted, profile, config.grid)
-        _write_sensitivity_csv(
-            sweep, os.path.join(config.out_dir, "sensitivity.csv")
-        )
-    n_pass = _alpha_pass_count(fitted, stats, config.alpha)
-    d0 = fitted.moderation.d0
-    print(
-        f"profile {profile.name}: {len(table.rows)} genes ranked, "
-        f"{len(table.excluded)} excluded; prior d0={'inf' if math.isinf(d0) else f'{d0:.4g}'}, "
-        f"s0_2={fitted.moderation.s0_2:.4g}; "
-        f"{n_pass} pass the alpha={config.alpha:g} test; "
-        f"outputs in {config.out_dir}"
-    )
-    return 0
-
-
 def _parse_deltas(items) -> dict:
     deltas = {}
     for item in items or []:
@@ -263,9 +212,12 @@ def _parse_grid(text: str | None) -> tuple[float, ...]:
     if not text:
         return ()
     try:
-        return tuple(float(v) for v in text.split(","))
+        grid = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"--grid expects comma-separated numbers, got {text!r}") from exc
+    if any(not 0.0 < g < math.inf for g in grid):
+        raise ValidationError(f"--grid values must be finite numbers > 0, got {list(grid)}")
+    return grid
 
 
 def _parse_range(text: str | None, flag: str) -> tuple[float, float] | None:
@@ -292,55 +244,59 @@ def _add_input_flags(p: argparse.ArgumentParser, with_data: bool = True) -> None
                    help="override a positivity threshold (repeatable)")
 
 
-def _config_from_args(args, need_grid: bool = False, **options) -> RunConfig:
-    """A RunConfig from the shared flags; ``options`` holds the
-    command-specific fields, the rest keep their defaults."""
-    grid = _parse_grid(args.grid)
-    if need_grid and not grid:
-        raise ValidationError("--grid is required for the sensitivity command")
-    return RunConfig(
-        data_path=args.data,
-        design_path=args.design,
-        conditions_path=args.conditions,
-        profile_path=args.profile,
-        out_dir=args.out,
-        epsilon=args.epsilon,
-        deltas=_parse_deltas(args.delta),
-        grid=grid,
-        **options,
-    )
-
-
 def _cmd_rank(args) -> int:
-    return run(_config_from_args(args, alpha=args.alpha, top_n=args.top_n))
+    """Fit, score and rank once; write the result files and a summary line."""
+    if args.top_n < 1:
+        raise ValidationError(f"--top-n must be >= 1, got {args.top_n}")
+    if not 0.0 < args.alpha < 0.5:
+        raise ValidationError(f"--alpha must lie in (0, 0.5), got {args.alpha}")
+    grid, profile, fitted = _fit_run(args)
+    stats = gene_statistics(fitted, profile)
+    table = rank_from_fits(fitted, profile, stats=stats)
+    _write_ranked_csv(table, os.path.join(args.out, "ranked.csv"))
+    _write_excluded_csv(table, os.path.join(args.out, "excluded.csv"))
+    _write_moderation_json(
+        fitted, profile, table, args.alpha, os.path.join(args.out, "moderation.json")
+    )
+    _write_profiles_svg(
+        fitted, profile, table, args.top_n, os.path.join(args.out, "profiles.svg")
+    )
+    if grid:
+        sweep = sweep_from_fits(fitted, profile, grid)
+        _write_sensitivity_csv(sweep, os.path.join(args.out, "sensitivity.csv"))
+    n_pass = _alpha_pass_count(fitted, stats, args.alpha)
+    d0 = fitted.moderation.d0
+    print(
+        f"profile {profile.name}: {len(table.order)} genes ranked, "
+        f"{len(table.dropped)} excluded; prior d0={'inf' if math.isinf(d0) else f'{d0:.4g}'}, "
+        f"s0_2={fitted.moderation.s0_2:.4g}; "
+        f"{n_pass} pass the alpha={args.alpha:g} test; "
+        f"outputs in {args.out}"
+    )
+    return 0
 
 
 def _cmd_sensitivity(args) -> int:
-    config = _config_from_args(args, need_grid=True)
-    profile, fitted = _fit_run(config)
-    sweep = sweep_from_fits(fitted, profile, config.grid)
-    _write_sensitivity_csv(sweep, os.path.join(config.out_dir, "sensitivity.csv"))
+    if not args.grid:
+        raise ValidationError("--grid is required for the sensitivity command")
+    grid, profile, fitted = _fit_run(args)
+    sweep = sweep_from_fits(fitted, profile, grid)
+    _write_sensitivity_csv(sweep, os.path.join(args.out, "sensitivity.csv"))
     for eps, table in zip(sweep.epsilons, sweep.tables):
-        _write_ranked_csv(
-            table,
-            os.path.join(config.out_dir, f"ranked_eps_{_eps_label(eps)}.csv"),
-        )
+        _write_ranked_csv(table, os.path.join(args.out, f"ranked_eps_{_eps_label(eps)}.csv"))
     _write_moderation_json(
-        fitted, sweep.tables[-1], config,
-        os.path.join(config.out_dir, "moderation.json"),
+        fitted, profile.with_margins(epsilon=grid[-1]), sweep.tables[-1], ALPHA,
+        os.path.join(args.out, "moderation.json"),
     )
     sizes = ", ".join(
-        f"eps={_eps_label(e)}: {len(t.rows)}" for e, t in zip(sweep.epsilons, sweep.tables)
+        f"eps={_eps_label(e)}: {len(t.order)}" for e, t in zip(sweep.epsilons, sweep.tables)
     )
-    print(f"profile {profile.name}: included genes per margin: {sizes}; outputs in {config.out_dir}")
+    print(f"profile {profile.name}: included genes per margin: {sizes}; outputs in {args.out}")
     return 0
 
 
 def _cmd_synth(args) -> int:
-    design, profile, _ = _load_inputs(
-        args.conditions, args.design, args.profile,
-        epsilon=args.epsilon, deltas=_parse_deltas(args.delta),
-    )
+    design, profile, _ = _load_inputs(args)
     defaults = GammaRanges()
     ranges = GammaRanges(
         pos_margin=_parse_range(args.pos_margin, "--pos-margin") or defaults.pos_margin,
@@ -371,10 +327,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    design, profile, expr = _load_inputs(
-        args.conditions, args.design, args.profile, args.data,
-        epsilon=args.epsilon, deltas=_parse_deltas(args.delta),
-    )
+    design, profile, expr = _load_inputs(args)
     model = compose_model_matrix(build_comparison_matrix(design), profile)
     conditions = design.conditions
     print(f"conditions: {len(conditions)} ({','.join(conditions)})")
@@ -410,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="run the full ranking pipeline")
     _add_input_flags(p_rank)
-    p_rank.add_argument("--alpha", type=float, default=0.05, help="level for the pass/fail test (default 0.05)")
+    p_rank.add_argument("--alpha", type=float, default=ALPHA, help=f"level for the pass/fail test (default {ALPHA})")
     p_rank.add_argument("--grid", default=None, help="comma-separated equivalence margins for an extra sensitivity sweep")
     p_rank.add_argument("--top-n", type=int, default=15, help="trajectories to plot (default 15)")
     p_rank.add_argument("--out", required=True, help="output directory")
@@ -435,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--violate-pos", default=None, metavar="LO,HI", help="violation depth below a positivity threshold")
     p_synth.add_argument("--violate-equiv", default=None, metavar="LO,HI", help="violation distance beyond an equivalence margin")
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.set_defaults(func=_cmd_synth)
+    p_synth.set_defaults(func=_cmd_synth, data=None)
 
     p_val = sub.add_parser("validate", help="parse and validate inputs only")
     _add_input_flags(p_val, with_data=False)

@@ -265,7 +265,7 @@ class ExcludedGene:
 
 @dataclass(frozen=True, eq=False)
 class RankedTable:
-    """Included genes in rank order plus the excluded list and run metadata.
+    """Included genes in rank order plus the excluded list.
 
     Index arrays into one ``ScoreTable``: ``order`` holds the rows of the
     included genes in rank order and ``dropped`` the rows of the excluded
@@ -277,7 +277,6 @@ class RankedTable:
     scores: ScoreTable
     order: np.ndarray
     dropped: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     @property
     def rows(self) -> "_RankedRows":
@@ -347,26 +346,24 @@ def _id_order(ids: list[str]) -> np.ndarray:
     return key
 
 
-def _rank(scores: ScoreTable, metadata: dict) -> RankedTable:
+def _rank(scores: ScoreTable) -> RankedTable:
     """Included genes by descending U, ties by gene id: one stable sort."""
     included = np.flatnonzero(scores.included)
     ids = [scores.gene_ids[i] for i in included.tolist()]
     order = included[np.lexsort((_id_order(ids), -scores.u[included]))]
     excluded = np.flatnonzero(~scores.included)
     unfit_last = np.argsort(scores.reason[excluded] == _INSUFFICIENT, kind="stable")
-    return RankedTable(
-        scores=scores, order=order, dropped=excluded[unfit_last], metadata=metadata
-    )
+    return RankedTable(scores=scores, order=order, dropped=excluded[unfit_last])
 
 
-def rank_genes(stats, metadata: dict | None = None) -> RankedTable:
+def rank_genes(stats) -> RankedTable:
     """Sort included genes by descending U (ties by gene id) and assign
     contiguous ranks; everything else lands in the excluded list.
 
     ``stats`` is any sequence of ``UStatistics``, stacked into one
     ``ScoreTable`` and ranked as ``rank_from_fits`` ranks.
     """
-    return _rank(ScoreTable.from_stats(stats), dict(metadata or {}))
+    return _rank(ScoreTable.from_stats(stats))
 
 
 @dataclass(frozen=True)
@@ -483,16 +480,6 @@ def gene_statistics(fitted: FittedExperiment, profile: ValidatedProfile) -> Scor
     )
 
 
-def _metadata(profile: ValidatedProfile) -> dict:
-    return {
-        "profile": profile.name,
-        "margins": {
-            profile.coefficient_names[j]: profile.constraints[j].token()
-            for j in profile.test_bearing
-        },
-    }
-
-
 def rank_from_fits(
     fitted: FittedExperiment,
     profile: ValidatedProfile,
@@ -500,24 +487,16 @@ def rank_from_fits(
 ) -> RankedTable:
     """Score and rank a fitted experiment under the profile's margins;
     ``stats`` reuses a ``gene_statistics`` result for the same profile."""
-    return _rank(
-        stats if stats is not None else gene_statistics(fitted, profile),
-        _metadata(profile),
-    )
+    return _rank(stats if stats is not None else gene_statistics(fitted, profile))
 
 
 def analyze(
-    expr: ExpressionMatrix,
-    design: ComparisonDesign,
-    profile: ValidatedProfile,
-    epsilon: float | None = None,
-    deltas: dict | None = None,
+    expr: ExpressionMatrix, design: ComparisonDesign, profile: ValidatedProfile
 ) -> tuple[FittedExperiment, RankedTable]:
-    """Full pipeline: fit once, then rank under (optionally overridden)
-    margins."""
-    resolved = profile.with_margins(epsilon=epsilon, deltas=deltas)
-    fitted = fit_experiment(expr, design, resolved)
-    return fitted, rank_from_fits(fitted, resolved)
+    """Full pipeline: fit once, then rank under the profile's margins; pass
+    ``profile.with_margins(...)`` to change them."""
+    fitted = fit_experiment(expr, design, profile)
+    return fitted, rank_from_fits(fitted, profile)
 
 
 @dataclass(frozen=True)
@@ -548,9 +527,8 @@ def sweep_from_fits(
         raise ValidationError(f"sweep margins must be > 0, got {eps}")
     tables = []
     for e in eps:
-        margin_profile = profile.with_margins(epsilon=e)
-        scores = gene_statistics(fitted, margin_profile)
-        tables.append(_rank(scores, _metadata(margin_profile)))
+        scores = gene_statistics(fitted, profile.with_margins(epsilon=e))
+        tables.append(_rank(scores))
     # ranks[i, t]: rank of gene i at margin t, 0 where excluded.
     ranks = np.zeros((len(scores), len(eps)), dtype=np.intp)
     for t, table in enumerate(tables):
@@ -567,13 +545,7 @@ def sweep_from_fits(
 
 
 def sensitivity_sweep(
-    expr: ExpressionMatrix,
-    design: ComparisonDesign,
-    profile: ValidatedProfile,
-    epsilons,
-    deltas: dict | None = None,
+    expr: ExpressionMatrix, design: ComparisonDesign, profile: ValidatedProfile, epsilons
 ) -> SweepResult:
     """Fit once, then re-rank under each equivalence margin."""
-    base = profile.with_margins(deltas=deltas)
-    fitted = fit_experiment(expr, design, base)
-    return sweep_from_fits(fitted, base, epsilons)
+    return sweep_from_fits(fit_experiment(expr, design, profile), profile, epsilons)

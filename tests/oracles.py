@@ -94,7 +94,7 @@ def u_statistics(fit, mod, profile, model, gene_index):
     )
 
 
-def rank_genes(stats, metadata=None):
+def rank_genes(stats):
     """Included genes by descending U, ties by gene id, with Python's
     ``sorted``; excluded genes in input order, ``insufficient data`` last."""
     stats = list(stats)
@@ -110,7 +110,6 @@ def rank_genes(stats, metadata=None):
         scores=ScoreTable.from_stats(stats),
         order=np.array(order, dtype=np.intp),
         dropped=np.array(dropped, dtype=np.intp),
-        metadata=dict(metadata or {}),
     )
 
 

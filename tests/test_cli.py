@@ -437,8 +437,8 @@ def test_bad_alpha_exits_2(workdir, tmp_path):
     assert main(_rank_args(workdir, tmp_path / "o", ["--alpha", "0.9"])) == 2
 
 
-def test_moderation_json_serializes_infinite_prior(tmp_path):
-    from profilerank.cli import RunConfig, _write_moderation_json
+def test_moderation_json_serializes_infinite_prior(tmp_path, pluripotent):
+    from profilerank.cli import _write_moderation_json
     from profilerank.ranking import FittedExperiment
 
     fitted = FittedExperiment(
@@ -449,13 +449,9 @@ def test_moderation_json_serializes_infinite_prior(tmp_path):
             posterior_df=np.array([math.inf]),
         ),
     )
-    table = pr.rank_genes([], metadata={"profile": "x"})
-    config = RunConfig(
-        data_path="d", design_path="d", conditions_path="c",
-        profile_path="p", out_dir=str(tmp_path),
-    )
+    table = pr.rank_genes([])
     path = tmp_path / "moderation.json"
-    _write_moderation_json(fitted, table, config, path)
+    _write_moderation_json(fitted, pluripotent, table, 0.05, path)
     payload = json.loads(path.read_text())
     assert payload["d0"] == "inf"
     assert payload["s0_2"] == 0.07

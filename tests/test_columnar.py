@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import profilerank as pr
-from profilerank import cli, ranking
+from profilerank import cli
 from profilerank.errors import DataError
 from profilerank.ranking import FittedExperiment, ScoreTable, SweepResult, UStatistics
 
@@ -245,7 +245,7 @@ def _oracle_statistics(fitted, profile):
 
 def _oracle_rank(fitted, profile, stats=None):
     stats = _oracle_statistics(fitted, profile) if stats is None else stats
-    return oracles.rank_genes(list(stats), metadata=ranking._metadata(profile))
+    return oracles.rank_genes(list(stats))
 
 
 def _oracle_sweep(fitted, profile, epsilons):
