@@ -22,12 +22,13 @@ import json
 import math
 import os
 import sys
+
 import numpy as np
 
 from .csvout import write_csv
 from .design import build_comparison_matrix, compose_model_matrix, read_conditions_csv, read_design_csv
 from .errors import DataError, ValidationError
-from .fitting import REASON_INSUFFICIENT, read_expression_csv
+from .fitting import read_expression_csv
 from .profiles import ValidatedProfile, profile_from_file, validate_profile
 from .ranking import (
     REASONS,
@@ -35,6 +36,7 @@ from .ranking import (
     RankedTable,
     ScoreTable,
     SweepResult,
+    _INSUFFICIENT,
     _passes,
     gene_statistics,
     fit_experiment,
@@ -128,12 +130,12 @@ def _write_excluded_csv(table: RankedTable, path: str) -> None:
     s, rows = table.scores, table.dropped
     n_u = s.u_values.shape[1]
     header = ["gene_id", "reason"] + [f"U_{i + 1}" for i in range(n_u)]
-    reasons = [REASONS[code] for code in s.reason[rows].tolist()]
-    excluded = zip([s.gene_ids[j] for j in rows.tolist()], reasons, s.u_values[rows].tolist())
-    blanks = [""] * n_u  # a gene without a fit has no U values
+    codes = s.reason[rows].tolist()
+    excluded = zip([s.gene_ids[j] for j in rows.tolist()], codes, s.u_values[rows].tolist())
+    blanks = [""] * n_u  # a gene without a usable fit has no U values
     write_csv(path, header, (
-        [gene_id, reason, *(blanks if reason == REASON_INSUFFICIENT else map(_fmt, u_values))]
-        for gene_id, reason, u_values in excluded
+        [gene_id, REASONS[code], *(blanks if code >= _INSUFFICIENT else map(_fmt, u_values))]
+        for gene_id, code, u_values in excluded
     ))
 
 
@@ -156,9 +158,10 @@ def _write_moderation_json(
         "n_included": len(table.order),
         "n_excluded": len(table.dropped),
     }
+    # Strict JSON: a non-finite number raises instead of being written.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_profiles_svg(fitted, profile, table: RankedTable, top_n: int, path: str) -> None:

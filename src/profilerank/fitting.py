@@ -41,6 +41,7 @@ __all__ = [
 _MISSING_TOKENS = {"", "NA"}
 
 REASON_INSUFFICIENT = "insufficient data"
+REASON_NONFINITE = "non-finite fit"
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,9 @@ class FitTable(LazyRows):
 
     ``gamma`` and ``unscaled_se`` are genes x coefficients, ``s2`` the
     residual variance, ``df`` the residual degrees of freedom and
-    ``n_used`` the number of observed arrays; ``ok`` (``df > 0``) is False
-    for genes excluded as ``insufficient data``, whose float columns are NaN.
+    ``n_used`` the number of observed arrays. ``ok`` is False for genes
+    excluded as ``insufficient data`` (``df == 0``), whose float columns are
+    NaN, and as a ``non-finite fit``, whose ``s2`` or ``gamma`` overflowed.
     As a sequence the table yields one ``GeneFit`` per gene.
     """
 
@@ -154,7 +156,7 @@ class FitTable(LazyRows):
 
     @cached_property
     def ok(self) -> np.ndarray:
-        ok = self.df > 0
+        ok = (self.df > 0) & np.isfinite(self.s2) & np.isfinite(self.gamma).all(axis=1)
         ok.setflags(write=False)
         return ok
 
@@ -163,7 +165,8 @@ class FitTable(LazyRows):
 
     def _row(self, i: int) -> GeneFit:
         if not self.ok[i]:
-            return _excluded(self.gene_ids[i], REASON_INSUFFICIENT, int(self.n_used[i]))
+            reason = REASON_NONFINITE if self.df[i] else REASON_INSUFFICIENT
+            return _excluded(self.gene_ids[i], reason, int(self.n_used[i]))
         return GeneFit(
             gene_id=self.gene_ids[i],
             status="ok",
@@ -181,7 +184,7 @@ def fit_gene(y, model: ModelMatrix, gene_id: str = "") -> GeneFit:
 
     Rows where ``y`` is missing (NaN) are removed first; the gene is
     excluded when the surviving rows cannot identify the coefficients or
-    leave no residual degree of freedom.
+    leave no residual degree of freedom, or when its fit overflows.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (model.n_arrays,):
@@ -208,7 +211,7 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
     Genes that observed the same set of arrays share one model matrix, so
     the identifiability check and the pseudo-inverse run once per
     missingness pattern and are applied to all of its genes with one matrix
-    product.
+    product. A fit that overflows is kept as it is; ``FitTable.ok`` marks it.
     """
     observed = np.isfinite(values)
     n_genes, k = values.shape[0], model.n_coefficients
@@ -235,11 +238,12 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
                 continue
             pinv, se = solved
             y_obs = values[np.ix_(rows, mask)]
-            g = y_obs @ pinv.T
-            resid = y_obs - g @ x_obs.T
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = y_obs @ pinv.T
+                resid = y_obs - g @ x_obs.T
+                s2[rows] = np.einsum("ij,ij->i", resid, resid) / (n - k)
             gamma[rows] = g
             unscaled_se[rows] = se
-            s2[rows] = np.einsum("ij,ij->i", resid, resid) / (n - k)
             df[rows] = n - k
     return FitTable(
         gene_ids=gene_ids,
@@ -312,11 +316,12 @@ def moderate_variances(fits) -> ModerationResult:
     gene's posterior variance is then the df-weighted average
     ``(d0*s0_2 + df*s2) / (d0 + df)``.
 
-    Genes with a perfect fit (s2 == 0) are excluded from prior estimation
-    but still moderated; if the observed variances are under-dispersed
-    relative to pure chi-square sampling noise, the prior is degenerate
-    (d0 = inf) with s0_2 the geometric mean of the usable variances, and
-    every posterior variance equals s0_2.
+    Only genes with a usable fit (``ok``) enter: a gene without one gets
+    no posterior variance. Genes with a perfect fit (s2 == 0) are excluded
+    from prior estimation but still moderated; if the observed variances
+    are under-dispersed relative to pure chi-square sampling noise, the
+    prior is degenerate (d0 = inf) with s0_2 the geometric mean of the
+    usable variances, and every posterior variance equals s0_2.
     """
     ok, s2, df = _variance_columns(fits)
     est = ok & (s2 > 0.0) & (df >= 1)
@@ -439,7 +444,26 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
 
 def _parse_csv(path, array_ids: tuple[str, ...]):
     """``(gene ids, values)`` read field by field with the ``csv`` module;
-    every malformed input raises a ``DataError`` naming its position."""
+    every malformed input raises a ``DataError`` naming its position.
+
+    Finiteness is checked once the rows are read; an error found while
+    reading first gives way to a non-finite value on an earlier line.
+    """
+    line_of: dict[str, int] = {}  # gene id -> its line, in file order
+    rows: list[list[float]] = []
+    missing: list[int] = []  # flat positions of NA and empty fields
+    try:
+        _read_rows(path, array_ids, line_of, rows, missing)
+    except DataError:
+        _check_finite(path, line_of, rows, missing)
+        raise
+    if not line_of:
+        raise DataError(f"{path}: no gene rows")
+    return tuple(line_of), _check_finite(path, line_of, rows, missing)
+
+
+def _read_rows(path, array_ids, line_of, rows, missing) -> None:
+    # Fill line_of, rows and missing from the file, as _parse_csv describes.
     n_arrays = len(array_ids)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -453,9 +477,6 @@ def _parse_csv(path, array_ids: tuple[str, ...]):
                     f"{path}: header does not match the design's arrays; "
                     f"expected {','.join(expected)!r}, got {','.join(header)!r}"
                 )
-            line_of: dict[str, int] = {}  # gene id -> its line, in file order
-            rows: list[list[float]] = []
-            missing: list[int] = []  # flat positions of NA and empty fields
             for lineno, row in enumerate(reader, start=2):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
@@ -482,6 +503,9 @@ def _parse_csv(path, array_ids: tuple[str, ...]):
                     try:
                         values.append(float(text))
                     except ValueError as exc:
+                        # Keep the cells before this one, so that a
+                        # non-finite value among them is reported first.
+                        rows.append(values + [0.0] * (n_arrays - len(values)))
                         raise DataError(
                             f"{path}:{lineno}: column {col}: "
                             f"not a number: {text!r}"
@@ -489,10 +513,12 @@ def _parse_csv(path, array_ids: tuple[str, ...]):
                 rows.append(values)
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    if not line_of:
-        raise DataError(f"{path}: no gene rows")
+
+
+def _check_finite(path, line_of, rows, missing) -> np.ndarray:
+    """``rows`` as an array, or the error for its first non-finite cell;
+    such a cell is a missing spot only where the field was NA or empty."""
     values = np.array(rows, dtype=float)
-    # A non-finite cell is a missing spot only where the field was NA or empty.
     bad = ~np.isfinite(values)
     bad.flat[missing] = False
     if bad.any():
@@ -501,4 +527,4 @@ def _parse_csv(path, array_ids: tuple[str, ...]):
             f"{path}:{list(line_of.values())[i]}: column {j + 2}: not a finite number "
             f"(parsed as {float(values[i, j])}); use NA for a missing spot"
         )
-    return tuple(line_of), values
+    return values

@@ -26,6 +26,7 @@ from .design import ComparisonDesign, ModelMatrix, build_comparison_matrix, comp
 from .errors import ValidationError
 from .fitting import (
     REASON_INSUFFICIENT,
+    REASON_NONFINITE,
     ExpressionMatrix,
     FitTable,
     GeneFit,
@@ -61,8 +62,10 @@ __all__ = [
 REASON_VIOLATED = "criterion violated"
 REASON_DEGENERATE = "degenerate variance"
 # Codes of ScoreTable.reason and the exclusion reason each one stands for.
-REASONS = (None, REASON_VIOLATED, REASON_DEGENERATE, REASON_INSUFFICIENT)
-_INCLUDED, _VIOLATED, _DEGENERATE, _INSUFFICIENT = range(len(REASONS))
+# Codes from _INSUFFICIENT on mark genes without a usable fit: they have no
+# U values and are listed last.
+REASONS = (None, REASON_VIOLATED, REASON_DEGENERATE, REASON_INSUFFICIENT, REASON_NONFINITE)
+_INCLUDED, _VIOLATED, _DEGENERATE, _INSUFFICIENT, _NONFINITE = range(len(REASONS))
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def u_statistics(
     posterior_s2 = np.array([posterior_s2])
     se = _standard_errors(fit.unscaled_se[None, :], posterior_s2)
     return ScoreTable(
-        (fit.gene_id,), gamma, se, *_score(gamma, se, np.ones(1, bool), profile, model),
+        (fit.gene_id,), gamma, se, *_score(gamma, se, np.zeros(1, np.int8), profile, model),
         s2=np.array([fit.s2], dtype=float), posterior_s2=posterior_s2,
     )[0]
 
@@ -152,11 +155,11 @@ def _u_column(gamma: np.ndarray, se: np.ndarray, constraint: Constraint) -> np.n
     return u
 
 
-def _score(gamma: np.ndarray, se: np.ndarray, ok: np.ndarray,
+def _score(gamma: np.ndarray, se: np.ndarray, unfit: np.ndarray,
            profile: ValidatedProfile, model: ModelMatrix):
     """``(u_values, u, reason)`` of every row of ``gamma`` and ``se``, as
-    ``u_statistics`` describes them; rows not ``ok`` read ``insufficient
-    data``."""
+    ``u_statistics`` describes them; a row whose ``unfit`` code is not
+    ``_INCLUDED`` keeps that code as its reason."""
     positions = _model_positions(profile, model)
     constraints = [profile.constraints[j] for j in profile.test_bearing]
     u_values = np.empty((len(gamma), len(positions)))
@@ -165,7 +168,7 @@ def _score(gamma: np.ndarray, se: np.ndarray, ok: np.ndarray,
     u = u_values.min(axis=1)
     included = np.all(u_values > 0.0, axis=1) & np.all(np.isfinite(u_values), axis=1)
     reason = np.select(
-        [~ok, included, u > 0.0], [_INSUFFICIENT, _INCLUDED, _DEGENERATE], _VIOLATED
+        [unfit != _INCLUDED, included, u > 0.0], [unfit, _INCLUDED, _DEGENERATE], _VIOLATED
     )
     return u_values, u, reason.astype(np.int8)
 
@@ -178,9 +181,10 @@ class ScoreTable(LazyRows):
     column per model column; ``u_values`` has one column per test-bearing
     coefficient of the profile, and ``u`` is its row minimum. ``reason``
     codes the verdict as an index into ``REASONS``, whose entry 0 (None)
-    means included; genes the fit excluded read ``insufficient data`` and
-    hold NaN in every float column. As a sequence the table yields one
-    ``UStatistics`` per gene.
+    means included; genes the fit excluded read ``insufficient data`` or
+    ``non-finite fit`` and hold NaN in ``se``, ``u_values``, ``u`` and
+    ``posterior_s2``. As a sequence the table yields one ``UStatistics``
+    per gene.
     """
 
     gene_ids: tuple[str, ...]
@@ -269,9 +273,9 @@ class RankedTable:
 
     Index arrays into one ``ScoreTable``: ``order`` holds the rows of the
     included genes in rank order and ``dropped`` the rows of the excluded
-    genes, those excluded for ``insufficient data`` last, each group in row
-    order. ``rows`` and ``excluded`` present the same data as
-    ``RankedGene`` and ``ExcludedGene`` sequences.
+    genes, those without a usable fit last, each group in row order.
+    ``rows`` and ``excluded`` present the same data as ``RankedGene`` and
+    ``ExcludedGene`` sequences.
     """
 
     scores: ScoreTable
@@ -335,7 +339,7 @@ class _ExcludedRows(LazyRows):
         return ExcludedGene(
             gene_id=s.gene_ids[j],
             reason=REASONS[code],
-            u_values=None if code == _INSUFFICIENT else s.u_values[j],
+            u_values=None if code >= _INSUFFICIENT else s.u_values[j],
         )
 
 
@@ -352,7 +356,7 @@ def _rank(scores: ScoreTable) -> RankedTable:
     ids = [scores.gene_ids[i] for i in included.tolist()]
     order = included[np.lexsort((_id_order(ids), -scores.u[included]))]
     excluded = np.flatnonzero(~scores.included)
-    unfit_last = np.argsort(scores.reason[excluded] == _INSUFFICIENT, kind="stable")
+    unfit_last = np.argsort(scores.reason[excluded] >= _INSUFFICIENT, kind="stable")
     return RankedTable(scores=scores, order=order, dropped=excluded[unfit_last])
 
 
@@ -471,11 +475,13 @@ def gene_statistics(fitted: FittedExperiment, profile: ValidatedProfile) -> Scor
 
     The table shares ``gene_ids``, ``gamma`` and ``s2`` with the fit table,
     ``posterior_s2`` with the moderation result and ``se`` with ``fitted``;
-    the NaN of an unfit gene carries through to its ``se`` and U values.
+    the NaN posterior variance of an unfit gene carries through to its
+    ``se`` and U values.
     """
     fits, se = fitted.fits, fitted.se
+    unfit = np.select([fits.ok, fits.df > 0], [_INCLUDED, _NONFINITE], _INSUFFICIENT)
     return ScoreTable(
-        fits.gene_ids, fits.gamma, se, *_score(fits.gamma, se, fits.ok, profile, fitted.model),
+        fits.gene_ids, fits.gamma, se, *_score(fits.gamma, se, unfit, profile, fitted.model),
         s2=fits.s2, posterior_s2=fitted.moderation.posterior_s2,
     )
 

@@ -4,6 +4,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import profilerank as pr
 from profilerank.cli import main
 from profilerank.svgplot import fitted_relative_profile, render_profiles_svg
+from profilerank.synth import write_expression_csv
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +140,11 @@ def test_sensitivity_ranked_tables_share_one_header(workdir, tmp_path):
     assert len(lines["ranked_eps_0.001.csv"]) == 1  # nobody included
     assert len(lines["ranked_eps_2.csv"]) > 1
     assert {rows[0] for rows in lines.values()} == {RANKED_HEADER}
+    # moderation.json records the last margin of the grid, at the default level.
+    payload = json.loads((out / "moderation.json").read_text())
+    assert payload["margins"]["day0_vs_day3"] == "equiv:2.0"
+    assert payload["alpha"] == 0.05
+    assert payload["n_included"] == len(lines["ranked_eps_2.csv"]) - 1
 
 
 def test_sensitivity_subcommand(workdir, tmp_path):
@@ -455,6 +462,41 @@ def test_moderation_json_serializes_infinite_prior(tmp_path, pluripotent):
     payload = json.loads(path.read_text())
     assert payload["d0"] == "inf"
     assert payload["s0_2"] == 0.07
+
+
+def test_one_overflowing_gene_leaves_the_other_genes_as_they_were(
+    workdir, tmp_path, stemcell_design, analysis_profile
+):
+    # Scaled by 1e200 the gene's values are finite, but its s2 overflows.
+    # It must not reach the shared prior: every other output is the same as
+    # for the file without it.
+    expr = pr.generate_dataset(
+        stemcell_design, analysis_profile, n_genes=200, n_planted=5, seed=1
+    ).expression
+    values = expr.values.copy()
+    values[0] *= 1e200
+    inputs = {
+        "with": pr.ExpressionMatrix(expr.gene_ids, expr.array_ids, values),
+        "without": pr.ExpressionMatrix(expr.gene_ids[1:], expr.array_ids, expr.values[1:]),
+    }
+    for name, matrix in inputs.items():
+        write_expression_csv(matrix, tmp_path / f"{name}.csv")
+        args = _rank_args(workdir, tmp_path / name)
+        args[args.index("--data") + 1] = str(tmp_path / f"{name}.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(args) == 0
+
+    def read(name, file):
+        return (tmp_path / name / file).read_text()
+
+    assert read("with", "ranked.csv") == read("without", "ranked.csv")
+    excluded = read("with", "excluded.csv").splitlines()
+    assert excluded[-1] == f"{expr.gene_ids[0]},non-finite fit,,,"
+    assert excluded[:-1] == read("without", "excluded.csv").splitlines()
+    with_gene, without = (json.loads(read(name, "moderation.json")) for name in inputs)
+    assert with_gene.pop("n_excluded") == without.pop("n_excluded") + 1
+    assert with_gene == without
 
 
 def test_validate_bundled_sox2_profile(capsys):

@@ -10,6 +10,7 @@ reads it.
 import csv
 import importlib.util
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -190,6 +191,33 @@ def test_fast_path_raises_a_decode_error_past_the_first_chunk(tmp_path):
     with pytest.raises(UnicodeDecodeError):
         fitting._parse_fast(path, ARRAYS)
     with pytest.raises(DataError, match=r"expr.csv:4001: not UTF-8 text: byte 0xe9"):
+        pr.read_expression_csv(path, ARRAYS)
+
+
+_INF_ON_LINE_2 = "g1,1.0,inf\ng2,3.0,4.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (HEADER + _INF_ON_LINE_2 + "g3,5.0\n", "expr.csv:2: column 3: not a finite number"),
+        (HEADER + _INF_ON_LINE_2 + "g3,wat,6.0\n", "expr.csv:2: column 3: not a finite number"),
+        (HEADER + _INF_ON_LINE_2 + ",5.0,6.0\n", "expr.csv:2: column 3: not a finite number"),
+        (HEADER + _INF_ON_LINE_2 + "g1,5.0,6.0\n", "expr.csv:2: column 3: not a finite number"),
+        (HEADER + _INF_ON_LINE_2 + '"g3,5.0,6.0\n', "expr.csv:2: column 3: not a finite number"),
+        (HEADER + "g1,1e400,wat\n", "expr.csv:2: column 2: not a finite number"),
+        (HEADER + "g1,wat,inf\n", "expr.csv:2: column 2: not a number: 'wat'"),
+        (HEADER + "g1,1.0\ng2,inf,4.0\n", "expr.csv:2: expected 3 fields, got 2"),
+    ],
+    ids=["field-count", "not-a-number", "empty-id", "duplicate-id", "open-quote",
+         "same-line", "same-line-reversed", "structural-error-first"],
+)
+def test_the_first_problem_in_file_order_is_reported(tmp_path, text, error):
+    # Finiteness is checked after reading, but an earlier non-finite value
+    # still wins over an error found later in the file.
+    path = tmp_path / "expr.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(DataError, match="^" + re.escape(f"{path.parent}/{error}")):
         pr.read_expression_csv(path, ARRAYS)
 
 

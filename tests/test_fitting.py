@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import profilerank as pr
+from profilerank.design import least_squares_operator
 from profilerank.errors import DataError
 from profilerank.fitting import posterior_variance
 from profilerank.synth import write_expression_csv
@@ -186,6 +187,28 @@ def test_fit_all_identical_rows_identical_fits(stemcell_design, stemcell_model):
     a, b = pr.fit_all(expr, stemcell_model)
     assert np.array_equal(a.gamma_hat, b.gamma_hat)
     assert a.s2 == b.s2
+
+
+def test_a_fit_that_overflows_is_excluded_from_the_prior(stemcell_design, stemcell_model):
+    # Gene 1's s2 overflows, gene 2's gamma overflows and gene 3 has no fit.
+    rng = np.random.default_rng(16)
+    rows = rng.normal(0, 1, (8, 20))
+    rows[1] *= 1e200
+    pinv, _ = least_squares_operator(stemcell_model.x)
+    rows[2] = 1.7e308 * np.where(pinv[1] < 0, -1.0, 1.0)
+    rows[3] = np.nan
+    fits = pr.fit_all(_expr(stemcell_model, rows, stemcell_design.array_ids), stemcell_model)
+    assert np.isinf(fits.s2[1]) and np.isinf(fits.gamma[2]).any()
+    assert fits.ok.tolist() == [True, False, False, False, True, True, True, True]
+    assert [f.reason for f in fits[1:4]] == ["non-finite fit", "non-finite fit",
+                                             "insufficient data"]
+    mod = pr.moderate_variances(fits)
+    kept = [0, 4, 5, 6, 7]
+    alone = pr.moderate_variances(
+        pr.fit_all(_expr(stemcell_model, rows[kept], stemcell_design.array_ids), stemcell_model))
+    assert (mod.d0, mod.s0_2, mod.n_estimation_genes) == (alone.d0, alone.s0_2, 5)
+    assert np.isnan(mod.posterior_s2[1:4]).all() and np.isnan(mod.posterior_df[1:4]).all()
+    assert np.array_equal(mod.posterior_s2[kept], alone.posterior_s2)
 
 
 # ---------------------------------------------------------------------------

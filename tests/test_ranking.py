@@ -6,6 +6,7 @@ import pytest
 import profilerank as pr
 from profilerank.errors import ValidationError
 from profilerank.ranking import (
+    REASONS,
     gene_statistics,
     rank_from_fits,
     sweep_from_fits,
@@ -451,6 +452,24 @@ def test_rank_from_fits_metadata_and_fit_exclusions(triple):
     dead = [e for e in table.excluded if e.gene_id == "dead"]
     assert dead and dead[0].reason == "insufficient data"
     assert dead[0].u_values is None
+
+
+def test_genes_without_a_usable_fit_are_excluded_last_in_row_order(triple):
+    design, profile, model = triple
+    rng = np.random.default_rng(29)
+    values = rng.normal(0.0, 0.5, (6, model.n_arrays))
+    values[1] = np.nan  # insufficient data
+    values[3] *= 1e200  # its s2 overflows: a non-finite fit
+    ids = ("a", "unfit", "c", "huge", "e", "f")
+    expr = pr.ExpressionMatrix(gene_ids=ids, array_ids=design.array_ids, values=values)
+    fitted = pr.fit_experiment(expr, design, profile)
+    scores = gene_statistics(fitted, profile)
+    assert [REASONS[code] for code in scores.reason[[1, 3]].tolist()] == [
+        "insufficient data", "non-finite fit"]
+    assert np.isnan(scores.u_values[[1, 3]]).all()
+    table = rank_from_fits(fitted, profile, stats=scores)
+    assert [e.gene_id for e in table.excluded][-2:] == ["unfit", "huge"]
+    assert [e.u_values for e in table.excluded][-2:] == [None, None]
 
 
 def test_sweep_from_fits_matches_sensitivity_sweep(sweep_population):
