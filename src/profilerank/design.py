@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, not_utf8
+from .errors import ValidationError, located, not_utf8
 
 __all__ = [
     "LABEL_PATTERN",
@@ -38,12 +38,15 @@ LABEL_PATTERN = re.compile(r"^[A-Za-z0-9_.-]+$")
 RANK_TOLERANCE = 1e-10
 
 
-def _check_label(label: str, role: str) -> str:
-    if not LABEL_PATTERN.match(label):
-        raise ValidationError(
-            f"invalid {role} label {label!r}: only [A-Za-z0-9_.-]+ is allowed"
-        )
-    return label
+def check_label(text: str, what: str, seen: set[str] | None = None) -> None:
+    """The rule for a name in a design or profile: it matches ``LABEL_PATTERN``
+    and, given ``seen``, the names before it, is not among them; it is added."""
+    if not LABEL_PATTERN.match(text):
+        raise ValidationError(f"invalid {what} {text!r}: only [A-Za-z0-9_.-]+ is allowed")
+    if seen is not None:
+        if text in seen:
+            raise ValidationError(f"{what}s must be unique: {text!r} repeats")
+        seen.add(text)
 
 
 @dataclass(frozen=True)
@@ -70,33 +73,35 @@ class ComparisonDesign:
     def __post_init__(self) -> None:
         if len(self.conditions) < 2:
             raise ValidationError("a design needs at least two conditions")
+        known: set[str] = set()
         for label in self.conditions:
-            _check_label(label, "condition")
-        if len(set(self.conditions)) != len(self.conditions):
-            raise ValidationError("condition labels must be unique")
+            check_label(label, "condition label", known)
         if not self.arrays:
             raise ValidationError("a design needs at least one array")
-        known = set(self.conditions)
         seen_ids: set[str] = set()
         for arr in self.arrays:
-            _check_label(arr.array_id, "array_id")
-            if arr.array_id in seen_ids:
-                raise ValidationError(f"duplicate array_id {arr.array_id!r}")
-            seen_ids.add(arr.array_id)
-            for dye in ("cy3", "cy5"):
-                label = getattr(arr, dye)
-                if label not in known:
-                    raise ValidationError(
-                        f"array {arr.array_id!r}: unknown {dye} condition {label!r}"
-                    )
-            if arr.cy3 == arr.cy5:
-                raise ValidationError(
-                    f"array {arr.array_id!r}: cy3 and cy5 must differ"
-                )
+            _check_array(arr, known, seen_ids)
 
     @property
     def array_ids(self) -> tuple[str, ...]:
         return tuple(arr.array_id for arr in self.arrays)
+
+
+def _check_array(arr: ArrayComparison, conditions, seen_ids: set[str]) -> None:
+    """The rules for one array over ``conditions``: a valid ``array_id`` not
+    in ``seen_ids`` (it is added there), and two different known conditions."""
+    check_label(arr.array_id, "array_id label")
+    if arr.array_id in seen_ids:
+        raise ValidationError(f"duplicate array_id {arr.array_id!r}")
+    seen_ids.add(arr.array_id)
+    for dye in ("cy3", "cy5"):
+        label = getattr(arr, dye)
+        if label not in conditions:
+            raise ValidationError(
+                f"array {arr.array_id!r}: unknown {dye} condition {label!r}"
+            )
+    if arr.cy3 == arr.cy5:
+        raise ValidationError(f"array {arr.array_id!r}: cy3 and cy5 must differ")
 
 
 @dataclass(frozen=True)
@@ -228,16 +233,15 @@ def compose_model_matrix(xstar: ComparisonMatrix, profile) -> ModelMatrix:
 def read_conditions_csv(path) -> tuple[str, ...]:
     """Read the ordered condition list: one label per line, '#' comments allowed."""
     labels: list[str] = []
+    seen: set[str] = set()
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                if not LABEL_PATTERN.match(line):
-                    raise ValidationError(
-                        f"{path}:{lineno}: invalid condition label {line!r}"
-                    )
+                with located(f"{path}:{lineno}"):
+                    check_label(line, "condition label", seen)
                 labels.append(line)
     except OSError as exc:
         raise ValidationError(f"cannot read conditions file {path}: {exc}") from exc
@@ -252,6 +256,7 @@ def read_design_csv(path, conditions: tuple[str, ...]) -> ComparisonDesign:
     """Read the array table: header ``array_id,cy3,cy5,replicate_group``."""
     expected = ["array_id", "cy3", "cy5", "replicate_group"]
     arrays: list[ArrayComparison] = []
+    seen_ids: set[str] = set()
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -268,7 +273,10 @@ def read_design_csv(path, conditions: tuple[str, ...]) -> ComparisonDesign:
                     raise ValidationError(
                         f"{path}:{lineno}: expected 4 fields, got {len(row)}"
                     )
-                arrays.append(ArrayComparison(*[f.strip() for f in row]))
+                arr = ArrayComparison(*[f.strip() for f in row])
+                with located(f"{path}:{lineno}"):
+                    _check_array(arr, conditions, seen_ids)
+                arrays.append(arr)
     except csv.Error as exc:
         raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
     except OSError as exc:

@@ -5,6 +5,8 @@ profile, or option values) and data problems (malformed or inconsistent
 expression files). The CLI maps them to distinct exit codes.
 """
 
+from contextlib import contextmanager
+
 
 class ProfileRankError(Exception):
     """Base class for all errors raised by this package."""
@@ -29,3 +31,12 @@ def not_utf8(path, error: type[ProfileRankError]) -> ProfileRankError:
                 return error(f"{path}:{lineno}: not UTF-8 text: byte "
                              f"0x{line[exc.start]:02x} at position {exc.start + 1} of the line")
     return error(f"{path}: not UTF-8 text")
+
+
+@contextmanager
+def located(where: str):
+    """Put ``<where>: `` in front of the message of a package error raised inside."""
+    try:
+        yield
+    except ProfileRankError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc

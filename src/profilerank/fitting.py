@@ -444,34 +444,17 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
 
 def _parse_csv(path, array_ids: tuple[str, ...]):
     """``(gene ids, values)`` read field by field with the ``csv`` module;
-    every malformed input raises a ``DataError`` naming its position.
-
-    Finiteness is checked once the rows are read; an error found while
-    reading first gives way to a non-finite value on an earlier line.
-    """
+    the first malformed input in file order raises a ``DataError`` naming
+    its position."""
+    expected = ["gene_id", *array_ids]
     line_of: dict[str, int] = {}  # gene id -> its line, in file order
     rows: list[list[float]] = []
-    missing: list[int] = []  # flat positions of NA and empty fields
-    try:
-        _read_rows(path, array_ids, line_of, rows, missing)
-    except DataError:
-        _check_finite(path, line_of, rows, missing)
-        raise
-    if not line_of:
-        raise DataError(f"{path}: no gene rows")
-    return tuple(line_of), _check_finite(path, line_of, rows, missing)
-
-
-def _read_rows(path, array_ids, line_of, rows, missing) -> None:
-    # Fill line_of, rows and missing from the file, as _parse_csv describes.
-    n_arrays = len(array_ids)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: empty file")
-            expected = ["gene_id", *array_ids]
             if header != expected:
                 raise DataError(
                     f"{path}: header does not match the design's arrays; "
@@ -497,34 +480,23 @@ def _read_rows(path, array_ids, line_of, rows, missing) -> None:
                 for col, text in enumerate(row[1:], start=2):
                     text = text.strip()
                     if text in _MISSING_TOKENS:
-                        missing.append(len(rows) * n_arrays + col - 2)
                         values.append(math.nan)
                         continue
                     try:
-                        values.append(float(text))
+                        value = float(text)
                     except ValueError as exc:
-                        # Keep the cells before this one, so that a
-                        # non-finite value among them is reported first.
-                        rows.append(values + [0.0] * (n_arrays - len(values)))
                         raise DataError(
-                            f"{path}:{lineno}: column {col}: "
-                            f"not a number: {text!r}"
+                            f"{path}:{lineno}: column {col}: not a number: {text!r}"
                         ) from exc
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}:{lineno}: column {col}: not a finite number "
+                            f"(parsed as {value}); use NA for a missing spot"
+                        )
+                    values.append(value)
                 rows.append(values)
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-
-
-def _check_finite(path, line_of, rows, missing) -> np.ndarray:
-    """``rows`` as an array, or the error for its first non-finite cell;
-    such a cell is a missing spot only where the field was NA or empty."""
-    values = np.array(rows, dtype=float)
-    bad = ~np.isfinite(values)
-    bad.flat[missing] = False
-    if bad.any():
-        i, j = np.argwhere(bad)[0].tolist()
-        raise DataError(
-            f"{path}:{list(line_of.values())[i]}: column {j + 2}: not a finite number "
-            f"(parsed as {float(values[i, j])}); use NA for a missing spot"
-        )
-    return values
+    if not line_of:
+        raise DataError(f"{path}: no gene rows")
+    return tuple(line_of), np.array(rows, dtype=float)

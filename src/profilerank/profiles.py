@@ -22,8 +22,8 @@ from importlib import resources
 
 import numpy as np
 
-from .design import LABEL_PATTERN
-from .errors import ValidationError, not_utf8
+from .design import check_label
+from .errors import ValidationError, located, not_utf8
 
 __all__ = [
     "Constraint",
@@ -108,10 +108,31 @@ def _parse_constraint(token: str, where: str) -> Constraint:
     except ValueError as exc:
         what = "pos threshold" if name == "pos" else "equiv margin"
         raise ValidationError(f"{where}: bad {what} {arg!r}") from exc
-    try:
+    with located(f"{where}: {token}"):
         return Constraint(name, value)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {token}: {exc}") from exc
+
+
+def _basis_column(cname: str, column: tuple[str, ...], n_cond: int) -> list[float]:
+    # The entries of one basis column as floats: one per condition, each a
+    # finite number.
+    if len(column) != n_cond:
+        raise ValidationError(
+            f"coefficient {cname!r}: {len(column)} basis entries for {n_cond} conditions"
+        )
+    values = []
+    for text in column:
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise ValidationError(
+                f"coefficient {cname!r}: non-numeric basis entry {text!r}"
+            ) from exc
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"coefficient {cname!r}: basis entry {text!r} is not a finite number"
+            )
+        values.append(value)
+    return values
 
 
 def _exact_rank(columns: list[list[Fraction]]) -> int:
@@ -153,16 +174,13 @@ class ProfileSpec:
     basis: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not LABEL_PATTERN.match(self.name):
-            raise ValidationError(f"invalid profile name {self.name!r}")
+        check_label(self.name, "profile name")
+        labels: set[str] = set()
         for label in self.condition_labels:
-            if not LABEL_PATTERN.match(label):
-                raise ValidationError(f"invalid condition label {label!r}")
+            check_label(label, "condition label", labels)
+        names: set[str] = set()
         for cname in self.coefficient_names:
-            if not LABEL_PATTERN.match(cname):
-                raise ValidationError(f"invalid coefficient name {cname!r}")
-        if len(set(self.coefficient_names)) != len(self.coefficient_names):
-            raise ValidationError("coefficient names must be unique")
+            check_label(cname, "coefficient name", names)
         n_cond = len(self.condition_labels)
         n_coef = len(self.coefficient_names)
         if len(self.basis_text) != n_coef:
@@ -173,25 +191,8 @@ class ProfileSpec:
             raise ValidationError(
                 f"{n_coef} coefficients but {len(self.constraints)} constraints"
             )
-        parsed = []
-        for cname, column in zip(self.coefficient_names, self.basis_text):
-            if len(column) != n_cond:
-                raise ValidationError(
-                    f"coefficient {cname!r}: {len(column)} entries for "
-                    f"{n_cond} conditions"
-                )
-            try:
-                values = [float(v) for v in column]
-            except ValueError as exc:
-                raise ValidationError(
-                    f"coefficient {cname!r}: non-numeric basis entry"
-                ) from exc
-            for text, value in zip(column, values):
-                if not math.isfinite(value):
-                    raise ValidationError(
-                        f"coefficient {cname!r}: basis entry {text!r} is not a finite number"
-                    )
-            parsed.append(values)
+        parsed = [_basis_column(cname, column, n_cond)
+                  for cname, column in zip(self.coefficient_names, self.basis_text)]
         basis = np.array(parsed, dtype=float).T.reshape(n_cond, n_coef)
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
@@ -315,6 +316,7 @@ def parse_profile(text: str, source: str = "<string>") -> ProfileSpec:
     conditions: tuple[str, ...] | None = None
     columns: list[tuple[str, tuple[str, ...]]] = []
     constraints: list[Constraint] = []
+    names: set[str] = set()  # coefficient names so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -327,6 +329,8 @@ def parse_profile(text: str, source: str = "<string>") -> ProfileSpec:
                 raise ValidationError(f"{where}: expected 'name <string>'")
             if name is not None:
                 raise ValidationError(f"{where}: duplicate 'name' line")
+            with located(where):
+                check_label(fields[1], "profile name")
             name = fields[1]
         elif keyword == "conditions":
             if len(fields) != 2:
@@ -336,6 +340,10 @@ def parse_profile(text: str, source: str = "<string>") -> ProfileSpec:
             if conditions is not None:
                 raise ValidationError(f"{where}: duplicate 'conditions' line")
             conditions = tuple(fields[1].split(","))
+            labels: set[str] = set()
+            with located(where):
+                for label in conditions:
+                    check_label(label, "condition label", labels)
         elif keyword == "coef":
             if len(fields) != 4:
                 raise ValidationError(
@@ -346,18 +354,9 @@ def parse_profile(text: str, source: str = "<string>") -> ProfileSpec:
                     f"{where}: 'coef' lines must follow the 'conditions' line"
                 )
             entries = tuple(fields[2].split(","))
-            if len(entries) != len(conditions):
-                raise ValidationError(
-                    f"{where}: {len(entries)} basis entries for "
-                    f"{len(conditions)} conditions"
-                )
-            for v in entries:
-                try:
-                    float(v)
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"{where}: non-numeric basis entry {v!r}"
-                    ) from exc
+            with located(where):
+                check_label(fields[1], "coefficient name", names)
+                _basis_column(fields[1], entries, len(conditions))
             columns.append((fields[1], entries))
             constraints.append(_parse_constraint(fields[3], where))
         else:

@@ -274,21 +274,32 @@ class RankedTable:
     Index arrays into one ``ScoreTable``: ``order`` holds the rows of the
     included genes in rank order and ``dropped`` the rows of the excluded
     genes, those without a usable fit last, each group in row order.
-    ``rows`` and ``excluded`` present the same data as ``RankedGene`` and
-    ``ExcludedGene`` sequences.
+    ``rows`` and ``excluded`` present the same data as tuples of
+    ``RankedGene`` and ``ExcludedGene``, built on first use.
     """
 
     scores: ScoreTable
     order: np.ndarray
     dropped: np.ndarray
 
-    @property
-    def rows(self) -> "_RankedRows":
-        return _RankedRows(self)
+    @cached_property
+    def rows(self) -> tuple[RankedGene, ...]:
+        s = self.scores
+        return tuple(
+            RankedGene(rank=rank, gene_id=s.gene_ids[j], u=float(s.u[j]),
+                       u_values=s.u_values[j], gamma_hat=s.gamma[j], se=s.se[j],
+                       s2=float(s.s2[j]), posterior_s2=float(s.posterior_s2[j]))
+            for rank, j in enumerate(self.order.tolist(), start=1)
+        )
 
-    @property
-    def excluded(self) -> "_ExcludedRows":
-        return _ExcludedRows(self)
+    @cached_property
+    def excluded(self) -> tuple[ExcludedGene, ...]:
+        s = self.scores
+        return tuple(
+            ExcludedGene(gene_id=s.gene_ids[j], reason=REASONS[s.reason[j]],
+                         u_values=None if s.reason[j] >= _INSUFFICIENT else s.u_values[j])
+            for j in self.dropped.tolist()
+        )
 
     @cached_property
     def _rank_by_id(self) -> dict[str, int]:
@@ -301,46 +312,6 @@ class RankedTable:
     def included_ids(self) -> tuple[str, ...]:
         ids = self.scores.gene_ids
         return tuple(ids[i] for i in self.order.tolist())
-
-
-class _RankedRows(LazyRows):
-    def __init__(self, table: RankedTable):
-        self._table = table
-
-    def __len__(self) -> int:
-        return len(self._table.order)
-
-    def _row(self, i: int) -> RankedGene:
-        s = self._table.scores
-        j = self._table.order[i]
-        return RankedGene(
-            rank=i + 1,
-            gene_id=s.gene_ids[j],
-            u=float(s.u[j]),
-            u_values=s.u_values[j],
-            gamma_hat=s.gamma[j],
-            se=s.se[j],
-            s2=float(s.s2[j]),
-            posterior_s2=float(s.posterior_s2[j]),
-        )
-
-
-class _ExcludedRows(LazyRows):
-    def __init__(self, table: RankedTable):
-        self._table = table
-
-    def __len__(self) -> int:
-        return len(self._table.dropped)
-
-    def _row(self, i: int) -> ExcludedGene:
-        s = self._table.scores
-        j = self._table.dropped[i]
-        code = s.reason[j]
-        return ExcludedGene(
-            gene_id=s.gene_ids[j],
-            reason=REASONS[code],
-            u_values=None if code >= _INSUFFICIENT else s.u_values[j],
-        )
 
 
 def _id_order(ids: list[str]) -> np.ndarray:
@@ -396,8 +367,11 @@ def cii_decision(
     Equivalence: reject non-equivalence iff the two-sided interval built
     from one-sided (1-alpha) limits lies strictly inside (-margin, margin).
     Positivity: reject iff the one-sided lower limit exceeds the threshold.
-    The t quantile uses the moderated degrees of freedom (normal when the
-    prior is degenerate). ``coefficient`` indexes retained model columns.
+    Either holds exactly when the criterion's U exceeds the t quantile, the
+    test ``iut_decision`` applies, so the decision is made by that test and
+    the two agree by construction. The t quantile uses the moderated degrees
+    of freedom (normal when the prior is degenerate). ``coefficient``
+    indexes retained model columns.
     """
     alpha = _check_alpha(alpha)
     if not fit.ok:
@@ -408,13 +382,10 @@ def cii_decision(
                                 mod.posterior_s2[[gene_index]])[0, coefficient])
     tstar = student_t_upper_quantile(alpha, float(mod.posterior_df[gene_index]))
     gamma = float(fit.gamma_hat[coefficient])
-    if constraint.kind == "equiv":
-        interval = (gamma - tstar * se, gamma + tstar * se)
-        reject = -constraint.value < interval[0] and interval[1] < constraint.value
-    else:
-        interval = (gamma - tstar * se, math.inf)
-        reject = interval[0] > constraint.value
-    return CIIDecision(reject_h0=reject, interval=interval)
+    upper = gamma + tstar * se if constraint.kind == "equiv" else math.inf
+    u = _u_column(np.array([gamma]), np.array([se]), constraint)
+    reject = _passes(u[:, None], mod.posterior_df[[gene_index]], alpha)[0]
+    return CIIDecision(reject_h0=bool(reject), interval=(gamma - tstar * se, upper))
 
 
 def iut_decision(u: UStatistics, posterior_df: float, alpha: float) -> bool:

@@ -351,6 +351,42 @@ def test_input_that_is_not_utf8_names_the_file_and_line(workdir, tmp_path, capsy
     assert f"{name}:{line}: not UTF-8 text: byte 0xe9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, old, new, token", [
+    ("pluripotent.profile", "name pluripotent", "name plu$ri", "'plu$ri'"),
+    ("pluripotent.profile", "conditions day0,day3", "conditions day0,da$y3", "'da$y3'"),
+    ("pluripotent.profile", "coef day6_vs_day9", "coef day6$9", "'day6$9'"),
+    ("pluripotent.profile", "coef day6_vs_day9", "coef early_vs_day6", "'early_vs_day6'"),
+    ("pluripotent.profile", "coef day6_vs_day9 1,", "coef day6_vs_day9 1e400,", "'1e400'"),
+    ("design.csv", "p21_3,day6,", "p21_3,day7,", "'day7'"),
+    ("design.csv", "p21_3,", "a$b,", "'a$b'"),
+    ("design.csv", "p21_3,", "p21_1,", "'p21_1'"),
+    ("design.csv", "p21_3,day6,day3,", "p21_3,day3,day3,", "'p21_3'"),
+    ("conditions.csv", "day6", "day3", "'day3'"),
+], ids=["profile-name", "profile-condition", "profile-coefficient",
+        "profile-repeated-coefficient", "profile-basis-entry", "design-unknown-condition",
+        "design-array-id", "design-repeated-array-id", "design-same-dyes",
+        "conditions-repeated"])
+def test_design_conditions_and_profile_errors_name_file_and_line(
+        workdir, tmp_path, capsys, name, old, new, token):
+    inputs = {"conditions.csv": workdir / "conditions.csv",
+              "design.csv": workdir / "design.csv",
+              "pluripotent.profile": workdir / "pluripotent.profile"}
+    lines = inputs[name].read_text().splitlines()
+    line = next(i for i, text in enumerate(lines) if text.startswith(old))
+    lines[line] = new + lines[line][len(old):]
+    inputs[name] = tmp_path / name
+    inputs[name].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["rank", "--data", str(workdir / "data" / "expression.csv"),
+                 "--design", str(inputs["design.csv"]),
+                 "--conditions", str(inputs["conditions.csv"]),
+                 "--profile", str(inputs["pluripotent.profile"]),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}:{line + 1}: " in err and token in err
+    assert not out.exists()
+
+
 def test_duplicate_gene_id_names_both_lines(workdir, tmp_path, capsys):
     lines = (workdir / "data" / "expression.csv").read_text().splitlines()
     first = lines[1].partition(",")[0]

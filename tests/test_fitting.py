@@ -1,5 +1,6 @@
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import profilerank as pr
 from profilerank.design import least_squares_operator
 from profilerank.errors import DataError
 from profilerank.fitting import posterior_variance
-from profilerank.synth import write_expression_csv
+from profilerank.synth import generate_dataset, write_expression_csv
 
 from test_design import _profile, make_design
 
@@ -209,6 +210,32 @@ def test_a_fit_that_overflows_is_excluded_from_the_prior(stemcell_design, stemce
     assert (mod.d0, mod.s0_2, mod.n_estimation_genes) == (alone.d0, alone.s0_2, 5)
     assert np.isnan(mod.posterior_s2[1:4]).all() and np.isnan(mod.posterior_df[1:4]).all()
     assert np.array_equal(mod.posterior_s2[kept], alone.posterior_s2)
+
+
+@pytest.fixture(scope="module")
+def seed1_expression(stemcell_design, pluripotent):
+    return generate_dataset(stemcell_design, pluripotent, n_genes=200, n_planted=0,
+                            seed=1).expression
+
+
+_finite_values = st.lists(
+    st.tuples(st.booleans(), st.floats(min_value=1e-300, max_value=1e300)).map(
+        lambda signed: -signed[1] if signed[0] else signed[1]),
+    min_size=20, max_size=20)
+
+
+@given(values=_finite_values)
+@settings(max_examples=200, deadline=None)
+def test_one_appended_finite_gene_keeps_the_prior_finite(seed1_expression, stemcell_model,
+                                                         values):
+    expr = pr.ExpressionMatrix(gene_ids=(*seed1_expression.gene_ids, "extra"),
+                               array_ids=seed1_expression.array_ids,
+                               values=np.vstack([seed1_expression.values, values]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mod = pr.moderate_variances(pr.fit_all(expr, stemcell_model))
+    assert math.isfinite(mod.s0_2) and mod.s0_2 > 0.0
+    assert mod.d0 > 0.0 and not math.isnan(mod.d0)
 
 
 # ---------------------------------------------------------------------------

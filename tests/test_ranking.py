@@ -308,6 +308,19 @@ def test_iut_agrees_with_per_coefficient_cii(triple):
             assert pr.iut_decision(u, 20.0, alpha) == per_coef
 
 
+def test_cii_agrees_with_iut_at_the_boundary():
+    # U = gamma / se lies one ulp-sized step above t*, while the lower limit
+    # gamma - t* * se rounds to exactly 0: both tests must still reject.
+    fit = make_fit([4.275754887255087], [2.4848307555231206])
+    mod = make_mod(posterior_s2=1.0, posterior_df=21.0)
+    dec = pr.cii_decision(fit, mod, 0, 0, pr.Constraint.positive_above(0.0), 0.05)
+    u = 4.275754887255087 / 2.4848307555231206
+    assert u > student_t_upper_quantile(0.05, 21.0)
+    assert pr.iut_decision(_ustat("g", [u]), 21.0, 0.05)
+    assert dec.reject_h0
+    assert dec.interval[1] == math.inf
+
+
 def test_ranking_equals_sup_alpha_ordering():
     # Observed significance per criterion is sf(U_i); the gene-level score
     # sup_i sf(U_i) = sf(min U_i) orders genes identically to U.
