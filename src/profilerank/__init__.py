@@ -35,7 +35,6 @@ from .profiles import (
     BUNDLED_PROFILES,
     Constraint,
     ProfileSpec,
-    ValidatedProfile,
     bundled_data_path,
     bundled_profile,
     format_profile,
@@ -94,7 +93,6 @@ __all__ = [
     "SynthResult",
     "TruthRow",
     "UStatistics",
-    "ValidatedProfile",
     "ValidationError",
     "analyze",
     "build_comparison_matrix",

@@ -29,7 +29,7 @@ from .csvout import write_csv
 from .design import build_comparison_matrix, compose_model_matrix, read_conditions_csv, read_design_csv
 from .errors import DataError, ValidationError
 from .fitting import read_expression_csv
-from .profiles import ValidatedProfile, profile_from_file, validate_profile
+from .profiles import ProfileSpec, profile_from_file
 from .ranking import (
     REASONS,
     FittedExperiment,
@@ -79,8 +79,7 @@ def _load_inputs(args):
     if args.data is not None:
         _require_file(args.data, "data")
     design = read_design_csv(args.design, read_conditions_csv(args.conditions))
-    profile = validate_profile(profile_from_file(args.profile))
-    profile = profile.with_margins(epsilon=args.epsilon, deltas=deltas)
+    profile = profile_from_file(args.profile).with_margins(epsilon=args.epsilon, deltas=deltas)
     expr = None if args.data is None else read_expression_csv(args.data, design.array_ids)
     return design, profile, expr
 
@@ -140,7 +139,7 @@ def _write_excluded_csv(table: RankedTable, path: str) -> None:
 
 
 def _write_moderation_json(
-    fitted: FittedExperiment, profile: ValidatedProfile, table: RankedTable,
+    fitted: FittedExperiment, profile: ProfileSpec, table: RankedTable,
     alpha: float, path: str,
 ) -> None:
     """The prior and the run settings; ``table`` was ranked under ``profile``."""

@@ -28,7 +28,6 @@ from .errors import ValidationError, located, not_utf8
 __all__ = [
     "Constraint",
     "ProfileSpec",
-    "ValidatedProfile",
     "validate_profile",
     "parse_profile",
     "format_profile",
@@ -135,6 +134,22 @@ def _basis_column(cname: str, column: tuple[str, ...], n_cond: int) -> list[floa
     return values
 
 
+def _check_independent(name: str, coefficient_names, basis_text) -> None:
+    # Linear independence of the basis columns, certified exactly over the
+    # rationals parsed from the decimal text, so acceptance matches
+    # brute-force elimination by construction.
+    columns = []
+    for cname, col in zip(coefficient_names, basis_text):
+        try:
+            columns.append([Fraction(v) for v in col])
+        except ValueError as exc:
+            raise ValidationError(
+                f"coefficient {cname!r}: entry not an exact decimal"
+            ) from exc
+    if _exact_rank(columns) < len(columns):
+        raise ValidationError(f"profile {name!r}: basis columns are linearly dependent")
+
+
 def _exact_rank(columns: list[list[Fraction]]) -> int:
     # Gaussian elimination over the rationals; exact, no tolerance.
     if not columns:
@@ -163,7 +178,9 @@ class ProfileSpec:
 
     ``basis_text`` keeps the exact decimal entries for auditability and file
     round-trips; ``basis`` is parsed from it and is the float matrix
-    actually used in computation (conditions x coefficients).
+    actually used in computation (conditions x coefficients). Every profile
+    rule runs on construction, so a ``ProfileSpec`` has linearly independent
+    basis columns and at least one coefficient that carries a test.
     """
 
     name: str
@@ -193,9 +210,20 @@ class ProfileSpec:
             )
         parsed = [_basis_column(cname, column, n_cond)
                   for cname, column in zip(self.coefficient_names, self.basis_text)]
+        _check_independent(self.name, self.coefficient_names, self.basis_text)
+        if not self.test_bearing:
+            raise ValidationError(
+                f"profile {self.name!r}: every coefficient is unconstrained, "
+                "so there is nothing to rank by"
+            )
         basis = np.array(parsed, dtype=float).T.reshape(n_cond, n_coef)
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+
+    @property
+    def test_bearing(self) -> tuple[int, ...]:
+        """Indices of the coefficients that carry a test."""
+        return tuple(j for j, con in enumerate(self.constraints) if con.is_test_bearing)
 
     @classmethod
     def from_columns(cls, name, condition_labels, columns, constraints):
@@ -217,39 +245,7 @@ class ProfileSpec:
             constraints=tuple(constraints),
         )
 
-
-@dataclass(frozen=True)
-class ValidatedProfile:
-    """A ProfileSpec whose basis columns are certified linearly independent."""
-
-    spec: ProfileSpec
-
-    @property
-    def test_bearing(self) -> tuple[int, ...]:
-        """Indices of the coefficients that carry a test."""
-        return tuple(j for j, con in enumerate(self.constraints) if con.is_test_bearing)
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def condition_labels(self) -> tuple[str, ...]:
-        return self.spec.condition_labels
-
-    @property
-    def coefficient_names(self) -> tuple[str, ...]:
-        return self.spec.coefficient_names
-
-    @property
-    def constraints(self) -> tuple[Constraint, ...]:
-        return self.spec.constraints
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self.spec.basis
-
-    def with_margins(self, epsilon=None, deltas=None) -> "ValidatedProfile":
+    def with_margins(self, epsilon=None, deltas=None) -> "ProfileSpec":
         """Return a copy with overridden test margins.
 
         ``epsilon`` replaces the margin of every equivalence constraint;
@@ -273,36 +269,16 @@ class ValidatedProfile:
                     )
                 con = Constraint.positive_above(deltas[cname])
             new.append(con)
-        spec = replace(self.spec, constraints=tuple(new))
-        return ValidatedProfile(spec=spec)
+        return replace(self, constraints=tuple(new))
 
 
-def validate_profile(spec: ProfileSpec) -> ValidatedProfile:
-    """Certify linear independence of the basis and that at least one
-    coefficient carries a test.
+def validate_profile(spec: ProfileSpec) -> ProfileSpec:
+    """Return ``spec``: a ``ProfileSpec`` is checked when it is built.
 
-    Rank is computed exactly over rationals parsed from the decimal text,
-    so acceptance matches brute-force elimination by construction.
+    Kept for its callers: acceptance criteria 1 and 7, the test fixtures
+    and the benchmark workloads pass every profile through it.
     """
-    columns = []
-    for cname, col in zip(spec.coefficient_names, spec.basis_text):
-        try:
-            columns.append([Fraction(v) for v in col])
-        except ValueError as exc:
-            raise ValidationError(
-                f"coefficient {cname!r}: entry not an exact decimal"
-            ) from exc
-    if _exact_rank(columns) < len(columns):
-        raise ValidationError(
-            f"profile {spec.name!r}: basis columns are linearly dependent"
-        )
-    profile = ValidatedProfile(spec=spec)
-    if not profile.test_bearing:
-        raise ValidationError(
-            f"profile {spec.name!r}: every coefficient is unconstrained, "
-            "so there is nothing to rank by"
-        )
-    return profile
+    return spec
 
 
 def parse_profile(text: str, source: str = "<string>") -> ProfileSpec:

@@ -35,7 +35,7 @@ from .fitting import (
     fit_all,
     moderate_variances,
 )
-from .profiles import Constraint, ValidatedProfile
+from .profiles import Constraint, ProfileSpec
 from .special import student_t_upper_quantile
 
 __all__ = [
@@ -88,7 +88,7 @@ class UStatistics:
     posterior_s2: float | None
 
 
-def _model_positions(profile: ValidatedProfile, model: ModelMatrix) -> list[int]:
+def _model_positions(profile: ProfileSpec, model: ModelMatrix) -> list[int]:
     # Positions (within retained columns) of the test-bearing coefficients.
     by_basis_index = {basis_j: pos for pos, basis_j in enumerate(model.coefficient_indices)}
     positions = []
@@ -105,7 +105,7 @@ def _model_positions(profile: ValidatedProfile, model: ModelMatrix) -> list[int]
 def u_statistics(
     fit: GeneFit,
     mod: ModerationResult,
-    profile: ValidatedProfile,
+    profile: ProfileSpec,
     model: ModelMatrix,
     gene_index: int,
 ) -> UStatistics:
@@ -156,7 +156,7 @@ def _u_column(gamma: np.ndarray, se: np.ndarray, constraint: Constraint) -> np.n
 
 
 def _score(gamma: np.ndarray, se: np.ndarray, unfit: np.ndarray,
-           profile: ValidatedProfile, model: ModelMatrix):
+           profile: ProfileSpec, model: ModelMatrix):
     """``(u_values, u, reason)`` of every row of ``gamma`` and ``se``, as
     ``u_statistics`` describes them; a row whose ``unfit`` code is not
     ``_INCLUDED`` keeps that code as its reason."""
@@ -426,7 +426,7 @@ class FittedExperiment:
 def fit_experiment(
     expr: ExpressionMatrix,
     design: ComparisonDesign,
-    profile: ValidatedProfile,
+    profile: ProfileSpec,
 ) -> FittedExperiment:
     """Compose the model, fit every gene, and moderate the variances."""
     if expr.array_ids != design.array_ids:
@@ -441,7 +441,7 @@ def fit_experiment(
     return FittedExperiment(model=model, fits=fits, moderation=moderation)
 
 
-def gene_statistics(fitted: FittedExperiment, profile: ValidatedProfile) -> ScoreTable:
+def gene_statistics(fitted: FittedExperiment, profile: ProfileSpec) -> ScoreTable:
     """U statistics for every gene of the fit table, in one vectorized pass.
 
     The table shares ``gene_ids``, ``gamma`` and ``s2`` with the fit table,
@@ -459,7 +459,7 @@ def gene_statistics(fitted: FittedExperiment, profile: ValidatedProfile) -> Scor
 
 def rank_from_fits(
     fitted: FittedExperiment,
-    profile: ValidatedProfile,
+    profile: ProfileSpec,
     stats: ScoreTable | None = None,
 ) -> RankedTable:
     """Score and rank a fitted experiment under the profile's margins;
@@ -468,7 +468,7 @@ def rank_from_fits(
 
 
 def analyze(
-    expr: ExpressionMatrix, design: ComparisonDesign, profile: ValidatedProfile
+    expr: ExpressionMatrix, design: ComparisonDesign, profile: ProfileSpec
 ) -> tuple[FittedExperiment, RankedTable]:
     """Full pipeline: fit once, then rank under the profile's margins; pass
     ``profile.with_margins(...)`` to change them."""
@@ -490,7 +490,7 @@ class SweepResult:
 
 
 def sweep_from_fits(
-    fitted: FittedExperiment, profile: ValidatedProfile, epsilons
+    fitted: FittedExperiment, profile: ProfileSpec, epsilons
 ) -> SweepResult:
     """Re-rank an already fitted experiment under each equivalence margin.
 
@@ -522,7 +522,7 @@ def sweep_from_fits(
 
 
 def sensitivity_sweep(
-    expr: ExpressionMatrix, design: ComparisonDesign, profile: ValidatedProfile, epsilons
+    expr: ExpressionMatrix, design: ComparisonDesign, profile: ProfileSpec, epsilons
 ) -> SweepResult:
     """Fit once, then re-rank under each equivalence margin."""
     return sweep_from_fits(fit_experiment(expr, design, profile), profile, epsilons)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .design import ModelMatrix
 from .fitting import GeneFit
-from .profiles import ValidatedProfile
+from .profiles import ProfileSpec
 
 __all__ = ["fitted_relative_profile", "render_profiles_svg"]
 
@@ -32,7 +32,7 @@ _MARGIN_BOTTOM = 56
 
 
 def fitted_relative_profile(
-    fit: GeneFit, profile: ValidatedProfile, model: ModelMatrix
+    fit: GeneFit, profile: ProfileSpec, model: ModelMatrix
 ) -> np.ndarray:
     """Fitted mean at each condition, relative to the first condition.
 

@@ -28,7 +28,7 @@ from .csvout import write_csv
 from .design import ComparisonDesign, build_comparison_matrix, compose_model_matrix
 from .errors import ValidationError
 from .fitting import ExpressionMatrix
-from .profiles import ValidatedProfile
+from .profiles import ProfileSpec
 
 __all__ = [
     "GammaRanges",
@@ -128,7 +128,7 @@ def _background_gamma(constraints, rng, ranges: GammaRanges) -> list[float]:
 
 def generate_dataset(
     design: ComparisonDesign,
-    profile: ValidatedProfile,
+    profile: ProfileSpec,
     n_genes: int,
     n_planted: int,
     seed: int,

@@ -232,7 +232,6 @@ def test_constructors_take_only_inputs():
     assert init(pr.ProfileSpec) == [
         "name", "condition_labels", "coefficient_names", "basis_text", "constraints"
     ]
-    assert init(pr.ValidatedProfile) == ["spec"]
     assert init(pr.FitTable) == ["gene_ids", "gamma", "unscaled_se", "s2", "df", "n_used"]
     assert init(pr.FittedExperiment) == ["model", "fits", "moderation"]
     assert list(inspect.signature(trigamma_inverse).parameters) == ["x"]

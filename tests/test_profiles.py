@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 from dataclasses import replace
@@ -16,7 +17,7 @@ DAYS = ("day0", "day3", "day6", "day9")
 
 
 def test_pluripotent_profile_contents(pluripotent):
-    spec = pluripotent.spec
+    spec = pluripotent
     assert spec.name == "pluripotent"
     assert spec.condition_labels == DAYS
     assert spec.basis.T.tolist() == [
@@ -33,7 +34,7 @@ def test_pluripotent_profile_contents(pluripotent):
 
 def test_sox2_profile_validates():
     vp = pr.validate_profile(pr.bundled_profile("sox2"))
-    assert vp.spec.basis.T.tolist() == [
+    assert vp.basis.T.tolist() == [
         [1, 1, 1, 1],
         [1, 0, 0, 0],
         [1, 1, 0, 0],
@@ -49,32 +50,32 @@ def test_day3_marker_profiles_validate(name):
 
 
 def test_duplicate_column_rejected():
-    spec = pr.ProfileSpec.from_columns(
-        "dup", ("a", "b"),
-        [("c1", ["1", "0"]), ("c2", ["1", "0"])],
-        [pr.Constraint.positive_above(), pr.Constraint.positive_above()],
-    )
     with pytest.raises(ValidationError, match="linearly dependent"):
+        spec = pr.ProfileSpec.from_columns(
+            "dup", ("a", "b"),
+            [("c1", ["1", "0"]), ("c2", ["1", "0"])],
+            [pr.Constraint.positive_above(), pr.Constraint.positive_above()],
+        )
         pr.validate_profile(spec)
 
 
 def test_hidden_dependence_rejected():
     # third column = first minus half the second
-    spec = pr.ProfileSpec.from_columns(
-        "dep", ("a", "b", "c"),
-        [("c1", ["1", "1", "0"]), ("c2", ["2", "0", "2"]), ("c3", ["0", "1", "-1"])],
-        [pr.Constraint.positive_above()] * 3,
-    )
     with pytest.raises(ValidationError, match="linearly dependent"):
+        spec = pr.ProfileSpec.from_columns(
+            "dep", ("a", "b", "c"),
+            [("c1", ["1", "1", "0"]), ("c2", ["2", "0", "2"]), ("c3", ["0", "1", "-1"])],
+            [pr.Constraint.positive_above()] * 3,
+        )
         pr.validate_profile(spec)
 
 
 def test_all_unconstrained_rejected():
-    spec = pr.ProfileSpec.from_columns(
-        "vacuous", ("a", "b"),
-        [("c1", ["1", "0"])], [pr.Constraint.unconstrained()],
-    )
     with pytest.raises(ValidationError, match="nothing to rank"):
+        spec = pr.ProfileSpec.from_columns(
+            "vacuous", ("a", "b"),
+            [("c1", ["1", "0"])], [pr.Constraint.unconstrained()],
+        )
         pr.validate_profile(spec)
 
 
@@ -267,12 +268,11 @@ def test_with_margins_rejects_unknown_or_untestable(pluripotent):
 def test_test_bearing_follows_the_constraints(pluripotent):
     assert pluripotent.test_bearing == (1, 2, 3)
     constraints = (pr.Constraint.positive_above(), *pluripotent.constraints[1:])
-    spec = replace(pluripotent.spec, constraints=constraints)
-    assert pr.ValidatedProfile(spec=spec).test_bearing == (0, 1, 2, 3)
+    assert replace(pluripotent, constraints=constraints).test_bearing == (0, 1, 2, 3)
 
 
 def test_basis_is_parsed_from_text_only(pluripotent):
-    spec = pluripotent.spec
+    spec = pluripotent
     with pytest.raises(ValueError, match="init=False"):
         replace(spec, basis=np.zeros_like(spec.basis))
     swapped = replace(spec, basis_text=tuple(reversed(spec.basis_text)))
@@ -285,3 +285,44 @@ def test_basis_is_parsed_from_text_only(pluripotent):
 def test_basis_is_readonly(pluripotent):
     with pytest.raises(ValueError):
         pluripotent.basis[0, 0] = 9.0
+
+
+def test_every_way_to_build_a_profile_checks_it(pluripotent):
+    # The basis columns and constraints of pluripotent with the last column
+    # made a copy of the second, and with every coefficient left free.
+    dependent = (*pluripotent.basis_text[:3], pluripotent.basis_text[1])
+    free = (pr.Constraint.unconstrained(),) * 4
+    fields = (pluripotent.name, pluripotent.condition_labels, pluripotent.coefficient_names)
+
+    def text(basis_text, constraints):
+        lines = [f"name {fields[0]}", f"conditions {','.join(fields[1])}"]
+        lines += [f"coef {c} {','.join(col)} {con.token()}"
+                  for c, col, con in zip(fields[2], basis_text, constraints)]
+        return "\n".join(lines) + "\n"
+
+    def behind_the_constructor(basis_text, constraints):
+        # with_margins builds its result through the constructor, so even a
+        # profile altered behind the constructor's back comes out checked.
+        profile = copy.copy(pluripotent)
+        object.__setattr__(profile, "basis_text", basis_text)
+        object.__setattr__(profile, "constraints", constraints)
+        return profile.with_margins()
+
+    builders = [
+        lambda b, c: pr.ProfileSpec(*fields, b, c),
+        lambda b, c: pr.ProfileSpec.from_columns(*fields[:2], list(zip(fields[2], b)), c),
+        lambda b, c: parse_profile(text(b, c)),
+        lambda b, c: replace(pluripotent, basis_text=b, constraints=c),
+        behind_the_constructor,
+    ]
+    for build in builders:
+        assert build(pluripotent.basis_text, pluripotent.constraints) == pluripotent
+        with pytest.raises(ValidationError,
+                           match="profile 'pluripotent': basis columns are linearly dependent"):
+            build(dependent, pluripotent.constraints)
+        with pytest.raises(ValidationError, match="profile 'pluripotent': every coefficient is "
+                                                  "unconstrained, so there is nothing to rank by"):
+            build(pluripotent.basis_text, free)
+    with pytest.raises(ValidationError, match="nothing to rank by"):
+        replace(pluripotent, constraints=free)
+    assert pr.validate_profile(pluripotent) is pluripotent
