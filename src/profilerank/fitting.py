@@ -53,6 +53,12 @@ class ExpressionMatrix:
     values: np.ndarray = field(compare=False)
 
     def __post_init__(self) -> None:
+        for gene_id in self.gene_ids:
+            # The reader strips each id, so one that is empty or padded with
+            # whitespace would not read back as written.
+            if not gene_id or gene_id != gene_id.strip():
+                raise DataError(f"a gene id must be non-empty, without surrounding "
+                                f"whitespace, got {gene_id!r}")
         if len(set(self.gene_ids)) != len(self.gene_ids):
             seen: set[str] = set()
             for gene_id in self.gene_ids:
@@ -211,9 +217,11 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
     Genes that observed the same set of arrays share one model matrix, so
     the identifiability check and the pseudo-inverse run once per
     missingness pattern and are applied to all of its genes with one matrix
-    product. A fit that overflows is kept as it is; ``FitTable.ok`` marks it.
+    product. Only NaN marks a missing spot; an infinite value counts as
+    observed. A fit that overflows or takes an infinite value is kept as
+    it is; ``FitTable.ok`` marks it.
     """
-    observed = np.isfinite(values)
+    observed = ~np.isnan(values)
     n_genes, k = values.shape[0], model.n_coefficients
     gamma = np.full((n_genes, k), math.nan)
     unscaled_se = np.full((n_genes, k), math.nan)

@@ -401,6 +401,7 @@ def _passes(u_values: np.ndarray, df: np.ndarray, alpha: float) -> np.ndarray:
     """Rows of ``u_values`` whose every U exceeds the one-sided t quantile
     at level ``alpha`` and the row's moderated ``df``: one quantile per
     distinct df."""
+    alpha = _check_alpha(alpha)
     distinct, which = np.unique(df, return_inverse=True)
     tstar = np.array([student_t_upper_quantile(alpha, float(d)) for d in distinct])
     return np.all(u_values > tstar[which][:, None], axis=1)
@@ -495,13 +496,19 @@ def sweep_from_fits(
     """Re-rank an already fitted experiment under each equivalence margin.
 
     Only the equivalence margins vary across the sweep, so inclusion sets
-    are nested as the margin grows.
+    are nested as the margin grows. The margins must be finite and > 0, and
+    the profile must have an equivalence coefficient for them to vary.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ValidationError("sensitivity sweep needs at least one margin")
-    if any(not e > 0.0 for e in eps):
-        raise ValidationError(f"sweep margins must be > 0, got {eps}")
+    if any(not 0.0 < e < math.inf for e in eps):
+        raise ValidationError(f"sweep margins must be > 0 and finite, got {eps}")
+    if not any(con.kind == "equiv" for con in profile.constraints):
+        raise ValidationError(
+            f"profile {profile.name!r} has no equiv coefficient, so a margin sweep would "
+            "vary nothing"
+        )
     tables = []
     for e in eps:
         scores = gene_statistics(fitted, profile.with_margins(epsilon=e))

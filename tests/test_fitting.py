@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -216,6 +217,23 @@ def test_a_fit_that_overflows_is_excluded_from_the_prior(stemcell_design, stemce
 def seed1_expression(stemcell_design, pluripotent):
     return generate_dataset(stemcell_design, pluripotent, n_genes=200, n_planted=0,
                             seed=1).expression
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_an_infinite_value_is_a_non_finite_fit_not_a_missing_spot(
+    seed1_expression, stemcell_design, stemcell_model, pluripotent, value
+):
+    # Only NaN marks a missing spot: gene 0 keeps all 20 arrays and its fit
+    # is excluded as non-finite, visibly and without a RuntimeWarning.
+    values = seed1_expression.values.copy()
+    values[0, 0] = value
+    expr = pr.ExpressionMatrix(seed1_expression.gene_ids, seed1_expression.array_ids, values)
+    fitted, table = pr.analyze(expr, stemcell_design, pluripotent)
+    assert (fitted.fits.n_used[0], fitted.fits.ok[0]) == (20, False)
+    assert [e.reason for e in table.excluded if e.gene_id == expr.gene_ids[0]] == [
+        "non-finite fit"]
+    fit = pr.fit_gene(values[0], stemcell_model, "g")
+    assert (fit.ok, fit.reason, fit.n_used) == (False, "non-finite fit", 20)
 
 
 _finite_values = st.lists(
@@ -438,6 +456,15 @@ def test_expression_matrix_names_a_repeated_gene_id():
     with pytest.raises(DataError, match="'g2' repeats"):
         pr.ExpressionMatrix(gene_ids=("g1", "g2", "g3", "g2", "g1"), array_ids=("a1",),
                             values=np.zeros((5, 1)))
+
+
+@pytest.mark.parametrize("gene_id", ["", " g2", "g2\t"])
+def test_expression_matrix_rejects_an_id_that_would_not_read_back(tmp_path, gene_id):
+    # The reader strips each id and rejects an empty one, so such an id
+    # could be written but not read back as it was.
+    with pytest.raises(DataError, match=re.escape(f"a gene id must be non-empty, without "
+                                                   f"surrounding whitespace, got {gene_id!r}")):
+        pr.ExpressionMatrix(gene_ids=("g1", gene_id), array_ids=("a1",), values=np.zeros((2, 1)))
 
 
 def test_fit_gene_without_cached_solver(stemcell_model):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -429,6 +430,20 @@ def test_sweep_rejects_bad_margins(sweep_population):
         pr.sensitivity_sweep(expr, design, profile, [])
     with pytest.raises(ValidationError, match="must be > 0"):
         pr.sensitivity_sweep(expr, design, profile, [1.0, -0.5])
+
+
+def test_sweep_needs_finite_margins_and_an_equiv_coefficient(stemcell_design, pluripotent):
+    # Without an equiv coefficient every margin would give the same table.
+    text = pr.format_profile(pluripotent).splitlines()
+    no_equiv = pr.parse_profile("\n".join(l for l in text if "day0_vs_day3" not in l))
+    expr = pr.generate_dataset(stemcell_design, pluripotent, n_genes=300, n_planted=0,
+                               seed=1).expression
+    fitted = pr.fit_experiment(expr, stemcell_design, no_equiv)
+    with pytest.raises(ValidationError, match="profile 'pluripotent' has no equiv coefficient"):
+        sweep_from_fits(fitted, no_equiv, [0.1, 5.0])
+    fitted = pr.fit_experiment(expr, stemcell_design, pluripotent)
+    with pytest.raises(ValidationError, match=re.escape("must be > 0 and finite, got [0.5, inf]")):
+        sweep_from_fits(fitted, pluripotent, [0.5, math.inf])
 
 
 def test_sweep_reuses_single_fit(sweep_population, monkeypatch):

