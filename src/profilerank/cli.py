@@ -28,7 +28,7 @@ import numpy as np
 from .csvout import write_csv
 from .design import build_comparison_matrix, compose_model_matrix, read_conditions_csv, read_design_csv
 from .errors import DataError, ValidationError
-from .fitting import read_expression_csv
+from .fitting import _blocks, read_expression_csv
 from .profiles import ProfileSpec, profile_from_file
 from .ranking import (
     REASONS,
@@ -37,6 +37,8 @@ from .ranking import (
     ScoreTable,
     SweepResult,
     _INSUFFICIENT,
+    _check_alpha,
+    _check_sweep,
     _passes,
     gene_statistics,
     fit_experiment,
@@ -68,8 +70,8 @@ def _eps_label(e: float) -> str:
 
 def _load_inputs(args):
     """Check the margin flags and that every input file exists, then parse
-    them: the design, the profile under ``--epsilon`` and ``--delta``, and
-    the expression data when ``--data`` is given (else None)."""
+    the design and the profile under ``--epsilon`` and ``--delta``; the
+    expression data, which takes longest, is left to the caller."""
     deltas = _parse_deltas(args.delta)
     if args.epsilon is not None and not 0.0 < args.epsilon < math.inf:
         raise ValidationError(f"--epsilon must be a finite number > 0, got {args.epsilon}")
@@ -80,23 +82,43 @@ def _load_inputs(args):
         _require_file(args.data, "data")
     design = read_design_csv(args.design, read_conditions_csv(args.conditions))
     profile = profile_from_file(args.profile).with_margins(epsilon=args.epsilon, deltas=deltas)
-    expr = None if args.data is None else read_expression_csv(args.data, design.array_ids)
-    return design, profile, expr
+    return design, profile
 
 
-def _fit_run(args):
-    """Load the inputs, create the output directory and fit:
-    ``(grid, profile, fitted)``."""
-    grid = _parse_grid(args.grid)
-    design, profile, expr = _load_inputs(args)
-    os.makedirs(args.out, exist_ok=True)
-    return grid, profile, fit_experiment(expr, design, profile)
+def _fit_run(args, grid: tuple[float, ...] | None):
+    """Load the inputs and check the sweep margins ``grid`` (None when there
+    is no sweep) before reading the data, then fit: ``(profile, fitted)``."""
+    design, profile = _load_inputs(args)
+    if grid is not None:
+        _check_sweep(profile, grid)
+    expr = read_expression_csv(args.data, design.array_ids)
+    return profile, fit_experiment(expr, design, profile)
+
+
+def _make_out_dir(path: str) -> None:
+    """Create the output directory. Commands call it only once every result
+    is computed, so an error leaves no directory behind."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # a file where the directory or a parent should be
+        raise ValidationError(
+            f"--out {path}: cannot create the output directory: {exc.strerror}"
+        ) from exc
+
+
+def _block_rows(gene_ids, rows: np.ndarray, *columns: np.ndarray):
+    """``(gene id, *values)`` of each gene in ``rows``, in that order, with
+    the values of each column as Python numbers. They are converted one
+    block of genes at a time, so no whole-column list is ever built."""
+    for block in _blocks(rows):
+        yield from zip([gene_ids[j] for j in block.tolist()],
+                       *(column[block].tolist() for column in columns))
 
 
 def _write_ranked_csv(table: RankedTable, path: str) -> None:
     # Column counts come from the score table's shape, which the model (k)
     # and the profile (m) fix, so the header does not depend on the rows.
-    s, rows = table.scores, table.order
+    s = table.scores
     n_u, n_k = s.u_values.shape[1], s.gamma.shape[1]
     header = (
         ["rank", "gene_id", "U"]
@@ -105,28 +127,20 @@ def _write_ranked_csv(table: RankedTable, path: str) -> None:
         + [f"se_{i + 1}" for i in range(n_k)]
         + ["s2", "posterior_s2"]
     )
-    columns = zip(
-        [s.gene_ids[j] for j in rows.tolist()],
-        s.u[rows].tolist(),
-        s.u_values[rows].tolist(),
-        s.gamma[rows].tolist(),
-        s.se[rows].tolist(),
-        s.s2[rows].tolist(),
-        s.posterior_s2[rows].tolist(),
-    )
+    ranked = _block_rows(s.gene_ids, table.order, s.u, s.u_values, s.gamma, s.se, s.s2,
+                         s.posterior_s2)
     write_csv(path, header, (
         [str(rank), gene_id, _fmt(u), *map(_fmt, u_values), *map(_fmt, gamma),
          *map(_fmt, se), _fmt(s2), _fmt(posterior_s2)]
-        for rank, (gene_id, u, u_values, gamma, se, s2, posterior_s2) in enumerate(columns, 1)
+        for rank, (gene_id, u, u_values, gamma, se, s2, posterior_s2) in enumerate(ranked, 1)
     ))
 
 
 def _write_excluded_csv(table: RankedTable, path: str) -> None:
-    s, rows = table.scores, table.dropped
+    s = table.scores
     n_u = s.u_values.shape[1]
     header = ["gene_id", "reason"] + [f"U_{i + 1}" for i in range(n_u)]
-    codes = s.reason[rows].tolist()
-    excluded = zip([s.gene_ids[j] for j in rows.tolist()], codes, s.u_values[rows].tolist())
+    excluded = _block_rows(s.gene_ids, table.dropped, s.reason, s.u_values)
     blanks = [""] * n_u  # a gene without a usable fit has no U values
     write_csv(path, header, (
         [gene_id, REASONS[code], *(blanks if code >= _INSUFFICIENT else map(_fmt, u_values))]
@@ -242,15 +256,19 @@ def _add_input_flags(p: argparse.ArgumentParser, with_data: bool = True) -> None
 
 def _cmd_rank(args) -> int:
     """Fit, score and rank once; write the result files and a summary line.
-    Everything is computed before the first write, so an error leaves no
-    output file."""
+    The flags are checked before the data is read, and everything is
+    computed before the output directory is made, so an error leaves no
+    output behind."""
     if args.top_n < 1:
         raise ValidationError(f"--top-n must be >= 1, got {args.top_n}")
-    grid, profile, fitted = _fit_run(args)
+    _check_alpha(args.alpha)
+    grid = _parse_grid(args.grid)
+    profile, fitted = _fit_run(args, grid or None)
     stats = gene_statistics(fitted, profile)
     table = rank_from_fits(fitted, profile, stats=stats)
     sweep = sweep_from_fits(fitted, profile, grid) if grid else None
     n_pass = _alpha_pass_count(fitted, stats, args.alpha)
+    _make_out_dir(args.out)
     _write_ranked_csv(table, os.path.join(args.out, "ranked.csv"))
     _write_excluded_csv(table, os.path.join(args.out, "excluded.csv"))
     _write_moderation_json(
@@ -273,8 +291,10 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
-    grid, profile, fitted = _fit_run(args)
+    grid = _parse_grid(args.grid)
+    profile, fitted = _fit_run(args, grid)
     sweep = sweep_from_fits(fitted, profile, grid)
+    _make_out_dir(args.out)
     _write_sensitivity_csv(sweep, os.path.join(args.out, "sensitivity.csv"))
     for eps, table in zip(sweep.epsilons, sweep.tables):
         _write_ranked_csv(table, os.path.join(args.out, f"ranked_eps_{_eps_label(eps)}.csv"))
@@ -290,7 +310,7 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    design, profile, _ = _load_inputs(args)
+    design, profile = _load_inputs(args)
     defaults = GammaRanges()
     ranges = GammaRanges(
         pos_margin=_parse_range(args.pos_margin, "--pos-margin") or defaults.pos_margin,
@@ -308,7 +328,7 @@ def _cmd_synth(args) -> int:
         s0_2=args.s02,
         ranges=ranges,
     )
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     expr_path = os.path.join(args.out, "expression.csv")
     truth_path = os.path.join(args.out, "truth.csv")
     write_expression_csv(result.expression, expr_path)
@@ -321,7 +341,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    design, profile, expr = _load_inputs(args)
+    design, profile = _load_inputs(args)
+    expr = None if args.data is None else read_expression_csv(args.data, design.array_ids)
     model = compose_model_matrix(build_comparison_matrix(design), profile)
     conditions = design.conditions
     print(f"conditions: {len(conditions)} ({','.join(conditions)})")

@@ -4,10 +4,11 @@ Each gene's observed log ratios are regressed on the composed model matrix;
 rows with missing values are deleted per gene, with an identifiability
 re-check on the surviving rows. Genes that observed the same arrays share
 that check and one pseudo-inverse, so fitting runs once per missingness
-pattern. Residual variances are then shrunk toward
-a prior estimated from all genes by matching moments of the log sample
-variances, giving per-gene posterior variances and augmented degrees of
-freedom for the downstream tests.
+pattern, over the pattern's genes in row blocks of fixed size so that its
+memory does not grow with the number of genes. Residual variances are then
+shrunk toward a prior estimated from all genes by matching moments of the
+log sample variances, giving per-gene posterior variances and augmented
+degrees of freedom for the downstream tests.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ __all__ = [
 
 _MISSING_TOKENS = {"", "NA"}
 
+# Most rows that a fit or a writer turns into temporaries at once: bounds
+# their memory by a block, not by the number of genes.
+_BLOCK_ROWS = 1024
+
 REASON_INSUFFICIENT = "insufficient data"
 REASON_NONFINITE = "non-finite fit"
 
@@ -54,11 +59,7 @@ class ExpressionMatrix:
 
     def __post_init__(self) -> None:
         for gene_id in self.gene_ids:
-            # The reader strips each id, so one that is empty or padded with
-            # whitespace would not read back as written.
-            if not gene_id or gene_id != gene_id.strip():
-                raise DataError(f"a gene id must be non-empty, without surrounding "
-                                f"whitespace, got {gene_id!r}")
+            check_gene_id(gene_id)
         if len(set(self.gene_ids)) != len(self.gene_ids):
             seen: set[str] = set()
             for gene_id in self.gene_ids:
@@ -98,6 +99,20 @@ class GeneFit:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+
+def check_gene_id(gene_id: str) -> None:
+    """The rule on one gene id, which ``ExpressionMatrix`` checks on each of
+    its ids and the reader on each id it has stripped: non-empty, without
+    surrounding whitespace and without a carriage return. The reader strips
+    whitespace and rejects a carriage return, so only such an id reads back
+    as it was written."""
+    if not gene_id or gene_id != gene_id.strip():
+        raise DataError(f"a gene id must be non-empty, without surrounding "
+                        f"whitespace, got {gene_id!r}")
+    if "\r" in gene_id:
+        raise DataError(f"a gene id must be non-empty and hold no carriage return, "
+                        f"got {gene_id!r}")
 
 
 def _excluded(gene_id: str, reason: str, n_used: int) -> GeneFit:
@@ -216,10 +231,12 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
 
     Genes that observed the same set of arrays share one model matrix, so
     the identifiability check and the pseudo-inverse run once per
-    missingness pattern and are applied to all of its genes with one matrix
-    product. Only NaN marks a missing spot; an infinite value counts as
-    observed. A fit that overflows or takes an infinite value is kept as
-    it is; ``FitTable.ok`` marks it.
+    missingness pattern. The pattern's genes are then fitted in row blocks
+    of at most ``_BLOCK_ROWS``, one matrix product per block, so the
+    temporaries stay the size of a block, not of the matrix. Only NaN marks
+    a missing spot; an infinite value counts as observed. A fit that
+    overflows or takes an infinite value is kept as it is; ``FitTable.ok``
+    marks it.
     """
     observed = ~np.isnan(values)
     n_genes, k = values.shape[0], model.n_coefficients
@@ -229,10 +246,7 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
     df = np.zeros(n_genes, dtype=np.int64)
     n_used = observed.sum(axis=1)
     if n_genes:
-        _, pattern = np.unique(
-            np.packbits(observed, axis=1), axis=0, return_inverse=True
-        )
-        pattern = pattern.ravel()
+        pattern = _pattern_labels(observed)
         by_pattern = np.argsort(pattern, kind="stable")
         ends = np.cumsum(np.bincount(pattern))[:-1]
         for rows in np.split(by_pattern, ends):
@@ -245,12 +259,13 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
             if solved is None:
                 continue
             pinv, se = solved
-            y_obs = values[np.ix_(rows, mask)]
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = y_obs @ pinv.T
-                resid = y_obs - g @ x_obs.T
-                s2[rows] = np.einsum("ij,ij->i", resid, resid) / (n - k)
-            gamma[rows] = g
+            for block in _blocks(rows):
+                y_obs = values[np.ix_(block, mask)]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    g = y_obs @ pinv.T
+                    resid = y_obs - g @ x_obs.T
+                    s2[block] = np.einsum("ij,ij->i", resid, resid) / (n - k)
+                gamma[block] = g
             unscaled_se[rows] = se
             df[rows] = n - k
     return FitTable(
@@ -261,6 +276,24 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
         df=df,
         n_used=n_used,
     )
+
+
+def _blocks(rows: np.ndarray):
+    """Consecutive slices of ``rows``, each at most ``_BLOCK_ROWS`` long."""
+    return (rows[i:i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
+
+
+def _pattern_labels(observed: np.ndarray) -> np.ndarray:
+    """One integer per row of the genes x arrays mask ``observed``, equal for
+    two rows exactly when they observed the same arrays.
+
+    Each row is packed to bits and read as one fixed-width byte string, so
+    a 1-D ``np.unique`` sorts n keys instead of comparing n rows column by
+    column, for any number of arrays.
+    """
+    packed = np.packbits(observed, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    return np.unique(keys, return_inverse=True)[1]
 
 
 @dataclass(frozen=True)
@@ -477,9 +510,10 @@ def _parse_csv(path, array_ids: tuple[str, ...]):
                         f"got {len(row)}"
                     )
                 gene_id = row[0].strip()
-                if not gene_id or "\r" in gene_id:
-                    raise DataError(f"{path}:{lineno}: column 1: a gene id must be non-empty "
-                                    f"and hold no carriage return, got {row[0]!r}")
+                try:
+                    check_gene_id(gene_id)
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: column 1: {exc}") from exc
                 if gene_id in line_of:
                     raise DataError(f"{path}:{lineno}: column 1: gene id {gene_id!r} is not "
                                     f"unique, it is also on line {line_of[gene_id]}")

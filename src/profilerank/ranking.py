@@ -490,15 +490,9 @@ class SweepResult:
     stability: tuple[tuple[str, tuple[int | None, ...]], ...]
 
 
-def sweep_from_fits(
-    fitted: FittedExperiment, profile: ProfileSpec, epsilons
-) -> SweepResult:
-    """Re-rank an already fitted experiment under each equivalence margin.
-
-    Only the equivalence margins vary across the sweep, so inclusion sets
-    are nested as the margin grows. The margins must be finite and > 0, and
-    the profile must have an equivalence coefficient for them to vary.
-    """
+def _check_sweep(profile: ProfileSpec, epsilons) -> list[float]:
+    """The sweep margins as floats: at least one, each finite and > 0, for a
+    profile with an equivalence coefficient for them to vary."""
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ValidationError("sensitivity sweep needs at least one margin")
@@ -509,6 +503,18 @@ def sweep_from_fits(
             f"profile {profile.name!r} has no equiv coefficient, so a margin sweep would "
             "vary nothing"
         )
+    return eps
+
+
+def sweep_from_fits(
+    fitted: FittedExperiment, profile: ProfileSpec, epsilons
+) -> SweepResult:
+    """Re-rank an already fitted experiment under each equivalence margin.
+
+    Only the equivalence margins vary across the sweep, so inclusion sets
+    are nested as the margin grows. The margins must pass ``_check_sweep``.
+    """
+    eps = _check_sweep(profile, epsilons)
     tables = []
     for e in eps:
         scores = gene_statistics(fitted, profile.with_margins(epsilon=e))

@@ -480,6 +480,62 @@ def test_bad_alpha_exits_2(workdir, tmp_path):
     assert main(_rank_args(workdir, tmp_path / "o", ["--alpha", "0.9"])) == 2
 
 
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        ("rank", ["--alpha", "0.7"], "alpha must lie in (0, 0.5), got 0.7"),
+        ("rank", ["--grid=-1,2"], "sweep margins must be > 0 and finite, got [-1.0, 2.0]"),
+        ("sensitivity", ["--grid=-1,2"],
+         "sweep margins must be > 0 and finite, got [-1.0, 2.0]"),
+        ("sensitivity", ["--grid", ""], "sensitivity sweep needs at least one margin"),
+    ],
+    ids=["rank-alpha", "rank-grid", "sensitivity-grid", "sensitivity-empty-grid"],
+)
+def test_run_flags_are_checked_before_the_data_is_read(workdir, tmp_path, capsys, command,
+                                                       flags, named):
+    # Reading this file would exit 3, so exit 2 shows the flag was checked first.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("gene_id,wrong\n")
+    out = tmp_path / "out"
+    args = _rank_args(workdir, out, flags)
+    args[0] = command
+    args[args.index("--data") + 1] = str(bad)
+    assert main(args) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "sensitivity"])
+def test_an_error_after_the_read_creates_no_output_directory(workdir, tmp_path, capsys, command):
+    # One gene cannot give a variance prior, which only the fit finds out.
+    lines = (workdir / "data" / "expression.csv").read_text().splitlines()
+    one = tmp_path / "one.csv"
+    one.write_text("\n".join(lines[:2]) + "\n")
+    out = tmp_path / "out"
+    args = _rank_args(workdir, out, ["--grid", "0.5,1"])
+    args[0] = command
+    args[args.index("--data") + 1] = str(one)
+    assert main(args) == 3
+    assert "variance moderation needs at least 2 genes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "sensitivity", "synth"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_out_on_an_existing_file_exits_2(workdir, tmp_path, capsys, command, under):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "out" if under else taken
+    extra = ["--genes", "50", "--seed", "1"] if command == "synth" else ["--grid", "0.5,1"]
+    args = _rank_args(workdir, out, extra)
+    args[0] = command
+    if command == "synth":
+        del args[1:3]  # --data
+    assert main(args) == 2
+    assert f"--out {out}: cannot create the output directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
+
+
 def test_moderation_json_serializes_infinite_prior(tmp_path, pluripotent):
     from profilerank.cli import _write_moderation_json
     from profilerank.ranking import FittedExperiment

@@ -9,6 +9,7 @@ scalar code.
 
 import math
 import shutil
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import profilerank as pr
-from profilerank import cli
+from profilerank import cli, fitting
 from profilerank.errors import DataError
 from profilerank.ranking import FittedExperiment, ScoreTable, SweepResult, UStatistics
 
@@ -72,6 +73,20 @@ def _oracle_u_statistics(fitted, profile, i):
     )
 
 
+def _assert_fits_match_oracle(table, expr, model):
+    assert len(table) == expr.n_genes and table.gene_ids == expr.gene_ids
+    for got, y in zip(table, expr.values):
+        n_used, df, gamma, s2, unscaled_se = oracles.fit_gene(y, model)
+        assert (got.n_used, got.ok, got.df or 0) == (n_used, df > 0, df)
+        if df:
+            scale = max(1.0, float(np.nanmax(np.abs(y))))
+            assert all(_close(a, b, scale) for a, b in zip(got.gamma_hat, gamma))
+            assert _close(got.s2, s2, scale * scale)
+            assert all(_close(a, b, 1.0) for a, b in zip(got.unscaled_se, unscaled_se))
+        else:
+            assert got.reason == "insufficient data"
+
+
 finite = st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False)
 
 
@@ -96,17 +111,7 @@ def test_columnar_path_matches_per_gene_oracles(small, values, zero_se):
     expr = pr.ExpressionMatrix(gene_ids=ids, array_ids=design.array_ids, values=values)
 
     table = pr.fit_all(expr, model)
-    assert len(table) == len(values) and table.gene_ids == ids
-    for i, (got, y) in enumerate(zip(table, values)):
-        n_used, df, gamma, s2, unscaled_se = oracles.fit_gene(y, model)
-        assert (got.n_used, got.ok, got.df or 0) == (n_used, df > 0, df)
-        if df:
-            scale = max(1.0, float(np.nanmax(np.abs(y))))
-            assert all(_close(a, b, scale) for a, b in zip(got.gamma_hat, gamma))
-            assert _close(got.s2, s2, scale * scale)
-            assert all(_close(a, b, 1.0) for a, b in zip(got.unscaled_se, unscaled_se))
-        else:
-            assert got.reason == "insufficient data"
+    _assert_fits_match_oracle(table, expr, model)
 
     try:
         mod = pr.moderate_variances(table)
@@ -224,6 +229,70 @@ def test_margins_share_one_standard_error_array(small):
     assert all(t.scores.se is table.scores.se for t in sweep.tables)
     with pytest.raises(ValueError):
         fitted.se[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the fit groups genes by missingness pattern and fits each pattern in blocks
+# ---------------------------------------------------------------------------
+
+
+def test_a_pattern_of_more_genes_than_a_block_matches_per_gene_oracles(small):
+    design, profile, model = small
+    rng = np.random.default_rng(9)
+    n_complete, n_partial = fitting._BLOCK_ROWS + 1, 300
+    values = rng.normal(0, 1, (n_complete + n_partial, len(PAIRS)))
+    # Partial genes scattered among the complete ones, one or two spots
+    # missing each, so the complete pattern's rows are not contiguous.
+    partial = rng.choice(len(values), size=n_partial, replace=False)
+    values[partial, rng.integers(0, len(PAIRS), n_partial)] = np.nan
+    values[partial[::2], rng.integers(0, len(PAIRS), n_partial // 2)] = np.nan
+    ids = tuple(f"g{i}" for i in range(len(values)))
+    expr = pr.ExpressionMatrix(gene_ids=ids, array_ids=design.array_ids, values=values)
+    table = pr.fit_all(expr, model)
+    assert np.count_nonzero(table.n_used == len(PAIRS)) == n_complete
+    _assert_fits_match_oracle(table, expr, model)
+
+
+def test_genes_that_differ_only_past_the_eighth_packed_byte_are_fitted_apart():
+    # 70 arrays: the masks below first differ at array 65, in the ninth byte.
+    rng = np.random.default_rng(10)
+    model = pr.ModelMatrix(x=rng.normal(0, 1, (70, 3)))
+    values = rng.normal(0, 1, (240, 70))
+    for i, missing in enumerate([[], [65], [66, 69], [64, 65, 66, 67, 68, 69]]):
+        values[i::4, missing] = np.nan
+    expr = pr.ExpressionMatrix(gene_ids=tuple(f"g{i}" for i in range(240)),
+                               array_ids=tuple(f"a{j}" for j in range(70)), values=values)
+    table = pr.fit_all(expr, model)
+    assert table.n_used[:4].tolist() == [70, 69, 68, 64]
+    assert len(np.unique(fitting._pattern_labels(~np.isnan(values)))) == 4
+    _assert_fits_match_oracle(table, expr, model)
+
+
+@given(observed=arrays(bool, st.tuples(st.integers(1, 40), st.integers(1, 80)),
+                       elements=st.booleans()))
+@settings(max_examples=200, deadline=None)
+def test_pattern_labels_partition_rows_as_the_row_wise_unique_does(observed):
+    rows = np.unique(np.packbits(observed, axis=1), axis=0, return_inverse=True)[1].ravel()
+    labels = fitting._pattern_labels(observed)
+    assert labels.shape == rows.shape
+    pairs = set(zip(labels.tolist(), rows.tolist()))
+    assert len(pairs) == len(set(labels.tolist())) == len(set(rows.tolist()))
+
+
+def test_fit_all_allocates_less_than_twice_its_input(stemcell_design, stemcell_model):
+    # 20k complete genes: a fit that held whole-matrix temporaries (the
+    # observed rows, their fitted values and residuals) would peak near 4x.
+    values = np.random.default_rng(11).normal(0, 1, (20000, stemcell_model.n_arrays))
+    expr = pr.ExpressionMatrix(gene_ids=tuple(f"g{i}" for i in range(len(values))),
+                               array_ids=stemcell_design.array_ids, values=values)
+    tracemalloc.start()
+    try:
+        table = pr.fit_all(expr, stemcell_model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.ok.all()
+    assert peak < 2 * values.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import profilerank as pr
 from profilerank import fitting
 from profilerank.csvout import write_csv
 from profilerank.errors import DataError
-from profilerank.synth import write_expression_csv
 
 ARRAYS = ("a1", "a2")
 HEADER = "gene_id,a1,a2\n"
@@ -268,11 +267,10 @@ def test_write_csv_reads_back_as_written(tmp_path, field):
         assert list(csv.reader(fh)) == rows
 
 
-def test_carriage_return_id_is_rejected_as_an_id(tmp_path):
-    expr = pr.ExpressionMatrix(gene_ids=("ok", "a\rb"), array_ids=ARRAYS,
-                               values=np.array([[1.0, 2.0], [3.0, math.nan]]))
-    path = tmp_path / "expr.csv"
-    write_expression_csv(expr, path)
-    with pytest.raises(DataError, match=r"expr.csv:3: column 1: a gene id must be non-empty "
-                                        r"and hold no carriage return"):
-        pr.read_expression_csv(path, ARRAYS)
+def test_carriage_return_id_is_rejected_as_an_id():
+    # The reader rejects such an id, so the matrix must not hold one that
+    # write_expression_csv would write.
+    with pytest.raises(DataError, match=r"^a gene id must be non-empty and hold no carriage "
+                                        r"return, got 'a\\rb'$"):
+        pr.ExpressionMatrix(gene_ids=("ok", "a\rb"), array_ids=ARRAYS,
+                            values=np.array([[1.0, 2.0], [3.0, math.nan]]))
