@@ -87,12 +87,26 @@ def _load_inputs(args):
 
 def _fit_run(args, grid: tuple[float, ...] | None):
     """Load the inputs and check the sweep margins ``grid`` (None when there
-    is no sweep) before reading the data, then fit: ``(profile, fitted)``."""
+    is no sweep) and ``--out`` before reading the data, then fit:
+    ``(profile, fitted)``."""
     design, profile = _load_inputs(args)
     if grid is not None:
         _check_sweep(profile, grid)
+    _check_out_dir(args.out)
     expr = read_expression_csv(args.data, design.array_ids)
     return profile, fit_experiment(expr, design, profile)
+
+
+def _check_out_dir(path: str) -> None:
+    """Fail where ``_make_out_dir`` would, but without creating anything: the
+    nearest existing path at or above ``path`` must be a directory."""
+    existing = os.path.abspath(path)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ValidationError(
+            f"--out {path}: cannot create the output directory: {existing} is not a directory"
+        )
 
 
 def _make_out_dir(path: str) -> None:
@@ -223,10 +237,21 @@ def _parse_deltas(items) -> dict:
 def _parse_grid(text: str | None) -> tuple[float, ...]:
     if not text:
         return ()
+    tokens = text.split(",")
     try:
-        grid = tuple(float(v) for v in text.split(","))
+        grid = tuple(float(v) for v in tokens)
     except ValueError as exc:
         raise ValidationError(f"--grid expects comma-separated numbers, got {text!r}") from exc
+    # Each margin names its own column and ranked_eps_<label>.csv file.
+    labels: dict[str, str] = {}
+    for token, e in zip(tokens, grid):
+        label = _eps_label(e)
+        if label in labels:
+            raise ValidationError(
+                f"--grid margins {labels[label]!r} and {token!r} are both labelled eps_{label}; "
+                "give margins that differ in their first 6 significant digits"
+            )
+        labels[label] = token
     return grid
 
 
@@ -318,6 +343,7 @@ def _cmd_synth(args) -> int:
         violate_pos=_parse_range(args.violate_pos, "--violate-pos") or defaults.violate_pos,
         violate_equiv=_parse_range(args.violate_equiv, "--violate-equiv") or defaults.violate_equiv,
     )
+    _check_out_dir(args.out)
     result = generate_dataset(
         design,
         profile,

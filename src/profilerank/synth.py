@@ -20,7 +20,8 @@ Everything is driven by one seed; outputs are byte-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,9 +84,24 @@ class TruthRow:
 
 @dataclass(frozen=True)
 class SynthResult:
+    """The data and, as columns in gene order, the truth behind it: one role
+    per gene, the genes x retained-coefficients ``gamma`` and ``sigma2``."""
+
     expression: ExpressionMatrix
-    truth: tuple[TruthRow, ...]
     coefficient_names: tuple[str, ...]
+    roles: tuple[str, ...]
+    gamma: np.ndarray = field(compare=False)
+    sigma2: np.ndarray = field(compare=False)
+
+    @cached_property
+    def truth(self) -> tuple[TruthRow, ...]:
+        """One ``TruthRow`` per gene, built on first use."""
+        return tuple(
+            TruthRow(gene_id, role != ROLE_BACKGROUND, role, tuple(gamma), sigma2)
+            for gene_id, role, gamma, sigma2 in zip(
+                self.expression.gene_ids, self.roles, self.gamma.tolist(),
+                self.sigma2.tolist())
+        )
 
 
 def _planted_gamma(constraint, rng, ranges: GammaRanges, role: str) -> float:
@@ -113,9 +129,7 @@ def _background_gamma(constraints, rng, ranges: GammaRanges) -> list[float]:
     violated = {p for p, v in zip(test_positions, violate) if v}
     gamma = []
     for i, con in enumerate(constraints):
-        if con.kind == "free":
-            gamma.append(rng.uniform(-1.0, 1.0))
-        elif i in violated:
+        if i in violated:
             if con.kind == "pos":
                 gamma.append(con.value - rng.uniform(*ranges.violate_pos))
             else:
@@ -171,45 +185,29 @@ def generate_dataset(
         if n_planted
         else np.array([], dtype=int)
     )
-    roles = {}
-    for order, pos in enumerate(planted_positions):
-        if order == 0:
-            roles[int(pos)] = ROLE_TOP
-        elif order == 1:
-            roles[int(pos)] = ROLE_CHALLENGER
-        else:
-            roles[int(pos)] = ROLE_PLANTED
+    planted = dict(zip(planted_positions.tolist(),
+                       [ROLE_TOP, ROLE_CHALLENGER, *[ROLE_PLANTED] * n_planted]))
+    roles = tuple(planted.get(i, ROLE_BACKGROUND) for i in range(n_genes))
 
     width = max(5, len(str(n_genes)))
     n_arrays = model.n_arrays
     values = np.empty((n_genes, n_arrays))
-    truth: list[TruthRow] = []
-    for i in range(n_genes):
-        role = roles.get(i, ROLE_BACKGROUND)
+    gamma = np.empty((n_genes, len(constraints)))
+    sigma2 = np.empty(n_genes)
+    for i, role in enumerate(roles):
         if role == ROLE_BACKGROUND:
-            gamma = _background_gamma(constraints, rng, ranges)
+            gamma[i] = _background_gamma(constraints, rng, ranges)
         else:
-            gamma = [_planted_gamma(c, rng, ranges, role) for c in constraints]
-        gamma = np.array(gamma)
-        sigma2 = d0 * s0_2 / rng.chisquare(d0)
-        values[i] = model.x @ gamma + rng.normal(0.0, np.sqrt(sigma2), n_arrays)
-        truth.append(
-            TruthRow(
-                gene_id=f"g{i + 1:0{width}d}",
-                planted=role != ROLE_BACKGROUND,
-                role=role,
-                gamma=tuple(float(g) for g in gamma),
-                sigma2=float(sigma2),
-            )
-        )
+            gamma[i] = [_planted_gamma(c, rng, ranges, role) for c in constraints]
+        sigma2[i] = d0 * s0_2 / rng.chisquare(d0)
+        values[i] = model.x @ gamma[i] + rng.normal(0.0, np.sqrt(sigma2[i]), n_arrays)
     expr = ExpressionMatrix(
-        gene_ids=tuple(row.gene_id for row in truth),
+        gene_ids=tuple(f"g{i + 1:0{width}d}" for i in range(n_genes)),
         array_ids=design.array_ids,
         values=values,
     )
-    return SynthResult(
-        expression=expr, truth=tuple(truth), coefficient_names=names
-    )
+    return SynthResult(expression=expr, coefficient_names=names,
+                       roles=roles, gamma=gamma, sigma2=sigma2)
 
 
 def write_expression_csv(expr: ExpressionMatrix, path) -> None:
@@ -225,8 +223,9 @@ def write_truth_csv(result: SynthResult, path) -> None:
         + [f"gamma_{name}" for name in result.coefficient_names]
         + ["sigma2"]
     )
+    rows = zip(result.expression.gene_ids, result.roles, result.gamma, result.sigma2.tolist())
     write_csv(path, header, (
-        [row.gene_id, "1" if row.planted else "0", row.role,
-         *map(repr, row.gamma), repr(row.sigma2)]
-        for row in result.truth
+        [gene_id, "0" if role == ROLE_BACKGROUND else "1", role,
+         *map(repr, gamma.tolist()), repr(sigma2)]
+        for gene_id, role, gamma, sigma2 in rows
     ))

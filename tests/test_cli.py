@@ -488,8 +488,21 @@ def test_bad_alpha_exits_2(workdir, tmp_path):
         ("sensitivity", ["--grid=-1,2"],
          "sweep margins must be > 0 and finite, got [-1.0, 2.0]"),
         ("sensitivity", ["--grid", ""], "sensitivity sweep needs at least one margin"),
+        ("rank", ["--delta", "day6_vs_day9=abc"],
+         "--delta 'day6_vs_day9=abc': threshold is not a number"),
+        # Each margin names a sensitivity.csv column and a ranked_eps_<label>.csv
+        # file, so two margins with one label would hide one margin's output.
+        ("rank", ["--grid", "1,1.0000001"], "--grid margins '1' and '1.0000001' are both "
+         "labelled eps_1; give margins that differ in their first 6 significant digits"),
+        ("sensitivity", ["--grid", "1,1.0000001"],
+         "--grid margins '1' and '1.0000001' are both labelled eps_1"),
+        ("rank", ["--grid", "0.5,2,0.5"], "--grid margins '0.5' and '0.5' are both labelled"),
+        ("sensitivity", ["--grid", "0.5,2,0.5"],
+         "--grid margins '0.5' and '0.5' are both labelled eps_0.5"),
     ],
-    ids=["rank-alpha", "rank-grid", "sensitivity-grid", "sensitivity-empty-grid"],
+    ids=["rank-alpha", "rank-grid", "sensitivity-grid", "sensitivity-empty-grid",
+         "rank-delta-not-a-number", "rank-grid-same-label", "sensitivity-grid-same-label",
+         "rank-grid-same-margin", "sensitivity-grid-same-margin"],
 )
 def test_run_flags_are_checked_before_the_data_is_read(workdir, tmp_path, capsys, command,
                                                        flags, named):
@@ -500,6 +513,22 @@ def test_run_flags_are_checked_before_the_data_is_read(workdir, tmp_path, capsys
     args = _rank_args(workdir, out, flags)
     args[0] = command
     args[args.index("--data") + 1] = str(bad)
+    assert main(args) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--pos-margin", "1", "--pos-margin expects <lo>,<hi>, got '1'"),
+     ("--pos-margin", "a,b", "--pos-margin: bounds must be numbers, got 'a,b'")],
+    ids=["one-bound", "not-numbers"],
+)
+def test_bad_synth_ranges_exit_2(workdir, tmp_path, capsys, flag, value, named):
+    out = tmp_path / "out"
+    args = _rank_args(workdir, out, ["--genes", "50", "--seed", "1", flag, value])
+    args[0] = "synth"
+    del args[1:3]  # --data
     assert main(args) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
@@ -520,20 +549,33 @@ def test_an_error_after_the_read_creates_no_output_directory(workdir, tmp_path, 
     assert not out.exists()
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("the run went on past a bad --out")
+
+
 @pytest.mark.parametrize("command", ["rank", "sensitivity", "synth"])
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
-def test_out_on_an_existing_file_exits_2(workdir, tmp_path, capsys, command, under):
+def test_out_on_an_existing_file_exits_2(workdir, tmp_path, capsys, monkeypatch, command,
+                                         under):
+    # Reading this file would exit 3, and synth must not start generating,
+    # so exit 2 shows --out was checked first.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("gene_id,wrong\n")
+    monkeypatch.setattr("profilerank.cli.generate_dataset", _never_called)
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
-    out = taken / "out" if under else taken
+    out = taken / "out" / "x" if under else taken
     extra = ["--genes", "50", "--seed", "1"] if command == "synth" else ["--grid", "0.5,1"]
     args = _rank_args(workdir, out, extra)
     args[0] = command
+    args[args.index("--data") + 1] = str(bad)
     if command == "synth":
         del args[1:3]  # --data
     assert main(args) == 2
-    assert f"--out {out}: cannot create the output directory" in capsys.readouterr().err
+    assert (f"--out {out}: cannot create the output directory: {taken} is not a directory"
+            in capsys.readouterr().err)
     assert taken.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "taken"]
 
 
 def test_moderation_json_serializes_infinite_prior(tmp_path, pluripotent):
@@ -641,6 +683,12 @@ def test_fitted_relative_profile_zero_gamma(pluripotent, stemcell_model):
     )
     rel = fitted_relative_profile(fit, pluripotent, stemcell_model)
     assert rel.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_fitted_relative_profile_of_an_unfit_gene_is_an_error(pluripotent, stemcell_model):
+    fit = pr.GeneFit(gene_id="g", status="excluded", reason="all missing")
+    with pytest.raises(ValueError, match="gene 'g': no fit to plot"):
+        fitted_relative_profile(fit, pluripotent, stemcell_model)
 
 
 def test_fitted_relative_profile_matches_direct_product(pluripotent, stemcell_model):

@@ -366,6 +366,26 @@ def test_read_conditions_rejects_bad_label(tmp_path):
         pr.read_conditions_csv(p)
 
 
+def _read_comments_only_conditions(tmp_path):
+    path = tmp_path / "conds.csv"
+    path.write_text("# day0\n\n# day3\n")
+    return pr.read_conditions_csv(path)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (_read_comments_only_conditions, "conds.csv: no condition labels found"),
+        (lambda tmp_path: make_design(["day0"], [("day0", "day0")]),
+         "a design needs at least two conditions"),
+    ],
+    ids=["conditions-only-comments", "one-condition"],
+)
+def test_too_few_conditions_rejected(tmp_path, build, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build(tmp_path)
+
+
 def test_read_design_requires_exact_header(tmp_path):
     p = tmp_path / "design.csv"
     p.write_text("id,cy3,cy5,group\nx,a,b,r\n")

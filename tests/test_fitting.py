@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import profilerank as pr
 from profilerank.design import least_squares_operator
-from profilerank.errors import DataError
+from profilerank.errors import DataError, ValidationError
 from profilerank.fitting import posterior_variance
 from profilerank.synth import generate_dataset, write_expression_csv
 
@@ -465,6 +465,30 @@ def test_expression_matrix_rejects_an_id_that_would_not_read_back(tmp_path, gene
     with pytest.raises(DataError, match=re.escape(f"a gene id must be non-empty, without "
                                                    f"surrounding whitespace, got {gene_id!r}")):
         pr.ExpressionMatrix(gene_ids=("g1", gene_id), array_ids=("a1",), values=np.zeros((2, 1)))
+
+
+def _expression(array_ids, shape):
+    return pr.ExpressionMatrix(gene_ids=("g1", "g2"), array_ids=tuple(array_ids),
+                               values=np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "run, error, message",
+    [
+        (lambda design, model, profile: _expression(["a1"], (2, 2)),
+         DataError, "expression matrix shape (2, 2) does not match 2 genes x 1 arrays"),
+        (lambda design, model, profile: pr.fit_all(_expression(["a1", "a2"], (2, 2)), model),
+         DataError, "expression matrix has 2 arrays but the model expects 20"),
+        (lambda design, model, profile: pr.fit_experiment(
+            _expression(design.array_ids[::-1], (2, 20)), design, profile),
+         ValidationError, "expression arrays do not match the design arrays"),
+    ],
+    ids=["shape-vs-ids", "fit-all-array-count", "fit-experiment-array-ids"],
+)
+def test_a_matrix_that_does_not_match_is_rejected(stemcell_design, stemcell_model, pluripotent,
+                                                  run, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        run(stemcell_design, stemcell_model, pluripotent)
 
 
 def test_fit_gene_without_cached_solver(stemcell_model):

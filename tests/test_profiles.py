@@ -178,6 +178,48 @@ def test_parse_bad_constraints():
             parse_profile(base + f"coef c0 1,1 free\ncoef c1 1,0 {token}\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("name x y\n", "<string>:1: expected 'name <string>'"),
+        ("name x\nconditions a, b\n",
+         "<string>:2: expected 'conditions <comma-separated labels>'"),
+        ("name x\nconditions a,b\ncoef c1 1,0\n",
+         "<string>:3: expected 'coef <name> <decimals> <constraint>'"),
+        ("name x\n# again\nname y\n", "<string>:3: duplicate 'name' line"),
+        ("name x\nconditions a,b\nconditions a,b\n", "<string>:3: duplicate 'conditions' line"),
+        ("name x\ncoef c1 1,0 pos\nconditions a,b\n",
+         "<string>:2: 'coef' lines must follow the 'conditions' line"),
+        ("name x\nconditions a,b\ncoef c1 1,0 pos\ncoef c2 0,1 free:1\n",
+         "<string>:4: 'free' takes no argument"),
+    ],
+    ids=["name-fields", "conditions-fields", "coef-fields", "repeated-name",
+         "repeated-conditions", "coef-before-conditions", "free-with-argument"],
+)
+def test_parse_errors_name_the_line(text, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_profile(text)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: pr.Constraint("bogus"), "unknown constraint kind 'bogus'"),
+        (lambda: pr.ProfileSpec(
+            name="x", condition_labels=("a", "b"), coefficient_names=("c1", "c2"),
+            basis_text=(("1", "0"),),
+            constraints=(pr.Constraint.positive_above(), pr.Constraint.positive_above())),
+         "2 coefficients but 1 basis columns"),
+        (lambda: pr.bundled_profile("nope"),
+         f"unknown bundled profile 'nope'; available: {pr.BUNDLED_PROFILES}"),
+    ],
+    ids=["constraint-kind", "basis-column-count", "bundled-name"],
+)
+def test_constructor_errors(build, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build()
+
+
 def test_comments_and_blanks_ignored():
     text = "# heading\n\nname x\n# mid\nconditions a,b\ncoef c1 0,1 pos\n"
     spec = parse_profile(text)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,3 +134,56 @@ def test_sigma2_prior_shape(stemcell_design, analysis_profile):
     sigma2 = np.array([t.sigma2 for t in result.truth])
     # 1/sigma2 ~ chisq(d0)/(d0*s0_2): mean of 1/sigma2 is 1/s0_2
     assert np.mean(1.0 / sigma2) == pytest.approx(1.0 / 0.05, rel=0.05)
+
+
+def _free_trend_profile():
+    # A retained free coefficient: unlike the bundled profiles' baseline,
+    # trend does not cancel in a two-colour comparison.
+    return pr.ProfileSpec.from_columns(
+        "free_trend", ("day0", "day3", "day6", "day9"),
+        [("trend", ["0", "1", "2", "3"]), ("early_vs_day6", ["1", "1", "0", "0"]),
+         ("day0_vs_day3", ["0.5", "-0.5", "0", "0"])],
+        [pr.Constraint.unconstrained(), pr.Constraint.positive_above(),
+         pr.Constraint.equivalent_zero(1.0)],
+    )
+
+
+@pytest.mark.parametrize(
+    "profile, expression_sha256, truth_sha256",
+    [
+        (None, "8b404032adc31abc0487564508ac1a42584e9936b9933b44687de0e3f1fe2fe3",
+         "8e2946c8cc8eb410046896d48fb3b4f6be7676b381003d123f566421989a865b"),
+        (_free_trend_profile(),
+         "0cddc9e543805acc6dda3a68ce582b277ba20813a271d2b8ca92d65d6a2d161a",
+         "eb2505481022c566d39fa0d8a3e3d604b8713288f01607db9ff5d2d3a89be545"),
+    ],
+    ids=["analysis-profile", "retained-free-coefficient"],
+)
+def test_written_files_keep_their_bytes(tmp_path, stemcell_design, analysis_profile, profile,
+                                        expression_sha256, truth_sha256):
+    # The digests pin the seeded stream: any change to the order or number
+    # of draws, or to how a value is written, changes them.
+    result = pr.generate_dataset(stemcell_design, profile or analysis_profile,
+                                 n_genes=2000, n_planted=20, seed=42)
+    write_expression_csv(result.expression, tmp_path / "expression.csv")
+    write_truth_csv(result, tmp_path / "truth.csv")
+    assert "truth" not in vars(result)  # no TruthRow was built
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("expression.csv", "truth.csv")}
+    assert digest == {"expression.csv": expression_sha256, "truth.csv": truth_sha256}
+
+
+def test_generate_dataset_keeps_the_truth_as_columns(stemcell_design, analysis_profile):
+    pr.generate_dataset(stemcell_design, analysis_profile, 50, 2, seed=1)  # warm caches
+    tracemalloc.start()
+    try:
+        result = pr.generate_dataset(stemcell_design, analysis_profile, 5000, 20, seed=1)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # The values, the gene ids and three small columns take about 1.65x the
+    # values; one TruthRow per gene would take it past 3x.
+    assert retained < 2.0 * result.expression.values.nbytes
+    assert result.gamma.shape == (5000, 3) and result.sigma2.shape == (5000,)
+    assert result.truth[7].gamma == tuple(result.gamma[7].tolist())
+    assert "truth" in vars(result)
