@@ -64,7 +64,7 @@ from .ranking import (
     u_statistics,
 )
 from .svgplot import fitted_relative_profile, render_profiles_svg
-from .synth import GammaRanges, SynthResult, TruthRow, generate_dataset
+from .synth import SynthResult, TruthRow, generate_dataset
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "ExpressionMatrix",
     "FitTable",
     "FittedExperiment",
-    "GammaRanges",
     "GeneFit",
     "ModelMatrix",
     "ModerationResult",

@@ -46,7 +46,7 @@ from .ranking import (
     sweep_from_fits,
 )
 from .svgplot import fitted_relative_profile, render_profiles_svg
-from .synth import GammaRanges, generate_dataset, write_expression_csv, write_truth_csv
+from .synth import generate_dataset, write_expression_csv, write_truth_csv
 
 __all__ = ["main"]
 
@@ -60,8 +60,8 @@ def _require_file(path: str, what: str) -> None:
         raise ValidationError(f"{what} file not found: {path}")
 
 
-def _fmt(x: float | None) -> str:
-    return "NA" if x is None or x != x else f"{x:.6g}"
+def _fmt(x: float) -> str:
+    return "NA" if x != x else f"{x:.6g}"
 
 
 def _eps_label(e: float) -> str:
@@ -98,8 +98,11 @@ def _fit_run(args, grid: tuple[float, ...] | None):
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail where ``_make_out_dir`` would, but without creating anything: the
-    nearest existing path at or above ``path`` must be a directory."""
+    """Fail where ``_make_out_dir`` would, but without creating anything:
+    ``path`` must not be empty, and the nearest existing path at or above it
+    must be a directory."""
+    if not path:
+        raise ValidationError("--out must name the output directory, got an empty path")
     existing = os.path.abspath(path)
     while not os.path.lexists(existing):
         existing = os.path.dirname(existing)
@@ -255,18 +258,6 @@ def _parse_grid(text: str | None) -> tuple[float, ...]:
     return grid
 
 
-def _parse_range(text: str | None, flag: str) -> tuple[float, float] | None:
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValidationError(f"{flag} expects <lo>,<hi>, got {text!r}")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ValidationError(f"{flag}: bounds must be numbers, got {text!r}") from exc
-
-
 def _add_input_flags(p: argparse.ArgumentParser, with_data: bool = True) -> None:
     if with_data:
         p.add_argument("--data", required=True, help="expression CSV (gene_id + one column per array)")
@@ -336,23 +327,9 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_synth(args) -> int:
     design, profile = _load_inputs(args)
-    defaults = GammaRanges()
-    ranges = GammaRanges(
-        pos_margin=_parse_range(args.pos_margin, "--pos-margin") or defaults.pos_margin,
-        equiv_band=_parse_range(args.equiv_band, "--equiv-band") or defaults.equiv_band,
-        violate_pos=_parse_range(args.violate_pos, "--violate-pos") or defaults.violate_pos,
-        violate_equiv=_parse_range(args.violate_equiv, "--violate-equiv") or defaults.violate_equiv,
-    )
     _check_out_dir(args.out)
     result = generate_dataset(
-        design,
-        profile,
-        n_genes=args.genes,
-        n_planted=args.planted,
-        seed=args.seed,
-        d0=args.d0,
-        s0_2=args.s02,
-        ranges=ranges,
+        design, profile, n_genes=args.genes, n_planted=args.planted, seed=args.seed
     )
     _make_out_dir(args.out)
     expr_path = os.path.join(args.out, "expression.csv")
@@ -422,12 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--genes", type=int, default=20000, help="total genes (default 20000)")
     p_synth.add_argument("--planted", type=int, default=20, help="planted profile-matching genes (default 20)")
     p_synth.add_argument("--seed", type=int, required=True, help="RNG seed")
-    p_synth.add_argument("--d0", type=float, default=16.0, help="variance prior df (default 16)")
-    p_synth.add_argument("--s02", type=float, default=0.05, help="variance prior scale (default 0.05)")
-    p_synth.add_argument("--pos-margin", default=None, metavar="LO,HI", help="satisfied positivity margin range")
-    p_synth.add_argument("--equiv-band", default=None, metavar="LO,HI", help="satisfied |equivalence| range")
-    p_synth.add_argument("--violate-pos", default=None, metavar="LO,HI", help="violation depth below a positivity threshold")
-    p_synth.add_argument("--violate-equiv", default=None, metavar="LO,HI", help="violation distance beyond an equivalence margin")
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.set_defaults(func=_cmd_synth, data=None)
 

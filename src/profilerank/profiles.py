@@ -245,11 +245,20 @@ class ProfileSpec:
             constraints=tuple(constraints),
         )
 
+    def _require_equiv(self, use: str) -> None:
+        """``use`` changes only equivalence margins, so it needs a profile
+        with an ``equiv`` coefficient."""
+        if not any(con.kind == "equiv" for con in self.constraints):
+            raise ValidationError(
+                f"profile {self.name!r} has no equiv coefficient, so {use} would vary nothing"
+            )
+
     def with_margins(self, epsilon=None, deltas=None) -> "ProfileSpec":
         """Return a copy with overridden test margins.
 
-        ``epsilon`` replaces the margin of every equivalence constraint;
-        ``deltas`` maps coefficient names to new positivity thresholds.
+        ``epsilon`` replaces the margin of every equivalence constraint, so
+        the profile must have one; ``deltas`` maps coefficient names to new
+        positivity thresholds.
         """
         deltas = dict(deltas or {})
         unknown = set(deltas) - set(self.coefficient_names)
@@ -257,6 +266,8 @@ class ProfileSpec:
             raise ValidationError(
                 f"delta override for unknown coefficient(s): {sorted(unknown)}"
             )
+        if epsilon is not None:
+            self._require_equiv(f"an epsilon of {epsilon}")
         new = []
         for cname, con in zip(self.coefficient_names, self.constraints):
             if con.kind == "equiv" and epsilon is not None:

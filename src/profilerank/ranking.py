@@ -498,11 +498,7 @@ def _check_sweep(profile: ProfileSpec, epsilons) -> list[float]:
         raise ValidationError("sensitivity sweep needs at least one margin")
     if any(not 0.0 < e < math.inf for e in eps):
         raise ValidationError(f"sweep margins must be > 0 and finite, got {eps}")
-    if not any(con.kind == "equiv" for con in profile.constraints):
-        raise ValidationError(
-            f"profile {profile.name!r} has no equiv coefficient, so a margin sweep would "
-            "vary nothing"
-        )
+    profile._require_equiv("a margin sweep")
     return eps
 
 

@@ -14,12 +14,16 @@ benchmark tests have a known strongest gene:
                             so it only becomes competitive when the
                             analysis margin is widened.
 
-Everything is driven by one seed; outputs are byte-stable.
+Other coefficients are drawn uniformly from fixed ranges: a satisfied
+positivity criterion lands ``POS_MARGIN`` above its threshold, a satisfied
+equivalence coefficient has magnitude in ``EQUIV_BAND``, and a violated
+criterion lands ``VIOLATION`` beyond its boundary. A free coefficient is
+drawn from U(-1, 1). Everything is driven by one seed; outputs are
+byte-stable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,7 +36,6 @@ from .fitting import ExpressionMatrix
 from .profiles import ProfileSpec
 
 __all__ = [
-    "GammaRanges",
     "TruthRow",
     "SynthResult",
     "generate_dataset",
@@ -49,28 +52,13 @@ TOP_POS_MARGIN = 3.0
 CHALLENGER_POS_MARGIN = 2.5
 CHALLENGER_EQUIV_FRACTION = 0.8
 
+POS_MARGIN = (1.2, 2.2)
+EQUIV_BAND = (0.55, 0.70)
+VIOLATION = (0.25, 2.0)
 
-@dataclass(frozen=True)
-class GammaRanges:
-    """Uniform draw ranges for true coefficients.
-
-    ``pos_margin``: margin above the positivity threshold for satisfied
-    criteria. ``equiv_band``: |coefficient| band for satisfied equivalence
-    criteria (must stay below the margin). ``violate_pos`` /
-    ``violate_equiv``: how far a violated criterion lands beyond its
-    boundary.
-    """
-
-    pos_margin: tuple[float, float] = (1.2, 2.2)
-    equiv_band: tuple[float, float] = (0.55, 0.70)
-    violate_pos: tuple[float, float] = (0.25, 2.0)
-    violate_equiv: tuple[float, float] = (0.25, 2.0)
-
-    def __post_init__(self) -> None:
-        for name in ("pos_margin", "equiv_band", "violate_pos", "violate_equiv"):
-            lo, hi = getattr(self, name)
-            if not 0.0 <= lo <= hi < math.inf:
-                raise ValidationError(f"invalid range {name}: ({lo}, {hi})")
+# Gene variances: sigma2_g = D0 * S0_2 / chisq(D0).
+D0 = 16.0
+S0_2 = 0.05
 
 
 @dataclass(frozen=True)
@@ -104,24 +92,24 @@ class SynthResult:
         )
 
 
-def _planted_gamma(constraint, rng, ranges: GammaRanges, role: str) -> float:
+def _planted_gamma(constraint, rng, role: str) -> float:
     if constraint.kind == "pos":
         if role == ROLE_TOP:
             return constraint.value + TOP_POS_MARGIN
         if role == ROLE_CHALLENGER:
             return constraint.value + CHALLENGER_POS_MARGIN
-        return constraint.value + rng.uniform(*ranges.pos_margin)
+        return constraint.value + rng.uniform(*POS_MARGIN)
     if constraint.kind == "equiv":
         if role == ROLE_TOP:
             return 0.0
         if role == ROLE_CHALLENGER:
             return CHALLENGER_EQUIV_FRACTION * constraint.value
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        return sign * rng.uniform(*ranges.equiv_band)
+        return sign * rng.uniform(*EQUIV_BAND)
     return rng.uniform(-1.0, 1.0)
 
 
-def _background_gamma(constraints, rng, ranges: GammaRanges) -> list[float]:
+def _background_gamma(constraints, rng) -> list[float]:
     test_positions = [i for i, c in enumerate(constraints) if c.is_test_bearing]
     violate = rng.random(len(test_positions)) < 0.5
     if not violate.any():
@@ -131,12 +119,12 @@ def _background_gamma(constraints, rng, ranges: GammaRanges) -> list[float]:
     for i, con in enumerate(constraints):
         if i in violated:
             if con.kind == "pos":
-                gamma.append(con.value - rng.uniform(*ranges.violate_pos))
+                gamma.append(con.value - rng.uniform(*VIOLATION))
             else:
                 sign = 1.0 if rng.random() < 0.5 else -1.0
-                gamma.append(sign * (con.value + rng.uniform(*ranges.violate_equiv)))
+                gamma.append(sign * (con.value + rng.uniform(*VIOLATION)))
         else:
-            gamma.append(_planted_gamma(con, rng, ranges, ROLE_PLANTED))
+            gamma.append(_planted_gamma(con, rng, ROLE_PLANTED))
     return gamma
 
 
@@ -146,15 +134,12 @@ def generate_dataset(
     n_genes: int,
     n_planted: int,
     seed: int,
-    d0: float = 16.0,
-    s0_2: float = 0.05,
-    ranges: GammaRanges = GammaRanges(),
 ) -> SynthResult:
     """Generate an expression matrix plus the ground truth behind it.
 
     Planted-gene margins are measured against the profile's constraints as
-    given, so pass the margins you intend to analyse with. Gene variances
-    are sigma2_g = d0 * s0_2 / chisq(d0).
+    given, so pass the margins you intend to analyse with. Every
+    equivalence margin must exceed ``EQUIV_BAND``'s upper bound.
     """
     if n_genes < 1:
         raise ValidationError("n_genes must be >= 1")
@@ -162,14 +147,10 @@ def generate_dataset(
         raise ValidationError(
             f"n_planted must lie in [0, n_genes], got {n_planted} of {n_genes}"
         )
-    if not (0.0 < d0 < math.inf and 0.0 < s0_2 < math.inf):
-        raise ValidationError(
-            f"variance prior needs finite d0 > 0 and s0_2 > 0, got d0={d0}, s0_2={s0_2}"
-        )
     equiv_margins = [c.value for c in profile.constraints if c.kind == "equiv"]
-    if equiv_margins and ranges.equiv_band[1] >= min(equiv_margins):
+    if equiv_margins and EQUIV_BAND[1] >= min(equiv_margins):
         raise ValidationError(
-            f"equiv_band upper bound {ranges.equiv_band[1]} must stay below "
+            f"the equivalence band's upper bound {EQUIV_BAND[1]} must stay below "
             f"the smallest equivalence margin {min(equiv_margins)}"
         )
 
@@ -196,10 +177,10 @@ def generate_dataset(
     sigma2 = np.empty(n_genes)
     for i, role in enumerate(roles):
         if role == ROLE_BACKGROUND:
-            gamma[i] = _background_gamma(constraints, rng, ranges)
+            gamma[i] = _background_gamma(constraints, rng)
         else:
-            gamma[i] = [_planted_gamma(c, rng, ranges, role) for c in constraints]
-        sigma2[i] = d0 * s0_2 / rng.chisquare(d0)
+            gamma[i] = [_planted_gamma(c, rng, role) for c in constraints]
+        sigma2[i] = D0 * S0_2 / rng.chisquare(D0)
         values[i] = model.x @ gamma[i] + rng.normal(0.0, np.sqrt(sigma2[i]), n_arrays)
     expr = ExpressionMatrix(
         gene_ids=tuple(f"g{i + 1:0{width}d}" for i in range(n_genes)),

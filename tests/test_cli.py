@@ -231,12 +231,9 @@ def _profile_with(root, tmp_path, old, new):
         ("rank", ["--profile", ("1,1,1,0 pos", "1,1,1,0 pos:1e400")],
          "edited.profile:14: pos:1e400: pos constraint value must be a finite number, got inf"),
         ("validate", ["--profile", ("1,1,1,1 free", "1,1,1,1e400 free")], "'1e400'"),
-        ("synth", ["--s02", "inf"], "s0_2=inf"),
-        ("synth", ["--d0", "inf"], "d0=inf"),
-        ("synth", ["--pos-margin", "1,inf"], "(1.0, inf)"),
     ],
     ids=["delta-nan", "delta-inf", "epsilon-inf", "grid-inf", "equiv-inf", "pos-1e400",
-         "basis-1e400", "s02-inf", "d0-inf", "pos-margin-inf"],
+         "basis-1e400"],
 )
 def test_non_finite_option_values_exit_2(workdir, tmp_path, capsys, command, flags, named):
     out = tmp_path / "out"
@@ -246,8 +243,6 @@ def test_non_finite_option_values_exit_2(workdir, tmp_path, capsys, command, fla
         args = [command, "--design", str(workdir / "design.csv"),
                 "--conditions", str(workdir / "conditions.csv"),
                 "--profile", str(workdir / "pluripotent.profile")]
-        if command == "synth":
-            args += ["--genes", "50", "--seed", "1", "--out", str(out)]
     flag, value = flags
     if flag == "--profile":
         value = _profile_with(workdir, tmp_path, *value)
@@ -398,19 +393,38 @@ def test_duplicate_gene_id_names_both_lines(workdir, tmp_path, capsys):
     assert f"bad.csv:5: column 1: gene id {first!r} is not unique, it is also on line 2" in err
 
 
-@pytest.mark.parametrize("command", ["rank", "sensitivity"])
-def test_grid_without_an_equivalence_margin_exits_2(workdir, tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, flags, use",
+    [("rank", ["--grid", "0.5,1"], "a margin sweep"),
+     ("sensitivity", ["--grid", "0.5,1"], "a margin sweep"),
+     ("rank", ["--epsilon", "0.3"], "an epsilon of 0.3"),
+     ("sensitivity", ["--epsilon", "0.3", "--grid", "0.5,1"], "an epsilon of 0.3"),
+     ("synth", ["--epsilon", "0.3", "--genes", "50", "--seed", "1"], "an epsilon of 0.3")],
+    ids=["rank", "sensitivity", "rank-epsilon", "sensitivity-epsilon", "synth-epsilon"],
+)
+def test_grid_without_an_equivalence_margin_exits_2(workdir, tmp_path, capsys, monkeypatch,
+                                                    command, flags, use):
+    # --grid and --epsilon change only equivalence margins. Reading this file
+    # would exit 3, and synth must not start generating, so exit 2 shows the
+    # profile was checked first.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("gene_id,wrong\n")
+    monkeypatch.setattr("profilerank.cli.generate_dataset", _never_called)
     text = (workdir / "pluripotent.profile").read_text()
     profile = tmp_path / "no_equiv.profile"
     profile.write_text(text.replace("name pluripotent", "name no_equiv_margin")
                        .replace("coef day0_vs_day3 0.5,-0.5,0,0 equiv:1\n", ""))
     out = tmp_path / "out"
-    args = _rank_args(workdir, out, ["--grid", "0.5,1"])
+    args = _rank_args(workdir, out, flags)
     args[args.index("--profile") + 1] = str(profile)
+    args[args.index("--data") + 1] = str(bad)
     args[0] = command
+    if command == "synth":
+        del args[1:3]  # --data
     assert main(args) == 2
-    assert "profile 'no_equiv_margin' has no equiv coefficient" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert (f"profile 'no_equiv_margin' has no equiv coefficient, so {use} would vary nothing"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 WEIRD_ID = 'weird,"id'
@@ -472,7 +486,6 @@ def test_csv_number_formatting():
     assert _fmt(0.123456789) == "0.123457"
     assert _fmt(1234567.0) == "1.23457e+06"
     assert _fmt(float("nan")) == "NA"
-    assert _fmt(None) == "NA"
     assert _fmt(2.0) == "2"
 
 
@@ -519,18 +532,18 @@ def test_run_flags_are_checked_before_the_data_is_read(workdir, tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "flag, value, named",
-    [("--pos-margin", "1", "--pos-margin expects <lo>,<hi>, got '1'"),
-     ("--pos-margin", "a,b", "--pos-margin: bounds must be numbers, got 'a,b'")],
-    ids=["one-bound", "not-numbers"],
+    "flag", ["--d0", "--s02", "--pos-margin", "--equiv-band", "--violate-pos", "--violate-equiv"]
 )
-def test_bad_synth_ranges_exit_2(workdir, tmp_path, capsys, flag, value, named):
+def test_synth_has_no_draw_range_or_prior_flags(workdir, tmp_path, capsys, flag):
+    # The draw ranges and the variance prior are fixed in synth.py.
     out = tmp_path / "out"
-    args = _rank_args(workdir, out, ["--genes", "50", "--seed", "1", flag, value])
+    args = _rank_args(workdir, out, ["--genes", "50", "--seed", "1", flag, "1"])
     args[0] = "synth"
     del args[1:3]  # --data
-    assert main(args) == 2
-    assert named in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -554,17 +567,18 @@ def _never_called(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command", ["rank", "sensitivity", "synth"])
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("where", ["file", "under-a-file", "empty"])
 def test_out_on_an_existing_file_exits_2(workdir, tmp_path, capsys, monkeypatch, command,
-                                         under):
+                                         where):
     # Reading this file would exit 3, and synth must not start generating,
     # so exit 2 shows --out was checked first.
     bad = tmp_path / "bad.csv"
     bad.write_text("gene_id,wrong\n")
     monkeypatch.setattr("profilerank.cli.generate_dataset", _never_called)
+    monkeypatch.chdir(tmp_path)  # where an empty --out would write
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
-    out = taken / "out" / "x" if under else taken
+    out = {"file": taken, "under-a-file": taken / "out" / "x", "empty": ""}[where]
     extra = ["--genes", "50", "--seed", "1"] if command == "synth" else ["--grid", "0.5,1"]
     args = _rank_args(workdir, out, extra)
     args[0] = command
@@ -572,8 +586,9 @@ def test_out_on_an_existing_file_exits_2(workdir, tmp_path, capsys, monkeypatch,
     if command == "synth":
         del args[1:3]  # --data
     assert main(args) == 2
-    assert (f"--out {out}: cannot create the output directory: {taken} is not a directory"
-            in capsys.readouterr().err)
+    assert ("--out must name the output directory, got an empty path" if where == "empty" else
+            f"--out {out}: cannot create the output directory: {taken} is not a directory"
+            ) in capsys.readouterr().err
     assert taken.read_text() == "keep\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "taken"]
 

@@ -305,6 +305,15 @@ def test_with_margins_rejects_unknown_or_untestable(pluripotent):
         pluripotent.with_margins(deltas={"baseline": 1.0})
     with pytest.raises(ValidationError, match="must be > 0"):
         pluripotent.with_margins(epsilon=-1.0)
+    no_equiv = pr.ProfileSpec.from_columns(
+        "no_equiv", pluripotent.condition_labels,
+        list(zip(pluripotent.coefficient_names[:3], pluripotent.basis_text[:3])),
+        pluripotent.constraints[:3],
+    )
+    with pytest.raises(ValidationError, match="'no_equiv' has no equiv coefficient, so an "
+                       "epsilon of 0.5 would vary nothing"):
+        no_equiv.with_margins(epsilon=0.5)
+    assert no_equiv.with_margins(deltas={"day6_vs_day9": 1.5}).constraints[2].value == 1.5
 
 
 def test_test_bearing_follows_the_constraints(pluripotent):

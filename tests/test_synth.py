@@ -1,5 +1,4 @@
 import hashlib
-import math
 import tracemalloc
 
 import numpy as np
@@ -113,23 +112,16 @@ def test_invalid_parameters_rejected(stemcell_design, analysis_profile):
         pr.generate_dataset(stemcell_design, analysis_profile, 10, 11, seed=1)
     with pytest.raises(ValidationError, match="n_genes"):
         pr.generate_dataset(stemcell_design, analysis_profile, 0, 0, seed=1)
-    with pytest.raises(ValidationError, match="invalid range"):
-        pr.GammaRanges(pos_margin=(2.0, 1.0))
-    with pytest.raises(ValidationError, match=r"invalid range violate_pos: \(1.0, inf\)"):
-        pr.GammaRanges(violate_pos=(1.0, math.inf))
-    for prior in ({"s0_2": math.inf}, {"d0": math.inf}, {"d0": math.nan}):
-        with pytest.raises(ValidationError, match="variance prior needs finite"):
-            pr.generate_dataset(stemcell_design, analysis_profile, 10, 2, seed=1, **prior)
-    with pytest.raises(ValidationError, match="equiv_band"):
-        pr.generate_dataset(
-            stemcell_design, analysis_profile, 10, 2, seed=1,
-            ranges=pr.GammaRanges(equiv_band=(0.5, 1.2)),
-        )
+    # Satisfied equivalence coefficients are drawn up to 0.7 in magnitude.
+    narrow = analysis_profile.with_margins(epsilon=0.6)
+    with pytest.raises(ValidationError, match="upper bound 0.7 must stay below the smallest "
+                       "equivalence margin 0.6"):
+        pr.generate_dataset(stemcell_design, narrow, 10, 2, seed=1)
 
 
 def test_sigma2_prior_shape(stemcell_design, analysis_profile):
     result = pr.generate_dataset(
-        stemcell_design, analysis_profile, 4000, 0, seed=8, d0=16.0, s0_2=0.05
+        stemcell_design, analysis_profile, 4000, 0, seed=8
     )
     sigma2 = np.array([t.sigma2 for t in result.truth])
     # 1/sigma2 ~ chisq(d0)/(d0*s0_2): mean of 1/sigma2 is 1/s0_2
