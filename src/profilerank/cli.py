@@ -222,6 +222,7 @@ def _alpha_pass_count(fitted: FittedExperiment, stats: ScoreTable, alpha: float)
 
 def _parse_deltas(items) -> dict:
     deltas = {}
+    given = {}  # coefficient name -> the --delta item that set it
     for item in items or []:
         name, sep, value = item.partition("=")
         if not sep or not name:
@@ -229,11 +230,18 @@ def _parse_deltas(items) -> dict:
                 f"--delta expects <coefficient>=<value>, got {item!r}"
             )
         try:
-            deltas[name] = float(value)
+            threshold = float(value)
         except ValueError as exc:
             raise ValidationError(
                 f"--delta {item!r}: threshold is not a number"
             ) from exc
+        if name in given:
+            raise ValidationError(
+                f"--delta {given[name]!r} and {item!r} both set {name}; "
+                "give each coefficient at most once"
+            )
+        given[name] = item
+        deltas[name] = threshold
     return deltas
 
 
@@ -258,14 +266,16 @@ def _parse_grid(text: str | None) -> tuple[float, ...]:
     return grid
 
 
-def _add_input_flags(p: argparse.ArgumentParser, with_data: bool = True) -> None:
-    if with_data:
+def _add_input_flags(p: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
+    """Add the input flags the subcommands share, except those in ``omit``."""
+    if "--data" not in omit:
         p.add_argument("--data", required=True, help="expression CSV (gene_id + one column per array)")
     p.add_argument("--design", required=True, help="design CSV (array_id,cy3,cy5,replicate_group)")
     p.add_argument("--conditions", required=True, help="ordered condition list, one label per line")
     p.add_argument("--profile", required=True, help="profile file")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="override every equivalence margin")
+    if "--epsilon" not in omit:
+        p.add_argument("--epsilon", type=float, default=None,
+                       help="override every equivalence margin")
     p.add_argument("--delta", action="append", metavar="COEF=VALUE",
                    help="override a positivity threshold (repeatable)")
 
@@ -389,13 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.set_defaults(func=_cmd_rank)
 
     p_sens = sub.add_parser("sensitivity", help="rank under a grid of equivalence margins")
-    _add_input_flags(p_sens)
+    # Each --grid margin replaces every equivalence margin, so an --epsilon
+    # here could change nothing.
+    _add_input_flags(p_sens, omit=("--epsilon",))
     p_sens.add_argument("--grid", required=True, help="comma-separated equivalence margins")
     p_sens.add_argument("--out", required=True, help="output directory")
-    p_sens.set_defaults(func=_cmd_sensitivity)
+    p_sens.set_defaults(func=_cmd_sensitivity, epsilon=None)
 
     p_synth = sub.add_parser("synth", help="generate a seeded synthetic benchmark")
-    _add_input_flags(p_synth, with_data=False)
+    _add_input_flags(p_synth, omit=("--data",))
     p_synth.add_argument("--genes", type=int, default=20000, help="total genes (default 20000)")
     p_synth.add_argument("--planted", type=int, default=20, help="planted profile-matching genes (default 20)")
     p_synth.add_argument("--seed", type=int, required=True, help="RNG seed")
@@ -403,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=_cmd_synth, data=None)
 
     p_val = sub.add_parser("validate", help="parse and validate inputs only")
-    _add_input_flags(p_val, with_data=False)
+    _add_input_flags(p_val, omit=("--data",))
     p_val.add_argument("--data", default=None, help="optional expression CSV to check against the design")
     p_val.set_defaults(func=_cmd_validate)
 

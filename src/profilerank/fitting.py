@@ -347,6 +347,24 @@ def _variance_columns(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ok, s2, df
 
 
+def _estimate_prior(s2: np.ndarray, df: np.ndarray) -> tuple[float, float]:
+    """``(d0, s0_2)`` from sample variances ``s2 > 0`` and their residual
+    ``df >= 1``. Its gene-length temporaries are freed on return, before
+    ``moderate_variances`` allocates the posterior columns."""
+    # Scalar math.log on purpose: np.log may differ from it in the last
+    # bit, which would move the prior.
+    log_s2 = np.fromiter(map(math.log, s2), float, len(s2))
+    distinct, which = np.unique(df, return_inverse=True)
+    e = log_s2 - np.array([digamma(d / 2.0) for d in distinct])[which] + np.log(df / 2.0)
+    e_mean = float(e.mean())
+    e_var = float(((e - e_mean) ** 2).sum() / (len(e) - 1))
+    excess = e_var - float(np.mean(np.array([trigamma(d / 2.0) for d in distinct])[which]))
+    if excess > 0.0:
+        d0 = 2.0 * trigamma_inverse(excess)
+        return d0, math.exp(e_mean + digamma(d0 / 2.0) - math.log(d0 / 2.0))
+    return math.inf, math.exp(float(log_s2.mean()))
+
+
 def moderate_variances(fits) -> ModerationResult:
     """Estimate the variance prior from all genes and shrink each gene
     toward it.
@@ -372,24 +390,7 @@ def moderate_variances(fits) -> ModerationResult:
             "variance moderation needs at least 2 genes with a positive "
             f"residual variance, got {n_est}"
         )
-    # Scalar math.log on purpose: np.log may differ from it in the last
-    # bit, which would move the prior.
-    log_s2 = np.array([math.log(v) for v in s2[est].tolist()])
-    dfs = df[est].astype(float)
-    distinct, which = np.unique(dfs, return_inverse=True)
-    dig = np.array([digamma(d / 2.0) for d in distinct])[which]
-    tri = np.array([trigamma(d / 2.0) for d in distinct])[which]
-    e = log_s2 - dig + np.log(dfs / 2.0)
-    e_mean = float(e.mean())
-    e_var = float(((e - e_mean) ** 2).sum() / (len(e) - 1))
-    excess = e_var - float(np.mean(tri))
-    if excess > 0.0:
-        d0 = 2.0 * trigamma_inverse(excess)
-        s0_2 = math.exp(e_mean + digamma(d0 / 2.0) - math.log(d0 / 2.0))
-    else:
-        d0 = math.inf
-        s0_2 = math.exp(float(log_s2.mean()))
-
+    d0, s0_2 = _estimate_prior(s2[est], df[est])
     posterior_s2 = np.full(len(ok), math.nan)
     posterior_df = np.full(len(ok), math.nan)
     posterior_df[ok] = d0 + df[ok]

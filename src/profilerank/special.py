@@ -23,7 +23,6 @@ __all__ = [
     "student_t_cdf",
     "student_t_sf",
     "student_t_upper_quantile",
-    "normal_upper_quantile",
 ]
 
 # Asymptotic expansions in powers of 1/x**2, valid once x >= _ASYMPTOTIC_MIN.
@@ -226,30 +225,11 @@ def student_t_sf(t: float, df: float) -> float:
     return student_t_cdf(-t, df)
 
 
-def _upper_quantile_by_bisection(sf, alpha: float) -> float:
-    # sf must be continuous and strictly decreasing with sf(0) = 0.5.
-    lo = 0.0
-    hi = 1.0
-    while sf(hi) > alpha:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e12:
-            raise ArithmeticError("quantile bracket expansion failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if sf(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, lo):
-            break
-    return 0.5 * (lo + hi)
-
-
 @lru_cache(maxsize=1024)
 def student_t_upper_quantile(alpha: float, df: float) -> float:
     """t* with P(T > t*) = alpha, for alpha in (0, 0.5); df = inf gives the
-    normal quantile.
+    normal quantile, through the normal tail that ``student_t_sf`` returns
+    there.
 
     Found by bisection on the locally implemented CDF; the bracket is
     narrowed until the endpoint spread is below 1e-13 relative, which puts
@@ -262,17 +242,21 @@ def student_t_upper_quantile(alpha: float, df: float) -> float:
     df = float(df)
     if not df > 0.0:
         raise ValueError(f"df must be positive, got {df!r}")
-    if math.isinf(df):
-        return normal_upper_quantile(alpha)
-    return _upper_quantile_by_bisection(lambda t: student_t_sf(t, df), alpha)
-
-
-@lru_cache(maxsize=1024)
-def normal_upper_quantile(alpha: float) -> float:
-    """z* with P(Z > z*) = alpha for standard normal Z, alpha in (0, 0.5)."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 0.5), got {alpha!r}")
-    return _upper_quantile_by_bisection(
-        lambda z: 0.5 * math.erfc(z / math.sqrt(2.0)), alpha
-    )
+    # student_t_sf(t, df) is continuous and strictly decreasing with value
+    # 0.5 at t = 0, so t* lies above 0.
+    lo = 0.0
+    hi = 1.0
+    while student_t_sf(hi, df) > alpha:
+        lo = hi
+        hi *= 2.0
+        if hi > 1e12:
+            raise ArithmeticError("quantile bracket expansion failed")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if student_t_sf(mid, df) > alpha:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(1.0, lo):
+            break
+    return 0.5 * (lo + hi)

@@ -256,8 +256,8 @@ def test_non_finite_option_values_exit_2(workdir, tmp_path, capsys, command, fla
 
 
 @pytest.mark.parametrize(
-    "flag", [["--alpha", "0.7"], ["--top-n", "0"], ["--threads", "2"]],
-    ids=["alpha", "top-n", "threads"],
+    "flag", [["--alpha", "0.7"], ["--top-n", "0"], ["--threads", "2"], ["--epsilon", "3"]],
+    ids=["alpha", "top-n", "threads", "epsilon"],
 )
 def test_sensitivity_rejects_rank_only_flags(workdir, tmp_path, capsys, flag):
     args = _rank_args(workdir, tmp_path / "out", ["--grid", "1", *flag])
@@ -268,7 +268,7 @@ def test_sensitivity_rejects_rank_only_flags(workdir, tmp_path, capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["rank", "sensitivity", "synth", "validate"])
+@pytest.mark.parametrize("command", ["rank", "synth", "validate"])
 def test_bad_epsilon_exits_2_without_an_equivalence_margin(workdir, tmp_path, capsys, command):
     # The profile has no equiv coefficient, so no Constraint ever sees the value.
     profile = _profile_with(workdir, tmp_path, "coef day0_vs_day3 0.5,-0.5,0,0 equiv:1\n", "")
@@ -276,9 +276,7 @@ def test_bad_epsilon_exits_2_without_an_equivalence_margin(workdir, tmp_path, ca
     args = _rank_args(workdir, out, ["--epsilon", "-1"])
     args[args.index("--profile") + 1] = profile
     args[0] = command
-    if command == "sensitivity":
-        args += ["--grid", "1"]
-    elif command == "synth":
+    if command == "synth":
         del args[1:3]  # --data
         args += ["--genes", "50", "--seed", "1"]
     elif command == "validate":
@@ -398,9 +396,8 @@ def test_duplicate_gene_id_names_both_lines(workdir, tmp_path, capsys):
     [("rank", ["--grid", "0.5,1"], "a margin sweep"),
      ("sensitivity", ["--grid", "0.5,1"], "a margin sweep"),
      ("rank", ["--epsilon", "0.3"], "an epsilon of 0.3"),
-     ("sensitivity", ["--epsilon", "0.3", "--grid", "0.5,1"], "an epsilon of 0.3"),
      ("synth", ["--epsilon", "0.3", "--genes", "50", "--seed", "1"], "an epsilon of 0.3")],
-    ids=["rank", "sensitivity", "rank-epsilon", "sensitivity-epsilon", "synth-epsilon"],
+    ids=["rank", "sensitivity", "rank-epsilon", "synth-epsilon"],
 )
 def test_grid_without_an_equivalence_margin_exits_2(workdir, tmp_path, capsys, monkeypatch,
                                                     command, flags, use):
@@ -503,6 +500,9 @@ def test_bad_alpha_exits_2(workdir, tmp_path):
         ("sensitivity", ["--grid", ""], "sensitivity sweep needs at least one margin"),
         ("rank", ["--delta", "day6_vs_day9=abc"],
          "--delta 'day6_vs_day9=abc': threshold is not a number"),
+        # _rank_args already gives day6_vs_day9=1.5.
+        ("rank", ["--delta", "day6_vs_day9=9"], "--delta 'day6_vs_day9=1.5' and "
+         "'day6_vs_day9=9' both set day6_vs_day9; give each coefficient at most once"),
         # Each margin names a sensitivity.csv column and a ranked_eps_<label>.csv
         # file, so two margins with one label would hide one margin's output.
         ("rank", ["--grid", "1,1.0000001"], "--grid margins '1' and '1.0000001' are both "
@@ -514,8 +514,8 @@ def test_bad_alpha_exits_2(workdir, tmp_path):
          "--grid margins '0.5' and '0.5' are both labelled eps_0.5"),
     ],
     ids=["rank-alpha", "rank-grid", "sensitivity-grid", "sensitivity-empty-grid",
-         "rank-delta-not-a-number", "rank-grid-same-label", "sensitivity-grid-same-label",
-         "rank-grid-same-margin", "sensitivity-grid-same-margin"],
+         "rank-delta-not-a-number", "rank-delta-repeated", "rank-grid-same-label",
+         "sensitivity-grid-same-label", "rank-grid-same-margin", "sensitivity-grid-same-margin"],
 )
 def test_run_flags_are_checked_before_the_data_is_read(workdir, tmp_path, capsys, command,
                                                        flags, named):

@@ -295,6 +295,30 @@ def test_fit_all_allocates_less_than_twice_its_input(stemcell_design, stemcell_m
     assert peak < 2 * values.nbytes
 
 
+def test_moderation_allocates_less_than_nine_variance_columns(stemcell_design,
+                                                               stemcell_model):
+    # 20k genes whose variances follow a prior with d0 = 4, so the prior is
+    # finite and every posterior variance is shrunk. The call peaks near 8
+    # columns of s2; a Python float per gene for log s2 would lift it above
+    # 10, and the prior's temporaries kept alive while the posterior columns
+    # are built, above 14.
+    rng = np.random.default_rng(11)
+    sd = np.sqrt(4 * 0.05 / rng.chisquare(4, 20000))[:, None]
+    values = rng.normal(0, 1, (20000, stemcell_model.n_arrays)) * sd
+    expr = pr.ExpressionMatrix(gene_ids=tuple(f"g{i}" for i in range(len(values))),
+                               array_ids=stemcell_design.array_ids, values=values)
+    table = pr.fit_all(expr, stemcell_model)
+    assert table.ok.all()
+    tracemalloc.start()
+    try:
+        moderation = pr.moderate_variances(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(moderation.d0)
+    assert peak < 9 * table.s2.nbytes
+
+
 # ---------------------------------------------------------------------------
 # whole CLI runs against the per-gene path: one-row fits, oracle scores and ranks
 # ---------------------------------------------------------------------------
