@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .csvout import write_csv
+from .csvout import _line, _quoted, write_csv, write_lines
 from .design import build_comparison_matrix, compose_model_matrix, read_conditions_csv, read_design_csv
 from .errors import DataError, ValidationError
 from .fitting import _blocks, read_expression_csv
@@ -157,12 +157,25 @@ def _write_excluded_csv(table: RankedTable, path: str) -> None:
     s = table.scores
     n_u = s.u_values.shape[1]
     header = ["gene_id", "reason"] + [f"U_{i + 1}" for i in range(n_u)]
-    excluded = _block_rows(s.gene_ids, table.dropped, s.reason, s.u_values)
-    blanks = [""] * n_u  # a gene without a usable fit has no U values
-    write_csv(path, header, (
-        [gene_id, REASONS[code], *(blanks if code >= _INSUFFICIENT else map(_fmt, u_values))]
-        for gene_id, code, u_values in excluded
-    ))
+    # One line template per reason code, filled with the quoted gene id and
+    # the U values: "%.6g" is _fmt's format, and a gene without a usable
+    # fit has no U values ("%.0s" takes its NaN and writes nothing). A
+    # fitted gene with a NaN U, which _fmt writes as NA, goes through _fmt.
+    templates = [
+        f"%s,{reason}" + ("," + ("%.0s" if code >= _INSUFFICIENT else "%.6g")) * n_u + "\n"
+        for code, reason in enumerate(REASONS)
+    ]
+
+    def lines():
+        for block in _blocks(table.dropped):
+            codes, u_values = s.reason[block], s.u_values[block]
+            by_fmt = np.isnan(u_values).any(axis=1) & (codes < _INSUFFICIENT)
+            for gene_id, code, u, nan in zip([s.gene_ids[j] for j in block.tolist()],
+                                             codes.tolist(), u_values.tolist(), by_fmt.tolist()):
+                yield (_line([gene_id, REASONS[code], *map(_fmt, u)]) if nan
+                       else templates[code] % (_quoted(gene_id), *u))
+
+    write_lines(path, header, lines())
 
 
 def _write_moderation_json(
@@ -395,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--grid", default=None, help="comma-separated equivalence margins for an extra sensitivity sweep")
     p_rank.add_argument("--top-n", type=int, default=15, help="trajectories to plot (default 15)")
     p_rank.add_argument("--out", required=True, help="output directory")
-    p_rank.add_argument("--threads", type=int, default=1, help="accepted and ignored: fitting is a few numpy calls per missingness pattern")
+    p_rank.add_argument("--threads", type=int, default=1, help="accepted and ignored: fitting stacks the missingness patterns into a few numpy calls")
     p_rank.set_defaults(func=_cmd_rank)
 
     p_sens = sub.add_parser("sensitivity", help="rank under a grid of equivalence margins")

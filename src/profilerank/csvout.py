@@ -5,9 +5,15 @@ def write_csv(path, header, rows) -> None:
     """Write ``header`` and then ``rows``, lists of strings, with ``\\n``
     line ends; a field is quoted only when it holds a comma, a quote or a
     line break (``\\n`` or ``\\r``)."""
+    write_lines(path, header, map(_line, rows))
+
+
+def write_lines(path, header, lines) -> None:
+    """Write ``header``, a list of strings, as ``write_csv`` does, and then
+    ``lines``, each already one CSV line with its ``\\n``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_line(header))
-        fh.writelines(map(_line, rows))
+        fh.writelines(lines)
 
 
 def _line(row) -> str:

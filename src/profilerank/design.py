@@ -26,6 +26,7 @@ __all__ = [
     "build_comparison_matrix",
     "compose_model_matrix",
     "least_squares_operator",
+    "least_squares_operators",
     "read_conditions_csv",
     "read_design_csv",
 ]
@@ -136,7 +137,7 @@ class ModelMatrix:
         self.x.setflags(write=False)
         solved = least_squares_operator(self.x)
         if solved is None:
-            rank = _rank(np.linalg.svd(self.x, compute_uv=False))
+            rank = int(_rank(np.linalg.svd(self.x, compute_uv=False)))
             raise ValidationError(
                 "profile not identifiable under this design: retained model matrix "
                 f"has rank {rank} < {self.n_coefficients} columns"
@@ -166,23 +167,37 @@ class ModelMatrix:
         return self.n_arrays - self.rank
 
 
-def _rank(s: np.ndarray) -> int:
-    # Singular values (descending) above RANK_TOLERANCE * the largest.
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOLERANCE * s[0]))
+def _rank(s: np.ndarray) -> np.ndarray:
+    # Singular values (descending along the last axis) above
+    # RANK_TOLERANCE * the largest: one rank per matrix of a stack.
+    return np.count_nonzero(s > RANK_TOLERANCE * s[..., :1], axis=-1)
 
 
 def least_squares_operator(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Pseudo-inverse of ``x`` and sqrt of the diagonal of (X'X)^-1, from one
-    SVD, or None when ``x`` has rank (under RANK_TOLERANCE) below its column
-    count, as every ``x`` with fewer rows than columns has. The pseudo-inverse
-    is built from the SVD factors exactly as ``np.linalg.pinv`` builds it."""
+    """Pseudo-inverse of ``x`` and sqrt of the diagonal of (X'X)^-1, or None
+    when ``x`` has rank (under RANK_TOLERANCE) below its column count, as
+    every ``x`` with fewer rows than columns has: ``least_squares_operators``
+    on a stack of one."""
+    full_rank, pinv, unscaled_se = least_squares_operators(x[None])
+    return (pinv[0], unscaled_se[0]) if full_rank[0] else None
+
+
+def least_squares_operators(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least-squares operators of a stack ``x`` of equal-shape matrices
+    (matrices x rows x columns), from one stacked SVD: ``(full_rank, pinv,
+    unscaled_se)``. ``full_rank`` holds one verdict per matrix; ``pinv``
+    and ``unscaled_se`` hold the pseudo-inverse and sqrt of the diagonal of
+    (X'X)^-1 of each full-rank matrix only, in stack order, so no singular
+    value of a rank-deficient one is ever inverted. LAPACK and BLAS are
+    called per matrix exactly as for a single one, and the pseudo-inverse
+    is built from the SVD factors as ``np.linalg.pinv`` builds it, so each
+    result is bit for bit that of the matrix alone."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    if _rank(s) < x.shape[1]:
-        return None
-    pinv = vt.T @ ((1 / s)[:, None] * u.T)
-    return pinv, np.sqrt(np.diag(pinv @ pinv.T))
+    full_rank = _rank(s) == x.shape[-1]
+    u, s, vt = u[full_rank], s[full_rank], vt[full_rank]
+    pinv = vt.transpose(0, 2, 1) @ ((1 / s)[:, :, None] * u.transpose(0, 2, 1))
+    gram = pinv @ pinv.transpose(0, 2, 1)
+    return full_rank, pinv, np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
 
 
 def build_comparison_matrix(design: ComparisonDesign) -> ComparisonMatrix:

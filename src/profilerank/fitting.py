@@ -3,12 +3,13 @@
 Each gene's observed log ratios are regressed on the composed model matrix;
 rows with missing values are deleted per gene, with an identifiability
 re-check on the surviving rows. Genes that observed the same arrays share
-that check and one pseudo-inverse, so fitting runs once per missingness
-pattern, over the pattern's genes in row blocks of fixed size so that its
-memory does not grow with the number of genes. Residual variances are then
-shrunk toward a prior estimated from all genes by matching moments of the
-log sample variances, giving per-gene posterior variances and augmented
-degrees of freedom for the downstream tests.
+that check and one pseudo-inverse, computed for many missingness patterns
+by one stacked SVD; the genes are fitted in row blocks of fixed size,
+blocks of one shape together, so that memory does not grow with the number
+of genes. Residual variances are then shrunk toward a prior estimated from
+all genes by matching moments of the log sample variances, giving per-gene
+posterior variances and augmented degrees of freedom for the downstream
+tests.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import ModelMatrix, least_squares_operator
+from .design import ModelMatrix, least_squares_operators
 from .errors import DataError, not_utf8
 from .special import digamma, trigamma, trigamma_inverse
 
@@ -44,6 +45,11 @@ _MISSING_TOKENS = {"", "NA"}
 # Most rows that a fit or a writer turns into temporaries at once: bounds
 # their memory by a block, not by the number of genes.
 _BLOCK_ROWS = 1024
+
+# Most missingness patterns whose least-squares operators one stacked SVD
+# computes: bounds the stack's memory by a chunk, not by the number of
+# patterns.
+_OPERATOR_CHUNK = 128
 
 REASON_INSUFFICIENT = "insufficient data"
 REASON_NONFINITE = "non-finite fit"
@@ -231,12 +237,14 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
 
     Genes that observed the same set of arrays share one model matrix, so
     the identifiability check and the pseudo-inverse run once per
-    missingness pattern. The pattern's genes are then fitted in row blocks
-    of at most ``_BLOCK_ROWS``, one matrix product per block, so the
-    temporaries stay the size of a block, not of the matrix. Only NaN marks
-    a missing spot; an infinite value counts as observed. A fit that
-    overflows or takes an infinite value is kept as it is; ``FitTable.ok``
-    marks it.
+    missingness pattern, from one stacked SVD per ``_OPERATOR_CHUNK``
+    patterns that observed equally many arrays. Each pattern's genes are
+    cut into row blocks of at most ``_BLOCK_ROWS``, and the blocks of one
+    shape are fitted together by stacked matrix products of at most
+    ``_BLOCK_ROWS`` genes, so the temporaries stay the size of a block, not
+    of the matrix. Only NaN marks a missing spot; an infinite value counts
+    as observed. A fit that overflows or takes an infinite value is kept as
+    it is; ``FitTable.ok`` marks it.
     """
     observed = ~np.isnan(values)
     n_genes, k = values.shape[0], model.n_coefficients
@@ -248,26 +256,27 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
     if n_genes:
         pattern = _pattern_labels(observed)
         by_pattern = np.argsort(pattern, kind="stable")
-        ends = np.cumsum(np.bincount(pattern))[:-1]
-        for rows in np.split(by_pattern, ends):
-            mask = observed[rows[0]]
-            n = int(n_used[rows[0]])
+        size = np.bincount(pattern)
+        start = np.cumsum(size) - size
+        n_obs = n_used[by_pattern[start]]  # observed arrays per pattern
+        for n in np.flatnonzero(np.bincount(n_obs)).tolist():
             if n - k < 1:
                 continue
-            x_obs = model.x[mask]
-            solved = least_squares_operator(x_obs)
-            if solved is None:
-                continue
-            pinv, se = solved
-            for block in _blocks(rows):
-                y_obs = values[np.ix_(block, mask)]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    g = y_obs @ pinv.T
-                    resid = y_obs - g @ x_obs.T
-                    s2[block] = np.einsum("ij,ij->i", resid, resid) / (n - k)
-                gamma[block] = g
-            unscaled_se[rows] = se
-            df[rows] = n - k
+            for chunk in _blocks(np.flatnonzero(n_obs == n), _OPERATOR_CHUNK):
+                cols = np.nonzero(observed[by_pattern[start[chunk]]])[1].reshape(len(chunk), n)
+                x_obs = model.x[cols]
+                full_rank, pinv, se = least_squares_operators(x_obs)
+                chunk, cols, x_obs = chunk[full_rank], cols[full_rank], x_obs[full_rank]
+                for p, offset, r in _block_calls(size[chunk]):
+                    genes = by_pattern[(start[chunk[p]] + offset)[:, None] + np.arange(r)]
+                    y_obs = values[genes[:, :, None], cols[p][:, None, :]]
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        g = y_obs @ pinv[p].transpose(0, 2, 1)
+                        resid = y_obs - g @ x_obs[p].transpose(0, 2, 1)
+                        s2[genes] = np.einsum("bij,bij->bi", resid, resid) / (n - k)
+                    gamma[genes] = g
+                    unscaled_se[genes] = se[p][:, None]
+                    df[genes] = n - k
     return FitTable(
         gene_ids=gene_ids,
         gamma=gamma,
@@ -278,9 +287,27 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
     )
 
 
-def _blocks(rows: np.ndarray):
-    """Consecutive slices of ``rows``, each at most ``_BLOCK_ROWS`` long."""
-    return (rows[i:i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
+def _blocks(rows: np.ndarray, size: int | None = None):
+    """Consecutive slices of ``rows``, each at most ``size`` (by default
+    ``_BLOCK_ROWS``) long."""
+    size = size or _BLOCK_ROWS
+    return (rows[i:i + size] for i in range(0, len(rows), size))
+
+
+def _block_calls(sizes: np.ndarray):
+    """The row blocks of patterns of ``sizes`` genes, grouped by shape into
+    calls of at most ``_BLOCK_ROWS`` genes: ``(pattern, offset, rows)`` per
+    call, where the call's block ``b`` is genes ``offset[b]`` to
+    ``offset[b] + rows - 1`` of pattern ``pattern[b]``. A pattern is cut as
+    ``_blocks`` cuts it: full blocks, then the rest."""
+    per_pattern = -(-sizes // _BLOCK_ROWS)
+    pattern = np.repeat(np.arange(len(sizes)), per_pattern)
+    first = np.cumsum(per_pattern) - per_pattern  # each pattern's first block
+    offset = (np.arange(len(pattern)) - np.repeat(first, per_pattern)) * _BLOCK_ROWS
+    rows = np.minimum(sizes[pattern] - offset, _BLOCK_ROWS)
+    for r in np.flatnonzero(np.bincount(rows)).tolist():
+        for call in _blocks(np.flatnonzero(rows == r), _BLOCK_ROWS // r):
+            yield pattern[call], offset[call], r
 
 
 def _pattern_labels(observed: np.ndarray) -> np.ndarray:
@@ -320,7 +347,7 @@ class ModerationResult:
 def posterior_variance(d0: float, s0_2: float, df: float, s2: float) -> float:
     """df-weighted average of the prior and sample variance for one gene:
     ``moderate_variances``' shrinkage of a single value."""
-    return float(_shrink(d0, s0_2, df, s2))
+    return float(_shrink(d0, s0_2, np.array([df], dtype=float), np.array([s2], dtype=float))[0])
 
 
 def _shrink(d0: float, s0_2: float, df: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -329,12 +356,17 @@ def _shrink(d0: float, s0_2: float, df: np.ndarray, s2: np.ndarray) -> np.ndarra
 
     Equal weights when df == d0; each result is clamped to the closed
     interval between s0_2 and its s2 so the shrinkage bound holds exactly
-    even under float rounding. With d0 = inf the prior wins outright.
+    even under float rounding. With d0 = inf the prior wins outright. The
+    average is built and clamped in place, in two gene-length arrays.
     """
     if math.isinf(d0):
         return np.full(np.shape(s2), s0_2)
-    post = (d0 * s0_2 + df * s2) / (d0 + df)
-    return np.minimum(np.maximum(post, np.minimum(s0_2, s2)), np.maximum(s0_2, s2))
+    post = df * s2
+    post += d0 * s0_2
+    bound = d0 + df
+    post /= bound
+    np.maximum(post, np.minimum(s0_2, s2, out=bound), out=post)
+    return np.minimum(post, np.maximum(s0_2, s2, out=bound), out=post)
 
 
 def _variance_columns(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -354,10 +386,22 @@ def _estimate_prior(s2: np.ndarray, df: np.ndarray) -> tuple[float, float]:
     # Scalar math.log on purpose: np.log may differ from it in the last
     # bit, which would move the prior.
     log_s2 = np.fromiter(map(math.log, s2), float, len(s2))
-    distinct, which = np.unique(df, return_inverse=True)
-    e = log_s2 - np.array([digamma(d / 2.0) for d in distinct])[which] + np.log(df / 2.0)
+    # With return_counts np.unique sorts; without, numpy 2 uses a hash
+    # table whose first use imports numpy.ma, 20 ms of start-up.
+    distinct = np.unique(df, return_counts=True)[0]
+    which = np.searchsorted(distinct, df)
+    # e = log_s2 - digamma(df/2) + log(df/2), then its squared deviations,
+    # computed in place.
+    e = np.array([digamma(d / 2.0) for d in distinct])[which]
+    np.subtract(log_s2, e, out=e)
+    half_df = df / 2.0
+    e += np.log(half_df, out=half_df)
+    del half_df
     e_mean = float(e.mean())
-    e_var = float(((e - e_mean) ** 2).sum() / (len(e) - 1))
+    e -= e_mean
+    e **= 2
+    e_var = float(e.sum() / (len(e) - 1))
+    del e
     excess = e_var - float(np.mean(np.array([trigamma(d / 2.0) for d in distinct])[which]))
     if excess > 0.0:
         d0 = 2.0 * trigamma_inverse(excess)
@@ -393,8 +437,9 @@ def moderate_variances(fits) -> ModerationResult:
     d0, s0_2 = _estimate_prior(s2[est], df[est])
     posterior_s2 = np.full(len(ok), math.nan)
     posterior_df = np.full(len(ok), math.nan)
-    posterior_df[ok] = d0 + df[ok]
-    posterior_s2[ok] = _shrink(d0, s0_2, df[ok], s2[ok])
+    df_ok, s2_ok = df[ok], s2[ok]
+    posterior_df[ok] = d0 + df_ok
+    posterior_s2[ok] = _shrink(d0, s0_2, df_ok, s2_ok)
     return ModerationResult(
         d0=d0,
         s0_2=s0_2,

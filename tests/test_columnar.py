@@ -253,6 +253,41 @@ def test_a_pattern_of_more_genes_than_a_block_matches_per_gene_oracles(small):
     _assert_fits_match_oracle(table, expr, model)
 
 
+def test_blocks_of_one_shape_are_fitted_together_as_each_gene_alone(small, monkeypatch):
+    # Patterns of 1, 2, 3 and more than _BLOCK_ROWS (3 here) genes at 6, 5
+    # and 4 observed arrays, a rank-deficient one (both arrays of c0-c1
+    # missing), one with n - k = 0 and an all-missing gene, in shuffled
+    # order: calls stack several blocks, and large patterns span calls.
+    design, profile, model = small
+    monkeypatch.setattr(fitting, "_BLOCK_ROWS", 3)
+    block_calls, calls = fitting._block_calls, []
+
+    def recorded(sizes):
+        for call in block_calls(sizes):
+            calls.append(call)
+            yield call
+
+    monkeypatch.setattr(fitting, "_block_calls", recorded)
+    patterns = {(): 7, (0,): 1, (1,): 2, (2,): 3, (3,): 1, (4,): 1, (5,): 2,
+                (0, 1): 1, (1, 2): 2, (2, 4): 4, (0, 3): 2, (0, 1, 2): 2,
+                tuple(range(len(PAIRS))): 1}
+    rng = np.random.default_rng(12)
+    values = rng.normal(0, 1, (sum(patterns.values()), len(PAIRS)))
+    genes = iter(rng.permutation(len(values)))
+    for missing, count in patterns.items():
+        for _ in range(count):
+            values[next(genes), list(missing)] = np.nan
+    ids = tuple(f"g{i}" for i in range(len(values)))
+    expr = pr.ExpressionMatrix(gene_ids=ids, array_ids=design.array_ids, values=values)
+    table = pr.fit_all(expr, model)
+    _assert_fits_match_oracle(table, expr, model)
+    assert sorted(table.n_used.tolist()) == sorted(
+        len(PAIRS) - len(m) for m, count in patterns.items() for _ in range(count))
+    assert table.ok.sum() == len(values) - 5  # rank-deficient, n - k = 0, all missing
+    assert any(len(pattern) > 1 for pattern, _, _ in calls)
+    assert all(len(pattern) * rows <= 3 for pattern, _, rows in calls)
+
+
 def test_genes_that_differ_only_past_the_eighth_packed_byte_are_fitted_apart():
     # 70 arrays: the masks below first differ at array 65, in the ninth byte.
     rng = np.random.default_rng(10)
@@ -295,13 +330,14 @@ def test_fit_all_allocates_less_than_twice_its_input(stemcell_design, stemcell_m
     assert peak < 2 * values.nbytes
 
 
-def test_moderation_allocates_less_than_nine_variance_columns(stemcell_design,
-                                                               stemcell_model):
+def test_moderation_allocates_less_than_seven_variance_columns(stemcell_design,
+                                                                stemcell_model):
     # 20k genes whose variances follow a prior with d0 = 4, so the prior is
-    # finite and every posterior variance is shrunk. The call peaks near 8
-    # columns of s2; a Python float per gene for log s2 would lift it above
-    # 10, and the prior's temporaries kept alive while the posterior columns
-    # are built, above 14.
+    # finite and every posterior variance is shrunk. The call peaks near 6.7
+    # columns of s2, with the prior's and the posterior's temporaries built
+    # in place; built out of place they lift it to 8.4, a Python float per
+    # gene for log s2 above 10, and the prior's temporaries kept alive while
+    # the posterior columns are built, above 14.
     rng = np.random.default_rng(11)
     sd = np.sqrt(4 * 0.05 / rng.chisquare(4, 20000))[:, None]
     values = rng.normal(0, 1, (20000, stemcell_model.n_arrays)) * sd
@@ -316,7 +352,7 @@ def test_moderation_allocates_less_than_nine_variance_columns(stemcell_design,
     finally:
         tracemalloc.stop()
     assert math.isfinite(moderation.d0)
-    assert peak < 9 * table.s2.nbytes
+    assert peak < 7 * table.s2.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import profilerank as pr
-from profilerank import fitting
+from profilerank import cli, fitting
 from profilerank.csvout import write_csv
 from profilerank.errors import DataError
+from profilerank.ranking import (
+    _DEGENERATE, _INSUFFICIENT, _NONFINITE, _VIOLATED, REASONS, RankedTable, ScoreTable,
+)
 
 ARRAYS = ("a1", "a2")
 HEADER = "gene_id,a1,a2\n"
@@ -265,6 +268,55 @@ def test_write_csv_reads_back_as_written(tmp_path, field):
     write_csv(path, rows[0], rows[1:])
     with open(path, newline="", encoding="utf-8") as fh:
         assert list(csv.reader(fh)) == rows
+
+
+def _per_field_excluded_csv(table, path):
+    # excluded.csv written field by field, one _fmt call per U value: the
+    # reference that the block writer must match byte for byte.
+    s = table.scores
+    n_u = s.u_values.shape[1]
+    header = ["gene_id", "reason"] + [f"U_{i + 1}" for i in range(n_u)]
+    rows = []
+    for j in table.dropped.tolist():
+        code = int(s.reason[j])
+        u = [""] * n_u if code >= _INSUFFICIENT else map(cli._fmt, s.u_values[j].tolist())
+        rows.append([s.gene_ids[j], REASONS[code], *u])
+    write_csv(path, header, rows)
+
+
+@pytest.mark.parametrize("block_rows", [2, 1024])
+def test_excluded_csv_is_written_as_the_per_field_writer_writes_it(tmp_path, monkeypatch,
+                                                                   block_rows):
+    monkeypatch.setattr(fitting, "_BLOCK_ROWS", block_rows)
+    inf, nan = math.inf, math.nan
+    genes = [  # (gene id, reason code, U values)
+        ("plain", _VIOLATED, [1.5, -2.25, 0.1]),
+        ('a,"b', _VIOLATED, [inf, -inf, -0.0]),  # zero se
+        ("big", _DEGENERATE, [1234567.0, 1e-05, -1e-05]),
+        ("nan", _VIOLATED, [0.5, nan, 2.0]),
+        ("all-nan", _DEGENERATE, [nan, nan, nan]),
+        ('q"', _INSUFFICIENT, [nan, nan, nan]),
+        ("unfit", _INSUFFICIENT, [nan, nan, nan]),
+        ("x,y", _NONFINITE, [nan, nan, nan]),
+    ]
+    n = len(genes)
+    u_values = np.array([u for _, _, u in genes])
+    scores = ScoreTable(
+        gene_ids=tuple(g for g, _, _ in genes), gamma=np.zeros((n, 3)), se=np.ones((n, 3)),
+        u_values=u_values, u=u_values.min(axis=1),
+        reason=np.array([code for _, code, _ in genes], dtype=np.int8),
+        s2=np.ones(n), posterior_s2=np.ones(n),
+    )
+    table = RankedTable(scores=scores, order=np.array([], dtype=np.intp),
+                        dropped=np.array([4, 0, 1, 3, 2, 7, 5, 6]))
+    cli._write_excluded_csv(table, tmp_path / "block.csv")
+    _per_field_excluded_csv(table, tmp_path / "reference.csv")
+    written = (tmp_path / "block.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert b'"a,""b",criterion violated,inf,-inf,-0\n' in written
+    assert b"big,degenerate variance,1.23457e+06,1e-05,-1e-05\n" in written
+    assert b"nan,criterion violated,0.5,NA,2\n" in written
+    assert b'"x,y",non-finite fit,,,\n' in written
 
 
 def test_carriage_return_id_is_rejected_as_an_id():

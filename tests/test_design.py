@@ -1,5 +1,7 @@
 import inspect
+import itertools
 import re
+import warnings
 from dataclasses import fields
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import profilerank as pr
-from profilerank.design import RANK_TOLERANCE, least_squares_operator
+from profilerank.design import RANK_TOLERANCE, least_squares_operator, least_squares_operators
 from profilerank.errors import ValidationError
 from profilerank.special import trigamma_inverse
 
@@ -255,29 +257,53 @@ def _operator_cases(stemcell_design, model):
     assert len(masks) > 100
     cases = [model.x[mask] for mask in masks]
     col = model.x[:, :1]
+    # The rank-deficient matrices have the shapes of missingness patterns
+    # (all arrays, all but one), so that they share a stack with full-rank ones.
     cases += [
         np.hstack([col, 2.0 * col, model.x[:, 1:2]]),  # proportional columns
-        np.hstack([col, col + 1e-14 * model.x[:, 1:2]]),  # rank 1 under the tolerance
-        np.zeros((5, 2)),
+        np.hstack([col, col + 1e-14 * model.x[:, 1:2], model.x[:, 2:]]),  # rank 2 under tolerance
+        np.zeros((model.n_arrays - 1, model.n_coefficients)),
         model.x[:2],  # fewer rows than columns
         model.x[[0, 5, 10]],  # as many rows as columns
     ]
     return cases
 
 
+def _assert_operator_is_pinv(x, pinv, unscaled_se):
+    reference = np.linalg.pinv(x)
+    assert np.array_equal(pinv, reference)
+    assert np.array_equal(unscaled_se, np.sqrt(np.diag(reference @ reference.T)))
+
+
 def test_least_squares_operator_matches_pinv_and_rank(stemcell_design, stemcell_model):
+    cases = _operator_cases(stemcell_design, stemcell_model)
     n_none = 0
-    for x in _operator_cases(stemcell_design, stemcell_model):
+    for x in cases:
         solved = least_squares_operator(x)
         assert (solved is None) == (_svd_rank(x) < x.shape[1]), x
         if solved is None:
             n_none += 1
             continue
-        pinv, unscaled_se = solved
-        reference = np.linalg.pinv(x)
-        assert np.array_equal(pinv, reference)
-        assert np.array_equal(unscaled_se, np.sqrt(np.diag(reference @ reference.T)))
+        _assert_operator_is_pinv(x, *solved)
     assert n_none >= 4
+
+    # The same matrices, stacked by shape: one verdict per matrix, and the
+    # operators of the full-rank ones, bit for bit, with no warning from
+    # the singular values of the rank-deficient ones.
+    by_shape = {}
+    for x in cases:
+        by_shape.setdefault(x.shape, []).append(x)
+    mixed = 0
+    for xs in by_shape.values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full_rank, pinv, unscaled_se = least_squares_operators(np.stack(xs))
+        assert full_rank.tolist() == [least_squares_operator(x) is not None for x in xs]
+        assert len(pinv) == len(unscaled_se) == full_rank.sum()
+        for x, *operator in zip(itertools.compress(xs, full_rank), pinv, unscaled_se):
+            _assert_operator_is_pinv(x, *operator)
+        mixed += 0 < full_rank.sum() < len(xs)
+    assert mixed >= 2
 
 
 def test_condition_mismatch_rejected(pluripotent):
