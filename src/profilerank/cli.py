@@ -132,10 +132,10 @@ def _block_rows(gene_ids, rows: np.ndarray, *columns: np.ndarray):
                        *(column[block].tolist() for column in columns))
 
 
-def _write_ranked_csv(table: RankedTable, path: str) -> None:
+def _write_ranked_csv(s: ScoreTable, order: np.ndarray, path: str) -> None:
+    """The rows ``order`` of ``s``, ranked 1, 2, ... in that order."""
     # Column counts come from the score table's shape, which the model (k)
     # and the profile (m) fix, so the header does not depend on the rows.
-    s = table.scores
     n_u, n_k = s.u_values.shape[1], s.gamma.shape[1]
     header = (
         ["rank", "gene_id", "U"]
@@ -144,7 +144,7 @@ def _write_ranked_csv(table: RankedTable, path: str) -> None:
         + [f"se_{i + 1}" for i in range(n_k)]
         + ["s2", "posterior_s2"]
     )
-    ranked = _block_rows(s.gene_ids, table.order, s.u, s.u_values, s.gamma, s.se, s.s2,
+    ranked = _block_rows(s.gene_ids, order, s.u, s.u_values, s.gamma, s.se, s.s2,
                          s.posterior_s2)
     write_csv(path, header, (
         [str(rank), gene_id, _fmt(u), *map(_fmt, u_values), *map(_fmt, gamma),
@@ -160,29 +160,39 @@ def _write_excluded_csv(table: RankedTable, path: str) -> None:
     # One line template per reason code, filled with the quoted gene id and
     # the U values: "%.6g" is _fmt's format, and a gene without a usable
     # fit has no U values ("%.0s" takes its NaN and writes nothing). A
-    # fitted gene with a NaN U, which _fmt writes as NA, goes through _fmt.
+    # fitted gene with a NaN U, which _fmt writes as NA, takes the fallback
+    # template: its whole line, made by _line and _fmt, in place of its id.
     templates = [
         f"%s,{reason}" + ("," + ("%.0s" if code >= _INSUFFICIENT else "%.6g")) * n_u + "\n"
         for code, reason in enumerate(REASONS)
     ]
+    fallback = "%s" + "%.0s" * n_u
 
-    def lines():
+    def blocks():
+        # One % per block: the rows' templates joined in row order, filled
+        # from one flat tuple of (id, *U values) per row.
         for block in _blocks(table.dropped):
             codes, u_values = s.reason[block], s.u_values[block]
+            ids = [s.gene_ids[j] for j in block.tolist()]
+            fields = np.empty((len(block), 1 + n_u), dtype=object)
+            fields[:, 0] = [_quoted(gene_id) for gene_id in ids]
+            fields[:, 1:] = u_values
+            row_templates = [templates[code] for code in codes.tolist()]
             by_fmt = np.isnan(u_values).any(axis=1) & (codes < _INSUFFICIENT)
-            for gene_id, code, u, nan in zip([s.gene_ids[j] for j in block.tolist()],
-                                             codes.tolist(), u_values.tolist(), by_fmt.tolist()):
-                yield (_line([gene_id, REASONS[code], *map(_fmt, u)]) if nan
-                       else templates[code] % (_quoted(gene_id), *u))
+            for i in np.flatnonzero(by_fmt).tolist():
+                fields[i, 0] = _line([ids[i], REASONS[codes[i]], *map(_fmt, u_values[i].tolist())])
+                row_templates[i] = fallback
+            yield "".join(row_templates) % tuple(fields.ravel().tolist())
 
-    write_lines(path, header, lines())
+    write_lines(path, header, blocks())
 
 
 def _write_moderation_json(
-    fitted: FittedExperiment, profile: ProfileSpec, table: RankedTable,
+    fitted: FittedExperiment, profile: ProfileSpec, n_included: int,
     alpha: float, path: str,
 ) -> None:
-    """The prior and the run settings; ``table`` was ranked under ``profile``."""
+    """The prior and the run settings; ``n_included`` genes are included
+    under ``profile``, and every other gene is excluded."""
     mod = fitted.moderation
     payload = {
         "d0": mod.d0 if math.isfinite(mod.d0) else "inf",
@@ -194,8 +204,8 @@ def _write_moderation_json(
             for j in profile.test_bearing
         },
         "alpha": alpha,
-        "n_included": len(table.order),
-        "n_excluded": len(table.dropped),
+        "n_included": n_included,
+        "n_excluded": len(fitted.fits) - n_included,
     }
     # Strict JSON: a non-finite number raises instead of being written.
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -308,10 +318,10 @@ def _cmd_rank(args) -> int:
     sweep = sweep_from_fits(fitted, profile, grid) if grid else None
     n_pass = _alpha_pass_count(fitted, stats, args.alpha)
     _make_out_dir(args.out)
-    _write_ranked_csv(table, os.path.join(args.out, "ranked.csv"))
+    _write_ranked_csv(table.scores, table.order, os.path.join(args.out, "ranked.csv"))
     _write_excluded_csv(table, os.path.join(args.out, "excluded.csv"))
     _write_moderation_json(
-        fitted, profile, table, args.alpha, os.path.join(args.out, "moderation.json")
+        fitted, profile, len(table.order), args.alpha, os.path.join(args.out, "moderation.json")
     )
     _write_profiles_svg(
         fitted, profile, table, args.top_n, os.path.join(args.out, "profiles.svg")
@@ -333,16 +343,20 @@ def _cmd_sensitivity(args) -> int:
     grid = _parse_grid(args.grid)
     profile, fitted = _fit_run(args, grid)
     sweep = sweep_from_fits(fitted, profile, grid)
+    # Each margin's included genes, scored in rank order.
+    ranked = [gene_statistics(fitted, profile.with_margins(epsilon=e), rows=order)
+              for e, order in zip(sweep.epsilons, sweep.orders)]
     _make_out_dir(args.out)
     _write_sensitivity_csv(sweep, os.path.join(args.out, "sensitivity.csv"))
-    for eps, table in zip(sweep.epsilons, sweep.tables):
-        _write_ranked_csv(table, os.path.join(args.out, f"ranked_eps_{_eps_label(eps)}.csv"))
+    for eps, scores in zip(sweep.epsilons, ranked):
+        _write_ranked_csv(scores, np.arange(len(scores)),
+                          os.path.join(args.out, f"ranked_eps_{_eps_label(eps)}.csv"))
     _write_moderation_json(
-        fitted, profile.with_margins(epsilon=grid[-1]), sweep.tables[-1], ALPHA,
+        fitted, profile.with_margins(epsilon=grid[-1]), len(sweep.orders[-1]), ALPHA,
         os.path.join(args.out, "moderation.json"),
     )
     sizes = ", ".join(
-        f"eps={_eps_label(e)}: {len(t.order)}" for e, t in zip(sweep.epsilons, sweep.tables)
+        f"eps={_eps_label(e)}: {len(o)}" for e, o in zip(sweep.epsilons, sweep.orders)
     )
     print(f"profile {profile.name}: included genes per margin: {sizes}; outputs in {args.out}")
     return 0

@@ -10,7 +10,7 @@ def write_csv(path, header, rows) -> None:
 
 def write_lines(path, header, lines) -> None:
     """Write ``header``, a list of strings, as ``write_csv`` does, and then
-    ``lines``, each already one CSV line with its ``\\n``."""
+    ``lines``, strings of whole CSV lines, each line with its ``\\n``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_line(header))
         fh.writelines(lines)

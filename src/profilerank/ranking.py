@@ -155,15 +155,20 @@ def _u_column(gamma: np.ndarray, se: np.ndarray, constraint: Constraint) -> np.n
     return u
 
 
+def _tests(profile: ProfileSpec, model: ModelMatrix) -> list[tuple[int, Constraint]]:
+    # (retained column, constraint) of each test-bearing coefficient.
+    return list(zip(_model_positions(profile, model),
+                    (profile.constraints[j] for j in profile.test_bearing)))
+
+
 def _score(gamma: np.ndarray, se: np.ndarray, unfit: np.ndarray,
            profile: ProfileSpec, model: ModelMatrix):
     """``(u_values, u, reason)`` of every row of ``gamma`` and ``se``, as
     ``u_statistics`` describes them; a row whose ``unfit`` code is not
     ``_INCLUDED`` keeps that code as its reason."""
-    positions = _model_positions(profile, model)
-    constraints = [profile.constraints[j] for j in profile.test_bearing]
-    u_values = np.empty((len(gamma), len(positions)))
-    for col, (p, con) in enumerate(zip(positions, constraints)):
+    tests = _tests(profile, model)
+    u_values = np.empty((len(gamma), len(tests)))
+    for col, (p, con) in enumerate(tests):
         u_values[:, col] = _u_column(gamma[:, p], se[:, p], con)
     u = u_values.min(axis=1)
     included = np.all(u_values > 0.0, axis=1) & np.all(np.isfinite(u_values), axis=1)
@@ -442,20 +447,41 @@ def fit_experiment(
     return FittedExperiment(model=model, fits=fits, moderation=moderation)
 
 
-def gene_statistics(fitted: FittedExperiment, profile: ProfileSpec) -> ScoreTable:
+def gene_statistics(
+    fitted: FittedExperiment, profile: ProfileSpec, rows: np.ndarray | None = None
+) -> ScoreTable:
     """U statistics for every gene of the fit table, in one vectorized pass.
 
     The table shares ``gene_ids``, ``gamma`` and ``s2`` with the fit table,
     ``posterior_s2`` with the moderation result and ``se`` with ``fitted``;
     the NaN posterior variance of an unfit gene carries through to its
-    ``se`` and U values.
+    ``se`` and U values. ``rows`` (fit-table row indices) scores only those
+    genes, in that order, with copies of their rows: the same formula on
+    the same numbers, so every value equals that of the full table.
     """
-    fits, se = fitted.fits, fitted.se
-    unfit = np.select([fits.ok, fits.df > 0], [_INCLUDED, _NONFINITE], _INSUFFICIENT)
+    fits = fitted.fits
+    gene_ids, gamma, se, s2 = fits.gene_ids, fits.gamma, fitted.se, fits.s2
+    posterior_s2, ok, df = fitted.moderation.posterior_s2, fits.ok, fits.df
+    if rows is not None:
+        gene_ids = tuple([gene_ids[i] for i in rows.tolist()])
+        gamma, se, s2, posterior_s2, ok, df = (
+            column[rows] for column in (gamma, se, s2, posterior_s2, ok, df))
+    unfit = np.select([ok, df > 0], [_INCLUDED, _NONFINITE], _INSUFFICIENT)
     return ScoreTable(
-        fits.gene_ids, fits.gamma, se, *_score(fits.gamma, se, unfit, profile, fitted.model),
-        s2=fits.s2, posterior_s2=fitted.moderation.posterior_s2,
+        gene_ids, gamma, se, *_score(gamma, se, unfit, profile, fitted.model),
+        s2=s2, posterior_s2=posterior_s2,
     )
+
+
+def _included_rows(fitted: FittedExperiment, profile: ProfileSpec) -> np.ndarray:
+    """The fit-table rows that ``gene_statistics(fitted, profile)``
+    includes, found one test column at a time without the score table."""
+    fits, se = fitted.fits, fitted.se
+    keep = fits.ok.copy()
+    for p, con in _tests(profile, fitted.model):
+        u = _u_column(fits.gamma[:, p], se[:, p], con)
+        keep &= (u > 0.0) & np.isfinite(u)
+    return np.flatnonzero(keep)
 
 
 def rank_from_fits(
@@ -477,17 +503,35 @@ def analyze(
     return fitted, rank_from_fits(fitted, profile)
 
 
-@dataclass(frozen=True)
 class SweepResult:
-    """Ranked tables per equivalence margin plus the rank-stability view.
+    """The ranks of a margin sweep, one entry per margin in grid order.
 
-    ``stability`` maps each gene included at any margin to its rank per
-    margin (None where excluded), ordered by best achieved rank.
+    ``epsilons`` are the margins as given. ``orders[t]`` holds the
+    fit-table rows of the genes included at ``epsilons[t]``, in rank
+    order. ``stability`` maps each gene included at any margin to its rank
+    per margin (None where excluded), ordered by best achieved rank.
+    ``tables[t]`` is the full ``RankedTable`` at ``epsilons[t]``: passed in,
+    or else built through ``gene_statistics`` from ``fitted`` and
+    ``profile`` when ``tables`` is first read.
     """
 
-    epsilons: tuple[float, ...]
-    tables: tuple[RankedTable, ...]
-    stability: tuple[tuple[str, tuple[int | None, ...]], ...]
+    def __init__(self, epsilons, tables=None, stability=(), *, orders=None,
+                 fitted: FittedExperiment | None = None,
+                 profile: ProfileSpec | None = None) -> None:
+        self.epsilons: tuple[float, ...] = tuple(epsilons)
+        self.stability: tuple[tuple[str, tuple[int | None, ...]], ...] = tuple(stability)
+        if tables is not None:
+            self.__dict__["tables"] = tuple(tables)
+            orders = tuple(t.order for t in self.tables)
+        self.orders: tuple[np.ndarray, ...] = tuple(orders)
+        self._fitted, self._profile = fitted, profile
+
+    @cached_property
+    def tables(self) -> tuple[RankedTable, ...]:
+        return tuple(
+            _rank(gene_statistics(self._fitted, self._profile.with_margins(epsilon=e)))
+            for e in self.epsilons
+        )
 
 
 def _check_sweep(profile: ProfileSpec, epsilons) -> list[float]:
@@ -507,27 +551,30 @@ def sweep_from_fits(
 ) -> SweepResult:
     """Re-rank an already fitted experiment under each equivalence margin.
 
-    Only the equivalence margins vary across the sweep, so inclusion sets
-    are nested as the margin grows. The margins must pass ``_check_sweep``.
+    Only the equivalence margins vary across the sweep, and each
+    equivalence U grows with its margin, so inclusion sets are nested as
+    the margin grows: every gene included at some margin is included at
+    the widest. Only those candidates are scored and ranked at each
+    margin, by the formula and sort key of ``gene_statistics`` and
+    ``rank_from_fits``. The margins must pass ``_check_sweep``.
     """
     eps = _check_sweep(profile, epsilons)
-    tables = []
-    for e in eps:
-        scores = gene_statistics(fitted, profile.with_margins(epsilon=e))
-        tables.append(_rank(scores))
-    # ranks[i, t]: rank of gene i at margin t, 0 where excluded.
-    ranks = np.zeros((len(scores), len(eps)), dtype=np.intp)
-    for t, table in enumerate(tables):
-        ranks[table.order, t] = np.arange(1, len(table.order) + 1)
-    genes = np.flatnonzero(ranks.any(axis=1))
-    ranked = ranks[genes]
-    best = np.where(ranked > 0, ranked, np.iinfo(np.intp).max).min(axis=1)
-    ids = [scores.gene_ids[i] for i in genes.tolist()]
+    candidates = _included_rows(fitted, profile.with_margins(epsilon=max(eps)))
+    # ranks[i, t]: rank of candidate i at margin t, 0 where excluded.
+    ranks = np.zeros((len(candidates), len(eps)), dtype=np.intp)
+    orders = []
+    for t, e in enumerate(eps):
+        order = _rank(gene_statistics(fitted, profile.with_margins(epsilon=e),
+                                      rows=candidates)).order
+        ranks[order, t] = np.arange(1, len(order) + 1)
+        orders.append(candidates[order])
+    best = np.where(ranks > 0, ranks, np.iinfo(np.intp).max).min(axis=1)
+    ids = [fitted.fits.gene_ids[i] for i in candidates.tolist()]
+    cells = np.where(ranks > 0, ranks, None).tolist()
     stability = tuple(
-        (ids[i], tuple(r or None for r in ranked[i].tolist()))
-        for i in np.lexsort((_id_order(ids), best)).tolist()
+        (ids[i], tuple(cells[i])) for i in np.lexsort((_id_order(ids), best)).tolist()
     )
-    return SweepResult(epsilons=tuple(eps), tables=tuple(tables), stability=stability)
+    return SweepResult(eps, stability=stability, orders=orders, fitted=fitted, profile=profile)
 
 
 def sensitivity_sweep(

@@ -605,10 +605,10 @@ def test_moderation_json_serializes_infinite_prior(tmp_path, pluripotent):
             posterior_df=np.array([math.inf]),
         ),
     )
-    table = pr.rank_genes([])
     path = tmp_path / "moderation.json"
-    _write_moderation_json(fitted, pluripotent, table, 0.05, path)
+    _write_moderation_json(fitted, pluripotent, 0, 0.05, path)
     payload = json.loads(path.read_text())
+    assert payload["n_included"] == payload["n_excluded"] == 0
     assert payload["d0"] == "inf"
     assert payload["s0_2"] == 0.07
 

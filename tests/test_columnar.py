@@ -7,6 +7,7 @@ the variance shrinkage, U statistics, ranking and alpha-level test with
 scalar code.
 """
 
+import json
 import math
 import shutil
 import tracemalloc
@@ -353,6 +354,130 @@ def test_moderation_allocates_less_than_seven_variance_columns(stemcell_design,
         tracemalloc.stop()
     assert math.isfinite(moderation.d0)
     assert peak < 7 * table.s2.nbytes
+
+
+def test_sweep_allocates_less_than_four_gene_columns(stemcell_design, stemcell_model,
+                                                      analysis_profile):
+    # 20k genes, 400 of them positive in both positivity coefficients with
+    # equivalence coefficients spread over (-2.5, 2.5), so about 320 genes
+    # are included at the widest margin. The sweep finds them one test
+    # column at a time and scores and ranks only them, so it peaks near 3.3
+    # columns of s2; four whole score tables, one per margin, peak near 25.
+    rng = np.random.default_rng(13)
+    n, planted = 20000, 400
+    gammas = np.zeros((n, 3))
+    gammas[:planted] = np.column_stack([np.full(planted, 2.0), np.full(planted, 2.0),
+                                        rng.uniform(-2.5, 2.5, planted)])
+    values = gammas @ stemcell_model.x.T + rng.normal(0, 0.3, (n, stemcell_model.n_arrays))
+    expr = pr.ExpressionMatrix(gene_ids=tuple(f"g{i}" for i in range(n)),
+                               array_ids=stemcell_design.array_ids, values=values)
+    fitted = pr.fit_experiment(expr, stemcell_design, analysis_profile)
+    fitted.se, fitted.fits.ok  # built once per fit, before any sweep
+    tracemalloc.start()
+    try:
+        sweep = pr.sweep_from_fits(fitted, analysis_profile, [0.5, 1.0, 1.5, 2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 200 < len(sweep.orders[-1]) < 400
+    assert peak < 4 * fitted.fits.s2.nbytes
+
+
+def _fitted_with_zero_se(missing_data):
+    """The 5%-NA data fitted under the analysis margins, with a zero
+    posterior variance for three genes included at margin 2 and every 97th
+    fitted gene: ``(fitted, profile, zero-se rows)``."""
+    conditions = pr.read_conditions_csv(missing_data / "conditions.csv")
+    design = pr.read_design_csv(missing_data / "design.csv", conditions)
+    profile = pr.validate_profile(
+        pr.profile_from_file(missing_data / "pluripotent.profile")
+    ).with_margins(deltas={"day6_vs_day9": 1.5})
+    expr = pr.read_expression_csv(missing_data / "expression.csv", design.array_ids)
+    fitted = pr.fit_experiment(expr, design, profile)
+    zero = np.zeros(len(fitted.fits), dtype=bool)
+    zero[pr.rank_from_fits(fitted, profile.with_margins(epsilon=2.0)).order[:3]] = True
+    zero[::97] = True
+    zero &= fitted.fits.ok
+    moderation = replace(fitted.moderation,
+                         posterior_s2=np.where(zero, 0.0, fitted.moderation.posterior_s2))
+    return replace(fitted, moderation=moderation), profile, np.flatnonzero(zero)
+
+
+@pytest.mark.parametrize("grid", [(2.0, 0.5, 1.5), (1.0,)])
+def test_sweep_ranks_only_candidates_as_the_full_tables_rank(missing_data, grid):
+    fitted, profile, zero_se = _fitted_with_zero_se(missing_data)
+    assert not fitted.fits.ok.all()
+    sweep = pr.sweep_from_fits(fitted, profile, grid)
+    assert sweep.epsilons == grid
+    tables = [pr.rank_from_fits(fitted, profile.with_margins(epsilon=e)) for e in grid]
+    ranks = {}
+    for t, (order, table) in enumerate(zip(sweep.orders, tables)):
+        assert np.array_equal(order, table.order)
+        assert not np.isin(zero_se, order).any()
+        for rank, gene_id in enumerate(table.included_ids, start=1):
+            ranks.setdefault(gene_id, [None] * len(grid))[t] = rank
+    assert sweep.stability == tuple(
+        (gene_id, tuple(r)) for gene_id, r in
+        sorted(ranks.items(), key=lambda item: (min(r for r in item[1] if r), item[0]))
+    )
+    # The full tables are built on first read, as rank_from_fits builds them.
+    for built, table in zip(sweep.tables, tables):
+        assert np.array_equal(built.order, table.order)
+        assert np.array_equal(built.dropped, table.dropped)
+        assert built.scores.se is fitted.se
+
+
+def _cli_args(missing_data, command, grid, out):
+    return [
+        command,
+        "--data", str(missing_data / "expression.csv"),
+        "--design", str(missing_data / "design.csv"),
+        "--conditions", str(missing_data / "conditions.csv"),
+        "--profile", str(missing_data / "pluripotent.profile"),
+        "--delta", "day6_vs_day9=1.5",
+        "--grid", grid,
+        "--out", str(out),
+    ]
+
+
+def test_rank_grid_never_builds_the_full_sweep_tables(missing_data, tmp_path, monkeypatch):
+    def unread(sweep):
+        raise AssertionError("rank read SweepResult.tables")
+
+    monkeypatch.setattr(SweepResult, "tables", property(unread))
+    assert cli.main(_cli_args(missing_data, "rank", "0.5,1,1.5,2", tmp_path)) == 0
+    assert (tmp_path / "sensitivity.csv").read_text().startswith(
+        "gene_id,rank_eps_0.5,rank_eps_1,rank_eps_1.5,rank_eps_2\n")
+
+
+def test_sensitivity_with_an_unsorted_grid_writes_what_the_full_tables_give(
+    missing_data, tmp_path
+):
+    # Candidates come from the widest margin, 2; moderation.json describes
+    # the last one, 1.
+    grid = (2.0, 0.5, 1.0)
+    assert cli.main(_cli_args(missing_data, "sensitivity", "2,0.5,1", tmp_path / "sweep")) == 0
+    conditions = pr.read_conditions_csv(missing_data / "conditions.csv")
+    design = pr.read_design_csv(missing_data / "design.csv", conditions)
+    profile = pr.validate_profile(
+        pr.profile_from_file(missing_data / "pluripotent.profile")
+    ).with_margins(deltas={"day6_vs_day9": 1.5})
+    expr = pr.read_expression_csv(missing_data / "expression.csv", design.array_ids)
+    fitted = pr.fit_experiment(expr, design, profile)
+    eager = tmp_path / "eager"
+    eager.mkdir()
+    sweep = _oracle_sweep(fitted, profile, grid)
+    cli._write_sensitivity_csv(sweep, eager / "sensitivity.csv")
+    for e in grid:
+        table = pr.rank_from_fits(fitted, profile.with_margins(epsilon=e))
+        cli._write_ranked_csv(table.scores, table.order, eager / f"ranked_eps_{e:g}.csv")
+    cli._write_moderation_json(fitted, profile.with_margins(epsilon=1.0), len(table.order),
+                               cli.ALPHA, eager / "moderation.json")
+    assert json.loads((eager / "moderation.json").read_text())["n_excluded"] == len(table.dropped)
+    names = sorted(p.name for p in (tmp_path / "sweep").iterdir())
+    assert names == sorted(p.name for p in eager.iterdir()) and len(names) == 5
+    for name in names:
+        assert (tmp_path / "sweep" / name).read_bytes() == (eager / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,42 @@ def test_excluded_csv_is_written_as_the_per_field_writer_writes_it(tmp_path, mon
     assert b'"x,y",non-finite fit,,,\n' in written
 
 
+
+def test_excluded_csv_blocks_split_between_fallback_and_unfit_rows(tmp_path):
+    # More excluded genes than one block holds. On each side of the first
+    # block boundary lie a fitted gene with a NaN U, which takes the
+    # per-field fallback, and a gene without a usable fit, whose U values
+    # are left empty, so each block mixes its templates with both kinds.
+    n = fitting._BLOCK_ROWS + 6
+    rng = np.random.default_rng(12)
+    u_values = rng.normal(0.0, 3.0, (n, 3))
+    reason = np.where(rng.random(n) < 0.5, _VIOLATED, _DEGENERATE).astype(np.int8)
+    edge = fitting._BLOCK_ROWS
+    for row, code, u in [(edge - 2, _VIOLATED, [0.5, math.nan, -1.0]),
+                         (edge - 1, _INSUFFICIENT, [math.nan] * 3),
+                         (edge, _NONFINITE, [math.nan] * 3),
+                         (edge + 1, _DEGENERATE, [math.nan] * 3)]:
+        reason[row], u_values[row] = code, u
+    ids = tuple(f'g"{i}' if i % 7 == 5 else f"g{i}" for i in range(n))
+    scores = ScoreTable(
+        gene_ids=ids, gamma=np.zeros((n, 3)), se=np.ones((n, 3)), u_values=u_values,
+        u=u_values.min(axis=1), reason=reason, s2=np.ones(n), posterior_s2=np.ones(n),
+    )
+    table = RankedTable(scores=scores, order=np.array([], dtype=np.intp),
+                        dropped=np.arange(n))
+    cli._write_excluded_csv(table, tmp_path / "block.csv")
+    _per_field_excluded_csv(table, tmp_path / "reference.csv")
+    written = (tmp_path / "block.csv").read_text().splitlines()
+    assert written == (tmp_path / "reference.csv").read_text().splitlines()
+    assert written[edge - 1:edge + 3] == [
+        f"g{edge - 2},criterion violated,0.5,NA,-1",
+        f"g{edge - 1},insufficient data,,,",
+        f"g{edge},non-finite fit,,,",
+        f"g{edge + 1},degenerate variance,NA,NA,NA",
+    ]
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_carriage_return_id_is_rejected_as_an_id():
     # The reader rejects such an id, so the matrix must not hold one that
     # write_expression_csv would write.
