@@ -18,6 +18,7 @@ import csv
 import itertools
 import math
 import operator
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,6 +51,12 @@ _BLOCK_ROWS = 1024
 # computes: bounds the stack's memory by a chunk, not by the number of
 # patterns.
 _OPERATOR_CHUNK = 128
+
+# Characters that XML 1.0 cannot hold, so that profiles.svg could not show
+# a gene id holding one: C0 controls other than tab, line feed and carriage
+# return (the id rule rejects the last on its own), lone surrogates, U+FFFE
+# and U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 REASON_INSUFFICIENT = "insufficient data"
 REASON_NONFINITE = "non-finite fit"
@@ -110,15 +117,26 @@ class GeneFit:
 def check_gene_id(gene_id: str) -> None:
     """The rule on one gene id, which ``ExpressionMatrix`` checks on each of
     its ids and the reader on each id it has stripped: non-empty, without
-    surrounding whitespace and without a carriage return. The reader strips
-    whitespace and rejects a carriage return, so only such an id reads back
-    as it was written."""
+    surrounding whitespace, without a carriage return and without a
+    character that XML 1.0 cannot hold. The reader strips whitespace and
+    rejects a carriage return, so only such an id reads back as it was
+    written; ``profiles.svg`` holds ids as XML text."""
     if not gene_id or gene_id != gene_id.strip():
         raise DataError(f"a gene id must be non-empty, without surrounding "
                         f"whitespace, got {gene_id!r}")
     if "\r" in gene_id:
         raise DataError(f"a gene id must be non-empty and hold no carriage return, "
                         f"got {gene_id!r}")
+    bad = _not_xml(gene_id)
+    if bad:
+        raise DataError(f"a gene id must hold only characters that XML 1.0 allows, "
+                        f"got {gene_id!r} (U+{ord(bad.group()):04X})")
+
+
+def _not_xml(text: str) -> re.Match | None:
+    """The first character of ``text`` that XML 1.0 cannot hold, if any;
+    printable text, the usual case, skips the search."""
+    return None if text.isprintable() else _NOT_XML.search(text)
 
 
 def _excluded(gene_id: str, reason: str, n_used: int) -> GeneFit:
@@ -246,37 +264,34 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
     as observed. A fit that overflows or takes an infinite value is kept as
     it is; ``FitTable.ok`` marks it.
     """
-    observed = ~np.isnan(values)
     n_genes, k = values.shape[0], model.n_coefficients
     gamma = np.full((n_genes, k), math.nan)
     unscaled_se = np.full((n_genes, k), math.nan)
     s2 = np.full(n_genes, math.nan)
     df = np.zeros(n_genes, dtype=np.int64)
+    observed = ~np.isnan(values)
     n_used = observed.sum(axis=1)
-    if n_genes:
-        pattern = _pattern_labels(observed)
-        by_pattern = np.argsort(pattern, kind="stable")
-        size = np.bincount(pattern)
-        start = np.cumsum(size) - size
-        n_obs = n_used[by_pattern[start]]  # observed arrays per pattern
-        for n in np.flatnonzero(np.bincount(n_obs)).tolist():
-            if n - k < 1:
-                continue
-            for chunk in _blocks(np.flatnonzero(n_obs == n), _OPERATOR_CHUNK):
-                cols = np.nonzero(observed[by_pattern[start[chunk]]])[1].reshape(len(chunk), n)
-                x_obs = model.x[cols]
-                full_rank, pinv, se = least_squares_operators(x_obs)
-                chunk, cols, x_obs = chunk[full_rank], cols[full_rank], x_obs[full_rank]
-                for p, offset, r in _block_calls(size[chunk]):
-                    genes = by_pattern[(start[chunk[p]] + offset)[:, None] + np.arange(r)]
-                    y_obs = values[genes[:, :, None], cols[p][:, None, :]]
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        g = y_obs @ pinv[p].transpose(0, 2, 1)
-                        resid = y_obs - g @ x_obs[p].transpose(0, 2, 1)
-                        s2[genes] = np.einsum("bij,bij->bi", resid, resid) / (n - k)
-                    gamma[genes] = g
-                    unscaled_se[genes] = se[p][:, None]
-                    df[genes] = n - k
+    by_pattern, start, size, masks = _pattern_groups(observed)
+    del observed  # the loop needs only each pattern's mask
+    n_obs = masks.sum(axis=1)  # observed arrays per pattern
+    for n in np.flatnonzero(np.bincount(n_obs)).tolist():
+        if n - k < 1:
+            continue
+        for chunk in _blocks(np.flatnonzero(n_obs == n), _OPERATOR_CHUNK):
+            cols = np.nonzero(masks[chunk])[1].reshape(len(chunk), n)
+            x_obs = model.x[cols]
+            full_rank, pinv, se = least_squares_operators(x_obs)
+            chunk, cols, x_obs = chunk[full_rank], cols[full_rank], x_obs[full_rank]
+            for p, offset, r in _block_calls(size[chunk]):
+                genes = by_pattern[(start[chunk[p]] + offset)[:, None] + np.arange(r)]
+                y_obs = values[genes[:, :, None], cols[p][:, None, :]]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    g = y_obs @ pinv[p].transpose(0, 2, 1)
+                    resid = y_obs - g @ x_obs[p].transpose(0, 2, 1)
+                    s2[genes] = np.einsum("bij,bij->bi", resid, resid) / (n - k)
+                gamma[genes] = g
+                unscaled_se[genes] = se[p][:, None]
+                df[genes] = n - k
     return FitTable(
         gene_ids=gene_ids,
         gamma=gamma,
@@ -310,17 +325,26 @@ def _block_calls(sizes: np.ndarray):
             yield pattern[call], offset[call], r
 
 
-def _pattern_labels(observed: np.ndarray) -> np.ndarray:
-    """One integer per row of the genes x arrays mask ``observed``, equal for
-    two rows exactly when they observed the same arrays.
+def _pattern_groups(observed: np.ndarray):
+    """The rows of the genes x arrays mask ``observed`` grouped by the arrays
+    they observed: ``(by_pattern, start, size, masks)``. Group ``g`` holds
+    rows ``by_pattern[start[g]:start[g] + size[g]]``, in input order, and
+    observed the arrays where ``masks[g]`` is True.
 
     Each row is packed to bits and read as one fixed-width byte string, so
-    a 1-D ``np.unique`` sorts n keys instead of comparing n rows column by
-    column, for any number of arrays.
+    one stable sort of n keys groups the rows, for any number of arrays; a
+    group starts wherever two consecutive sorted keys differ.
     """
     packed = np.packbits(observed, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    return np.unique(keys, return_inverse=True)[1]
+    by_pattern = np.argsort(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                            kind="stable")
+    packed = packed[by_pattern]
+    first = np.ones(len(packed), dtype=bool)
+    first[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+    start = np.flatnonzero(first)
+    size = np.diff(start, append=len(packed))
+    masks = np.unpackbits(packed[start], axis=1, count=observed.shape[1]).view(bool)
+    return by_pattern, start, size, masks
 
 
 @dataclass(frozen=True)
@@ -452,8 +476,8 @@ def moderate_variances(fits) -> ModerationResult:
 
 def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
     """Read a log-ratio table: header ``gene_id,<array ids...>`` matching the
-    design order exactly; a gene id (stripped) must be non-empty, without a
-    carriage return; values are finite decimals, ``NA`` or empty for missing
+    design order exactly; a gene id (stripped) must pass ``check_gene_id``
+    and be unique; values are finite decimals, ``NA`` or empty for missing
     (``inf``, ``nan`` and overflow are errors, not missing spots).
 
     Plain files are parsed by numpy's C reader; anything else, and every
@@ -481,8 +505,9 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
     Only plain lines are taken: no quote, carriage return, NUL, space or
     tab, no empty field, no blank line, no line longer than the csv field
     limit, and ``NA`` only as a whole field, rewritten to ``nan``. The file
-    goes back to the loop when ``loadtxt`` fails, the shape is wrong, or a
-    value is non-finite without having been ``NA``.
+    goes back to the loop when ``loadtxt`` fails, the shape is wrong, a
+    value is non-finite without having been ``NA``, or a gene id repeats or
+    holds a character that XML cannot hold.
     """
     limit = csv.field_size_limit()
     gene_ids: list[str] = []
@@ -524,7 +549,7 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
             return None
     if (values.shape != (len(gene_ids), len(array_ids))
             or np.count_nonzero(~np.isfinite(values)) != n_missing
-            or len(set(gene_ids)) != len(gene_ids)):
+            or len(set(gene_ids)) != len(gene_ids) or _not_xml("".join(gene_ids))):
         return None
     return tuple(gene_ids), values
 

@@ -503,6 +503,7 @@ def analyze(
     return fitted, rank_from_fits(fitted, profile)
 
 
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """The ranks of a margin sweep, one entry per margin in grid order.
 
@@ -510,26 +511,21 @@ class SweepResult:
     fit-table rows of the genes included at ``epsilons[t]``, in rank
     order. ``stability`` maps each gene included at any margin to its rank
     per margin (None where excluded), ordered by best achieved rank.
-    ``tables[t]`` is the full ``RankedTable`` at ``epsilons[t]``: passed in,
-    or else built through ``gene_statistics`` from ``fitted`` and
-    ``profile`` when ``tables`` is first read.
+    ``fitted`` and ``profile`` are what the sweep ranked; ``tables[t]``,
+    the full ``RankedTable`` at ``epsilons[t]``, is built from them through
+    ``gene_statistics`` when ``tables`` is first read.
     """
 
-    def __init__(self, epsilons, tables=None, stability=(), *, orders=None,
-                 fitted: FittedExperiment | None = None,
-                 profile: ProfileSpec | None = None) -> None:
-        self.epsilons: tuple[float, ...] = tuple(epsilons)
-        self.stability: tuple[tuple[str, tuple[int | None, ...]], ...] = tuple(stability)
-        if tables is not None:
-            self.__dict__["tables"] = tuple(tables)
-            orders = tuple(t.order for t in self.tables)
-        self.orders: tuple[np.ndarray, ...] = tuple(orders)
-        self._fitted, self._profile = fitted, profile
+    epsilons: tuple[float, ...]
+    orders: tuple[np.ndarray, ...]
+    stability: tuple[tuple[str, tuple[int | None, ...]], ...]
+    fitted: FittedExperiment
+    profile: ProfileSpec
 
     @cached_property
     def tables(self) -> tuple[RankedTable, ...]:
         return tuple(
-            _rank(gene_statistics(self._fitted, self._profile.with_margins(epsilon=e)))
+            _rank(gene_statistics(self.fitted, self.profile.with_margins(epsilon=e)))
             for e in self.epsilons
         )
 
@@ -574,7 +570,7 @@ def sweep_from_fits(
     stability = tuple(
         (ids[i], tuple(cells[i])) for i in np.lexsort((_id_order(ids), best)).tolist()
     )
-    return SweepResult(eps, stability=stability, orders=orders, fitted=fitted, profile=profile)
+    return SweepResult(tuple(eps), tuple(orders), stability, fitted, profile)
 
 
 def sensitivity_sweep(

@@ -233,8 +233,9 @@ def student_t_upper_quantile(alpha: float, df: float) -> float:
 
     Found by bisection on the locally implemented CDF; the bracket is
     narrowed until the endpoint spread is below 1e-13 relative, which puts
-    the CDF error well under 1e-10. Results are memoized: pipelines ask for
-    the same (alpha, df) pair once per gene.
+    the CDF error well under 1e-10. Results are memoized: ``ranking._passes``
+    asks once per distinct df, and the cache serves the per-gene
+    ``iut_decision`` and ``cii_decision`` calls, which repeat those pairs.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:

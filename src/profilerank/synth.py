@@ -141,6 +141,8 @@ def generate_dataset(
     given, so pass the margins you intend to analyse with. Every
     equivalence margin must exceed ``EQUIV_BAND``'s upper bound.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if n_genes < 1:
         raise ValidationError("n_genes must be >= 1")
     if not 0 <= n_planted <= n_genes:

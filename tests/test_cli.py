@@ -296,6 +296,23 @@ def test_empty_gene_id_exits_3(workdir, tmp_path, capsys):
     assert "bad.csv:3: column 1: a gene id must be non-empty" in capsys.readouterr().err
 
 
+def test_gene_id_that_xml_cannot_hold_exits_3(workdir, tmp_path, capsys):
+    # profiles.svg would hold these ids as text that no XML parser reads.
+    lines = (workdir / "data" / "expression.csv").read_text().splitlines()
+    for n, ch in ((5, "\x01x"), (9, "\x0cy")):
+        gene_id, _, rest = lines[n - 1].partition(",")
+        lines[n - 1] = f"{gene_id}{ch},{rest}"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    args = _rank_args(workdir, out, ["--epsilon", "2"])
+    args[args.index("--data") + 1] = str(bad)
+    assert main(args) == 3
+    assert "bad.csv:5: column 1: a gene id must hold only characters that XML 1.0 allows" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def _validate_args(root, data=None, design=None):
     return ["validate",
             "--design", str(design or root / "design.csv"),
@@ -547,6 +564,16 @@ def test_synth_has_no_draw_range_or_prior_flags(workdir, tmp_path, capsys, flag)
     assert not out.exists()
 
 
+def test_synth_negative_seed_exits_2(workdir, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = _rank_args(workdir, out, ["--genes", "50", "--seed", "-1"])
+    args[0] = "synth"
+    del args[1:3]  # --data
+    assert main(args) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["rank", "sensitivity"])
 def test_an_error_after_the_read_creates_no_output_directory(workdir, tmp_path, capsys, command):
     # One gene cannot give a variance prior, which only the fit finds out.
@@ -756,6 +783,20 @@ def test_svg_valid_xml_with_exact_polyline_count(workdir, tmp_path):
         polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
         assert len(polylines) == 6
         assert legend in [e.text for e in root.iter() if e.tag.endswith("text")]
+
+
+@pytest.mark.parametrize("name", pr.BUNDLED_PROFILES)
+def test_svg_parses_as_xml_for_every_bundled_profile(workdir, tmp_path, name):
+    profile = str(pr.bundled_data_path(f"{name}.profile"))
+    model = ["--design", str(workdir / "design.csv"),
+             "--conditions", str(workdir / "conditions.csv"), "--profile", profile]
+    assert main(["synth", *model, "--genes", "300", "--planted", "8", "--seed", "7",
+                 "--out", str(tmp_path / "data")]) == 0
+    assert main(["rank", "--data", str(tmp_path / "data" / "expression.csv"), *model,
+                 "--top-n", "6", "--out", str(tmp_path / "out")]) == 0
+    root = ET.parse(tmp_path / "out" / "profiles.svg").getroot()
+    assert root.tag.endswith("svg")
+    assert any(e.tag.endswith("polyline") for e in root.iter())
 
 
 def test_svg_render_deterministic():

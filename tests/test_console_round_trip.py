@@ -1,12 +1,14 @@
-"""The README's command-line round trip, run through the console script.
+"""The README's command-line round trip, run through the console script,
+and the acceptance suite's report, run as a shell user runs it.
 
-Each command runs in a child process as a shell user runs it, with
-``RuntimeWarning`` raised as an error. The ``profilerank`` console script
-is used where it is installed and ``python -m profilerank`` otherwise; both
-call ``profilerank.cli.main`` from the package these tests import.
+Each command runs in a child process, with ``RuntimeWarning`` raised as an
+error. The ``profilerank`` console script is used where it is installed and
+``python -m profilerank`` otherwise; both call ``profilerank.cli.main`` from
+the package these tests import.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -30,14 +32,18 @@ OUTPUTS = [
 ]
 
 
-def _console(cwd: Path, *args: str) -> subprocess.CompletedProcess:
-    script = shutil.which("profilerank")
-    command = [script] if script else [sys.executable, "-m", "profilerank"]
+def _run(command: list[str], cwd: Path) -> subprocess.CompletedProcess:
     package_root = str(Path(pr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
                PYTHONPATH=os.pathsep.join(filter(None, [package_root,
                                                         os.environ.get("PYTHONPATH")])))
-    return subprocess.run([*command, *args], cwd=cwd, env=env, capture_output=True, text=True)
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def _console(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    script = shutil.which("profilerank")
+    command = [script] if script else [sys.executable, "-m", "profilerank"]
+    return _run([*command, *args], cwd)
 
 
 def _ok(cwd: Path, *args: str) -> None:
@@ -86,3 +92,14 @@ def test_readme_round_trip_through_the_console_script(tmp_path):
                     "--profile", str(DATA / "pluripotent.profile"))
     assert proc.returncode == 2, proc.stderr
     assert "design.csv:4: " in proc.stderr
+
+
+def test_acceptance_criteria_each_report_pass():
+    # The acceptance suite as a shell user runs it, with its output shown:
+    # it passes, and criteria 1-8 each print their PASS line, in order.
+    tests = Path(__file__).resolve().parent
+    proc = _run([sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+                 str(tests / "test_acceptance.py")], tests.parent)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
+    passed = re.findall(r"^ACCEPTANCE (\d+) PASS", proc.stdout, flags=re.MULTILINE)
+    assert passed == [str(n) for n in range(1, 9)], proc.stdout[-2000:]

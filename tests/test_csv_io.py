@@ -72,7 +72,8 @@ def _assert_same_parse(got, want):
 
 _PLAIN_IDS = st.text("ABCXYZabcxyz0189_.-", min_size=1, max_size=5)
 _ODD_IDS = st.sampled_from(
-    ["", " g", "g\t", "g\xa0", '"g"', '"q,1"', '"a\rb"', "é", "#g", "NA", "g\x00", "١"]
+    ["", " g", "g\t", "g\xa0", '"g"', '"q,1"', '"a\rb"', "é", "#g", "NA", "g\x00", "١",
+     "g\x01x", "g\x0cy", "g\uffff"]
 )
 _PLAIN_VALUES = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.just("NA")
 _ODD_VALUES = st.sampled_from([
@@ -173,6 +174,8 @@ _DECLINED = {
     "field-count-changes": HEADER + "g1,1.0,2.0\ng2,3.0\n",
     "every-row-too-wide": HEADER + "g1,1.0,2.0,3.0\ng2,4.0,5.0,6.0\n",
     "duplicate-id": HEADER + "g1,1.0,2.0\ng2,3.0,4.0\ng1,5.0,6.0\n",
+    "id-not-xml": HEADER + "g1,1.0,2.0\ng\x01x,3.0,4.0\ng\x0cy,5.0,6.0\n",
+    "id-noncharacter": HEADER + "g\ufffe,1.0,2.0\n",
 }
 
 
@@ -353,6 +356,21 @@ def test_excluded_csv_blocks_split_between_fallback_and_unfit_rows(tmp_path):
         f"g{edge + 1},degenerate variance,NA,NA,NA",
     ]
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("gene_id", ["g\x00", "a\x08b", "a\x0bb", "a\x0cb", "a\x0eb",
+                                     "a\x1fb", "a\ud800b", "a\udfffb", "a\ufffeb", "a\uffffb"])
+def test_an_id_that_xml_cannot_hold_is_rejected(gene_id):
+    with pytest.raises(DataError, match="a gene id must hold only characters that XML 1.0 allows"):
+        pr.ExpressionMatrix(gene_ids=("ok", gene_id), array_ids=ARRAYS,
+                            values=np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+def test_tab_line_feed_and_other_controls_xml_holds_are_kept_inside_an_id():
+    gene_ids = ("a\tb", "a\nb", "a\x7fb", "a\x85b", "a\ufffdb", "a\U0010ffffb")
+    expr = pr.ExpressionMatrix(gene_ids=gene_ids, array_ids=ARRAYS,
+                               values=np.ones((len(gene_ids), 2)))
+    assert expr.gene_ids == gene_ids
 
 
 def test_carriage_return_id_is_rejected_as_an_id():

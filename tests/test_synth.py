@@ -112,6 +112,8 @@ def test_invalid_parameters_rejected(stemcell_design, analysis_profile):
         pr.generate_dataset(stemcell_design, analysis_profile, 10, 11, seed=1)
     with pytest.raises(ValidationError, match="n_genes"):
         pr.generate_dataset(stemcell_design, analysis_profile, 0, 0, seed=1)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        pr.generate_dataset(stemcell_design, analysis_profile, 10, 2, seed=-1)
     # Satisfied equivalence coefficients are drawn up to 0.7 in magnitude.
     narrow = analysis_profile.with_margins(epsilon=0.6)
     with pytest.raises(ValidationError, match="upper bound 0.7 must stay below the smallest "
