@@ -71,8 +71,9 @@ class ExpressionMatrix:
     values: np.ndarray = field(compare=False)
 
     def __post_init__(self) -> None:
-        for gene_id in self.gene_ids:
-            check_gene_id(gene_id)
+        if not _ids_pass(tuple(self.gene_ids)):
+            for gene_id in self.gene_ids:  # name the first bad id
+                check_gene_id(gene_id)
         if len(set(self.gene_ids)) != len(self.gene_ids):
             seen: set[str] = set()
             for gene_id in self.gene_ids:
@@ -131,6 +132,13 @@ def check_gene_id(gene_id: str) -> None:
     if bad:
         raise DataError(f"a gene id must hold only characters that XML 1.0 allows, "
                         f"got {gene_id!r} (U+{ord(bad.group()):04X})")
+
+
+def _ids_pass(ids: tuple[str, ...]) -> bool:
+    """Whether every id passes ``check_gene_id``, checked on all at once."""
+    joined = "".join(ids)
+    return (all(ids) and tuple(map(str.strip, ids)) == ids and "\r" not in joined
+            and not _not_xml(joined))
 
 
 def _not_xml(text: str) -> re.Match | None:

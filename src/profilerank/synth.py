@@ -9,10 +9,10 @@ benchmark tests have a known strongest gene:
 
 * ``planted_top``        -- large positivity margins, equivalence
                             coefficients exactly zero,
-* ``planted_challenger`` -- even larger positivity margins but an
-                            equivalence coefficient at 0.8 of the margin,
-                            so it only becomes competitive when the
-                            analysis margin is widened.
+* ``planted_challenger`` -- smaller positivity margins (2.5 against 3.0)
+                            and an equivalence coefficient at 0.8 of the
+                            margin, so it only becomes competitive when
+                            the analysis margin is widened.
 
 Other coefficients are drawn uniformly from fixed ranges: a satisfied
 positivity criterion lands ``POS_MARGIN`` above its threshold, a satisfied
@@ -20,12 +20,31 @@ equivalence coefficient has magnitude in ``EQUIV_BAND``, and a violated
 criterion lands ``VIOLATION`` beyond its boundary. A free coefficient is
 drawn from U(-1, 1). Everything is driven by one seed; outputs are
 byte-stable.
+
+The seeded stream is a contract: every seed-42 benchmark input depends on
+it. One ``rng.choice`` picks the planted rows, if any, then each gene in
+turn draws, in this order and from nothing else:
+
+1. a background gene only: ``rng.random(k)``, one coin per test-bearing
+   coefficient (heads, below 0.5, violates it), then ``rng.integers(k)``
+   to pick the one violated coefficient when no coin came up heads;
+2. its coefficients' doubles in coefficient order, one ``rng.random``
+   call: one per pos or free coefficient, two per equiv coefficient (the
+   sign, then the magnitude); a top or challenger gene draws only its
+   free coefficients' doubles;
+3. ``rng.chisquare(D0)`` for its variance;
+4. one ``rng.standard_normal`` call for its noise, one double per array.
+
+The arithmetic on the drawn numbers runs afterwards on whole columns and
+gives the bits that per-gene ``rng.uniform(a, b)`` (``a + (b - a) * u``),
+``rng.normal(0, s)`` (``0.0 + s * z``) and ``model.x @ gamma`` would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,6 +79,9 @@ VIOLATION = (0.25, 2.0)
 D0 = 16.0
 S0_2 = 0.05
 
+# Rows of noise scaled and shifted at a time, which bounds the temporaries.
+_NOISE_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class TruthRow:
@@ -92,40 +114,82 @@ class SynthResult:
         )
 
 
-def _planted_gamma(constraint, rng, role: str) -> float:
-    if constraint.kind == "pos":
-        if role == ROLE_TOP:
-            return constraint.value + TOP_POS_MARGIN
-        if role == ROLE_CHALLENGER:
-            return constraint.value + CHALLENGER_POS_MARGIN
-        return constraint.value + rng.uniform(*POS_MARGIN)
-    if constraint.kind == "equiv":
-        if role == ROLE_TOP:
-            return 0.0
-        if role == ROLE_CHALLENGER:
-            return CHALLENGER_EQUIV_FRACTION * constraint.value
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        return sign * rng.uniform(*EQUIV_BAND)
-    return rng.uniform(-1.0, 1.0)
+def _uniform(bounds: tuple[float, float], u: np.ndarray) -> np.ndarray:
+    """``rng.uniform(*bounds)`` applied to the doubles ``u`` it would draw."""
+    low, high = bounds
+    return low + (high - low) * u
 
 
-def _background_gamma(constraints, rng) -> list[float]:
-    test_positions = [i for i, c in enumerate(constraints) if c.is_test_bearing]
-    violate = rng.random(len(test_positions)) < 0.5
-    if not violate.any():
-        violate[rng.integers(len(test_positions))] = True
-    violated = {p for p, v in zip(test_positions, violate) if v}
-    gamma = []
-    for i, con in enumerate(constraints):
-        if i in violated:
-            if con.kind == "pos":
-                gamma.append(con.value - rng.uniform(*VIOLATION))
-            else:
-                sign = 1.0 if rng.random() < 0.5 else -1.0
-                gamma.append(sign * (con.value + rng.uniform(*VIOLATION)))
+def _gamma_columns(constraints, starts, u: np.ndarray, violated: np.ndarray) -> np.ndarray:
+    """Genes x coefficients truth, column by column, from each gene's drawn
+    doubles ``u`` (coefficient j's first in column ``starts[j]``) and its
+    violated test-bearing coefficients ``violated``."""
+    gamma = np.empty((len(u), len(constraints)))
+    test = 0
+    for j, (con, col) in enumerate(zip(constraints, starts)):
+        if con.kind == "free":
+            gamma[:, j] = _uniform((-1.0, 1.0), u[:, col])
+            continue
+        broken = violated[:, test]
+        test += 1
+        if con.kind == "pos":
+            gamma[:, j] = np.where(broken, con.value - _uniform(VIOLATION, u[:, col]),
+                                   con.value + _uniform(POS_MARGIN, u[:, col]))
         else:
-            gamma.append(_planted_gamma(con, rng, ROLE_PLANTED))
+            sign = np.where(u[:, col] < 0.5, 1.0, -1.0)
+            magnitude = u[:, col + 1]
+            gamma[:, j] = sign * np.where(broken, con.value + _uniform(VIOLATION, magnitude),
+                                          _uniform(EQUIV_BAND, magnitude))
     return gamma
+
+
+def _fixed_gamma(constraints, role: str, drawn: list[float]) -> list[float]:
+    """A top or challenger gene's truth: fixed pos and equiv coefficients,
+    and the ``drawn`` free ones."""
+    gamma = []
+    for con, g in zip(constraints, drawn):
+        if con.kind == "pos":
+            g = con.value + (TOP_POS_MARGIN if role == ROLE_TOP else CHALLENGER_POS_MARGIN)
+        elif con.kind == "equiv":
+            g = 0.0 if role == ROLE_TOP else CHALLENGER_EQUIV_FRACTION * con.value
+        gamma.append(g)
+    return gamma
+
+
+def _draw_genes(rng, roles, constraints, n_arrays: int):
+    """Every gene's draws in the stream's order (see the module docstring),
+    and ``(gamma, sigma2, noise)`` from them, with ``noise`` still standard
+    normal."""
+    n_genes = len(roles)
+    n_tests = sum(c.is_test_bearing for c in constraints)
+    # Row i of u holds gene i's coefficient doubles in draw order; starts[j]
+    # is coefficient j's first column.
+    starts = [0, *accumulate(2 if c.kind == "equiv" else 1 for c in constraints)]
+    free = [starts[j] for j, c in enumerate(constraints) if c.kind == "free"]
+    coins = np.ones((n_genes, n_tests))
+    fixed: list[int] = []
+    u = np.zeros((n_genes, starts[-1]))
+    chisq = np.empty(n_genes)
+    noise = np.empty((n_genes, n_arrays))
+    for i, role in enumerate(roles):
+        if role == ROLE_BACKGROUND:
+            row = coins[i]
+            rng.random(out=row)
+            if min(row.tolist()) >= 0.5:  # no heads: violate one at random
+                row[rng.integers(n_tests)] = 0.0
+            rng.random(out=u[i])
+        elif role == ROLE_PLANTED:
+            rng.random(out=u[i])
+        else:
+            fixed.append(i)
+            u[i, free] = rng.random(len(free))
+        chisq[i] = rng.chisquare(D0)
+        rng.standard_normal(out=noise[i])
+
+    gamma = _gamma_columns(constraints, starts, u, coins < 0.5)
+    for i in fixed:
+        gamma[i] = _fixed_gamma(constraints, roles[i], gamma[i].tolist())
+    return gamma, np.divide(D0 * S0_2, chisq, out=chisq), noise
 
 
 def generate_dataset(
@@ -172,20 +236,18 @@ def generate_dataset(
                        [ROLE_TOP, ROLE_CHALLENGER, *[ROLE_PLANTED] * n_planted]))
     roles = tuple(planted.get(i, ROLE_BACKGROUND) for i in range(n_genes))
 
+    gamma, sigma2, values = _draw_genes(rng, roles, constraints, model.n_arrays)
+    for lo in range(0, n_genes, _NOISE_BLOCK):
+        block = slice(lo, lo + _NOISE_BLOCK)
+        rows = values[block]
+        rows *= np.sqrt(sigma2[block])[:, None]
+        rows += 0.0
+        # One matrix-vector product per gene, stacked: the same bits as
+        # model.x @ gamma[i], which gamma @ model.x.T does not promise.
+        rows += np.matmul(model.x, gamma[block, :, None])[..., 0]
     width = max(5, len(str(n_genes)))
-    n_arrays = model.n_arrays
-    values = np.empty((n_genes, n_arrays))
-    gamma = np.empty((n_genes, len(constraints)))
-    sigma2 = np.empty(n_genes)
-    for i, role in enumerate(roles):
-        if role == ROLE_BACKGROUND:
-            gamma[i] = _background_gamma(constraints, rng)
-        else:
-            gamma[i] = [_planted_gamma(c, rng, role) for c in constraints]
-        sigma2[i] = D0 * S0_2 / rng.chisquare(D0)
-        values[i] = model.x @ gamma[i] + rng.normal(0.0, np.sqrt(sigma2[i]), n_arrays)
     expr = ExpressionMatrix(
-        gene_ids=tuple(f"g{i + 1:0{width}d}" for i in range(n_genes)),
+        gene_ids=tuple(map(f"g{{:0{width}d}}".format, range(1, n_genes + 1))),
         array_ids=design.array_ids,
         values=values,
     )

@@ -5,13 +5,16 @@ The library's per-gene names (``fit_gene``, ``u_statistics``,
 into the same kernels that ``rank`` runs, so they cannot check those
 kernels. These functions compute each statistic once more, one gene at a
 time with scalar Python arithmetic, and take no argument checks: callers
-pass only what the formulas accept.
+pass only what the formulas accept. ``synth_columns`` is the synthetic
+data generator written the same way: each coefficient, variance and noise
+row drawn with its own ``rng.uniform``/``rng.normal`` call.
 """
 
 import math
 
 import numpy as np
 
+from profilerank.design import build_comparison_matrix, compose_model_matrix
 from profilerank.ranking import (
     REASON_DEGENERATE,
     REASON_INSUFFICIENT,
@@ -22,6 +25,20 @@ from profilerank.ranking import (
     _model_positions,
 )
 from profilerank.special import student_t_upper_quantile
+from profilerank.synth import (
+    CHALLENGER_EQUIV_FRACTION,
+    CHALLENGER_POS_MARGIN,
+    D0,
+    EQUIV_BAND,
+    POS_MARGIN,
+    ROLE_BACKGROUND,
+    ROLE_CHALLENGER,
+    ROLE_PLANTED,
+    ROLE_TOP,
+    S0_2,
+    TOP_POS_MARGIN,
+    VIOLATION,
+)
 
 from test_acceptance import _pure_python_normal_equations
 
@@ -119,3 +136,68 @@ def iut_decision(u_values, posterior_df, alpha):
         return False
     tstar = student_t_upper_quantile(alpha, float(posterior_df))
     return bool(np.all(u_values > tstar))
+
+
+def _planted_gamma(constraint, rng, role):
+    if constraint.kind == "pos":
+        if role == ROLE_TOP:
+            return constraint.value + TOP_POS_MARGIN
+        if role == ROLE_CHALLENGER:
+            return constraint.value + CHALLENGER_POS_MARGIN
+        return constraint.value + rng.uniform(*POS_MARGIN)
+    if constraint.kind == "equiv":
+        if role == ROLE_TOP:
+            return 0.0
+        if role == ROLE_CHALLENGER:
+            return CHALLENGER_EQUIV_FRACTION * constraint.value
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        return sign * rng.uniform(*EQUIV_BAND)
+    return rng.uniform(-1.0, 1.0)
+
+
+def _background_gamma(constraints, rng):
+    test_positions = [i for i, c in enumerate(constraints) if c.is_test_bearing]
+    violate = rng.random(len(test_positions)) < 0.5
+    if not violate.any():
+        violate[rng.integers(len(test_positions))] = True
+    violated = {p for p, v in zip(test_positions, violate) if v}
+    gamma = []
+    for i, con in enumerate(constraints):
+        if i in violated:
+            if con.kind == "pos":
+                gamma.append(con.value - rng.uniform(*VIOLATION))
+            else:
+                sign = 1.0 if rng.random() < 0.5 else -1.0
+                gamma.append(sign * (con.value + rng.uniform(*VIOLATION)))
+        else:
+            gamma.append(_planted_gamma(con, rng, ROLE_PLANTED))
+    return gamma
+
+
+def synth_columns(design, profile, n_genes, n_planted, seed):
+    """``(roles, gamma, sigma2, values)`` of ``generate_dataset``, one gene
+    at a time."""
+    model = compose_model_matrix(build_comparison_matrix(design), profile)
+    constraints = [profile.constraints[j] for j in model.coefficient_indices]
+    rng = np.random.default_rng(seed)
+    planted_positions = (
+        np.sort(rng.choice(n_genes, size=n_planted, replace=False))
+        if n_planted
+        else np.array([], dtype=int)
+    )
+    planted = dict(zip(planted_positions.tolist(),
+                       [ROLE_TOP, ROLE_CHALLENGER, *[ROLE_PLANTED] * n_planted]))
+    roles = tuple(planted.get(i, ROLE_BACKGROUND) for i in range(n_genes))
+
+    n_arrays = model.n_arrays
+    values = np.empty((n_genes, n_arrays))
+    gamma = np.empty((n_genes, len(constraints)))
+    sigma2 = np.empty(n_genes)
+    for i, role in enumerate(roles):
+        if role == ROLE_BACKGROUND:
+            gamma[i] = _background_gamma(constraints, rng)
+        else:
+            gamma[i] = [_planted_gamma(c, rng, role) for c in constraints]
+        sigma2[i] = D0 * S0_2 / rng.chisquare(D0)
+        values[i] = model.x @ gamma[i] + rng.normal(0.0, np.sqrt(sigma2[i]), n_arrays)
+    return roles, gamma, sigma2, values

@@ -373,6 +373,21 @@ def test_tab_line_feed_and_other_controls_xml_holds_are_kept_inside_an_id():
     assert expr.gene_ids == gene_ids
 
 
+@pytest.mark.parametrize("gene_ids, message", [
+    (("ok", " lead", "a\rb"), "a gene id must be non-empty, without surrounding whitespace, "
+                               "got ' lead'"),
+    (("ok", "a\rb", " lead"), "a gene id must be non-empty and hold no carriage return, "
+                               "got 'a\\rb'"),
+    (("ok", "g\x01x", ""), "a gene id must hold only characters that XML 1.0 allows, "
+                           "got 'g\\x01x' (U+0001)"),
+])
+def test_of_two_bad_ids_the_first_is_named(gene_ids, message):
+    # The ids are checked all at once; the message is the per-id rule's on
+    # the first id that breaks it.
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        pr.ExpressionMatrix(gene_ids=gene_ids, array_ids=ARRAYS, values=np.ones((3, 2)))
+
+
 def test_carriage_return_id_is_rejected_as_an_id():
     # The reader rejects such an id, so the matrix must not hold one that
     # write_expression_csv would write.

@@ -3,9 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import profilerank as pr
+from profilerank import synth
 from profilerank.errors import ValidationError
+from profilerank.profiles import BUNDLED_PROFILES
 from profilerank.synth import (
     ROLE_BACKGROUND,
     ROLE_CHALLENGER,
@@ -13,6 +17,8 @@ from profilerank.synth import (
     write_expression_csv,
     write_truth_csv,
 )
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +148,16 @@ def _free_trend_profile():
     )
 
 
+def _one_test_profile():
+    # One test-bearing coefficient: a background gene's single coin misses
+    # half the time, and then rng.integers picks the coefficient it violates.
+    return pr.ProfileSpec.from_columns(
+        "one_test", ("day0", "day3", "day6", "day9"),
+        [("trend", ["0", "1", "2", "3"]), ("day0_vs_day3", ["0.5", "-0.5", "0", "0"])],
+        [pr.Constraint.unconstrained(), pr.Constraint.equivalent_zero(1.0)],
+    )
+
+
 @pytest.mark.parametrize(
     "profile, expression_sha256, truth_sha256",
     [
@@ -150,8 +166,11 @@ def _free_trend_profile():
         (_free_trend_profile(),
          "0cddc9e543805acc6dda3a68ce582b277ba20813a271d2b8ca92d65d6a2d161a",
          "eb2505481022c566d39fa0d8a3e3d604b8713288f01607db9ff5d2d3a89be545"),
+        (_one_test_profile(),
+         "d29ebffde0d9f50ba7ddb31313e6f6f2d8fb9248a427c76424d4fa528cf571dd",
+         "b85f22baf1798335bb1b6af85d15c26b2067f3c2a94ec86df21d4a0098f70e4f"),
     ],
-    ids=["analysis-profile", "retained-free-coefficient"],
+    ids=["analysis-profile", "retained-free-coefficient", "one-test-bearing-coefficient"],
 )
 def test_written_files_keep_their_bytes(tmp_path, stemcell_design, analysis_profile, profile,
                                         expression_sha256, truth_sha256):
@@ -181,3 +200,45 @@ def test_generate_dataset_keeps_the_truth_as_columns(stemcell_design, analysis_p
     assert result.gamma.shape == (5000, 3) and result.sigma2.shape == (5000,)
     assert result.truth[7].gamma == tuple(result.gamma[7].tolist())
     assert "truth" in vars(result)
+
+
+_PROFILES = (*map(pr.bundled_profile, BUNDLED_PROFILES), _free_trend_profile(),
+             _one_test_profile())
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile=st.sampled_from(_PROFILES), seed=st.integers(min_value=0),
+       sizes=st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_generate_dataset_equals_the_per_gene_draws(stemcell_design, profile, seed, sizes):
+    n_genes, n_planted = sizes
+    result = pr.generate_dataset(stemcell_design, profile, n_genes, n_planted, seed)
+    roles, gamma, sigma2, values = oracles.synth_columns(stemcell_design, profile, n_genes,
+                                                         n_planted, seed)
+    assert result.roles == roles
+    assert np.array_equal(result.gamma, gamma)
+    assert np.array_equal(result.sigma2, sigma2)
+    assert np.array_equal(result.expression.values, values)
+
+
+def test_generate_dataset_builds_the_noise_in_place(monkeypatch, stemcell_design,
+                                                    analysis_profile):
+    pr.generate_dataset(stemcell_design, analysis_profile, 50, 2, seed=1)  # warm caches
+    drawn = []
+
+    def matrix(**fields):  # the peak of everything before the gene id checks
+        drawn.append(tracemalloc.get_traced_memory()[1])
+        return pr.ExpressionMatrix(**fields)
+
+    monkeypatch.setattr(synth, "ExpressionMatrix", matrix)
+    tracemalloc.start()
+    try:
+        result = pr.generate_dataset(stemcell_design, analysis_profile, 20_000, 20, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    values = result.expression.values.nbytes
+    # Measured: 1.82x the values up to the gene id checks and 2.47x in all
+    # (their set of ids is the rest). Scaling and shifting the noise as one
+    # matrix instead of in row blocks takes the first to 2.25x.
+    assert drawn[0] < 2.0 * values
+    assert peak < 2.6 * values
