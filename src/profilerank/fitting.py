@@ -135,7 +135,9 @@ def check_gene_id(gene_id: str) -> None:
 
 
 def _ids_pass(ids: tuple[str, ...]) -> bool:
-    """Whether every id passes ``check_gene_id``, checked on all at once."""
+    """Whether every id passes ``check_gene_id``, checked on all at once.
+    The same rule as ``check_gene_id``'s; a rule added there must be added
+    here (``test_csv_io`` checks that the two agree)."""
     joined = "".join(ids)
     return (all(ids) and tuple(map(str.strip, ids)) == ids and "\r" not in joined
             and not _not_xml(joined))

@@ -388,6 +388,21 @@ def test_of_two_bad_ids_the_first_is_named(gene_ids, message):
         pr.ExpressionMatrix(gene_ids=gene_ids, array_ids=ARRAYS, values=np.ones((3, 2)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PLAIN_IDS | _ODD_IDS | st.text(max_size=4), max_size=4))
+def test_the_bulk_id_check_is_the_per_id_rule(gene_ids):
+    # ExpressionMatrix checks its ids all at once and asks check_gene_id only
+    # for the message; a rule in one and not the other would let ids through.
+    def passes(gene_id):
+        try:
+            fitting.check_gene_id(gene_id)
+        except DataError:
+            return False
+        return True
+
+    assert fitting._ids_pass(tuple(gene_ids)) == all(map(passes, gene_ids))
+
+
 def test_carriage_return_id_is_rejected_as_an_id():
     # The reader rejects such an id, so the matrix must not hold one that
     # write_expression_csv would write.
