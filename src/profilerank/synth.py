@@ -35,8 +35,9 @@ turn draws, in this order and from nothing else:
 3. ``rng.chisquare(D0)`` for its variance;
 4. one ``rng.standard_normal`` call for its noise, one double per array.
 
-The arithmetic on the drawn numbers runs afterwards on whole columns and
-gives the bits that per-gene ``rng.uniform(a, b)`` (``a + (b - a) * u``),
+Genes are drawn in blocks of ``_BLOCK``; the arithmetic on a block's
+drawn numbers runs on its columns after its draws and gives the bits
+that per-gene ``rng.uniform(a, b)`` (``a + (b - a) * u``),
 ``rng.normal(0, s)`` (``0.0 + s * z``) and ``model.x @ gamma`` would.
 """
 
@@ -79,8 +80,9 @@ VIOLATION = (0.25, 2.0)
 D0 = 16.0
 S0_2 = 0.05
 
-# Rows of noise scaled and shifted at a time, which bounds the temporaries.
-_NOISE_BLOCK = 1024
+# Genes drawn and computed at a time: every temporary is a block's, never
+# a whole column's or the whole matrix's.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -156,10 +158,10 @@ def _fixed_gamma(constraints, role: str, drawn: list[float]) -> list[float]:
     return gamma
 
 
-def _draw_genes(rng, roles, constraints, n_arrays: int):
-    """Every gene's draws in the stream's order (see the module docstring),
-    and ``(gamma, sigma2, noise)`` from them, with ``noise`` still standard
-    normal."""
+def _draw_block(rng, roles, constraints, noise: np.ndarray):
+    """The draws of the genes ``roles`` in the stream's order (see the module
+    docstring), each gene's standard normal noise into its row of ``noise``;
+    returns their ``(gamma, chisq)``."""
     n_genes = len(roles)
     n_tests = sum(c.is_test_bearing for c in constraints)
     # Row i of u holds gene i's coefficient doubles in draw order; starts[j]
@@ -170,7 +172,6 @@ def _draw_genes(rng, roles, constraints, n_arrays: int):
     fixed: list[int] = []
     u = np.zeros((n_genes, starts[-1]))
     chisq = np.empty(n_genes)
-    noise = np.empty((n_genes, n_arrays))
     for i, role in enumerate(roles):
         if role == ROLE_BACKGROUND:
             row = coins[i]
@@ -189,7 +190,7 @@ def _draw_genes(rng, roles, constraints, n_arrays: int):
     gamma = _gamma_columns(constraints, starts, u, coins < 0.5)
     for i in fixed:
         gamma[i] = _fixed_gamma(constraints, roles[i], gamma[i].tolist())
-    return gamma, np.divide(D0 * S0_2, chisq, out=chisq), noise
+    return gamma, chisq
 
 
 def generate_dataset(
@@ -236,10 +237,14 @@ def generate_dataset(
                        [ROLE_TOP, ROLE_CHALLENGER, *[ROLE_PLANTED] * n_planted]))
     roles = tuple(planted.get(i, ROLE_BACKGROUND) for i in range(n_genes))
 
-    gamma, sigma2, values = _draw_genes(rng, roles, constraints, model.n_arrays)
-    for lo in range(0, n_genes, _NOISE_BLOCK):
-        block = slice(lo, lo + _NOISE_BLOCK)
+    values = np.empty((n_genes, model.n_arrays))
+    gamma = np.empty((n_genes, len(constraints)))
+    sigma2 = np.empty(n_genes)
+    for lo in range(0, n_genes, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
         rows = values[block]
+        gamma[block], chisq = _draw_block(rng, roles[block], constraints, rows)
+        sigma2[block] = D0 * S0_2 / chisq
         rows *= np.sqrt(sigma2[block])[:, None]
         rows += 0.0
         # One matrix-vector product per gene, stacked: the same bits as
