@@ -18,35 +18,16 @@ Exit codes: 0 success, 2 invalid configuration or design/profile input,
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import math
 import os
 import sys
 
 import numpy as np
 
-from .csvout import _line, _quoted, write_csv, write_lines
 from .design import build_comparison_matrix, compose_model_matrix, read_conditions_csv, read_design_csv
 from .errors import DataError, ValidationError
-from .fitting import _blocks, read_expression_csv
-from .profiles import ProfileSpec, profile_from_file
-from .ranking import (
-    REASONS,
-    FittedExperiment,
-    RankedTable,
-    ScoreTable,
-    SweepResult,
-    _INSUFFICIENT,
-    _check_alpha,
-    _check_sweep,
-    _passes,
-    gene_statistics,
-    fit_experiment,
-    rank_from_fits,
-    sweep_from_fits,
-)
-from .svgplot import fitted_relative_profile, render_profiles_svg
-from .synth import generate_dataset, write_expression_csv, write_truth_csv
+from .profiles import profile_from_file
 
 __all__ = ["main"]
 
@@ -54,18 +35,52 @@ __all__ = ["main"]
 # sensitivity, which has no --alpha, records in moderation.json.
 ALPHA = 0.05
 
+# Names this module calls from the pipeline modules, which it imports only
+# when a command runs them. main binds the names of each module that the
+# chosen subcommand runs (_RUNS) into this module's globals, where the
+# commands look them up; __getattr__ binds a module's names on their first
+# access from outside. A name already bound, for instance to a wrapper set
+# from outside, is never rebound, so the commands call that wrapper.
+_DEFERRED = {
+    "fitting": ("read_expression_csv",),
+    "ranking": ("_alpha_pass_count", "_check_alpha", "_check_sweep", "fit_experiment",
+                "gene_statistics", "rank_from_fits", "sweep_from_fits"),
+    "svgplot": ("fitted_relative_profile", "render_profiles_svg"),
+    "synth": ("generate_dataset", "write_expression_csv", "write_truth_csv"),
+    "outputs": ("_eps_label", "_fmt", "_write_excluded_csv", "_write_moderation_json",
+                "_write_ranked_csv", "_write_sensitivity_csv"),
+}
+# The modules of _DEFERRED whose names each subcommand calls; a command
+# given --data also reads it with fitting's reader.
+_RUNS = {
+    "rank": ("ranking", "svgplot", "outputs"),
+    "sensitivity": ("ranking", "outputs"),
+    "synth": ("synth",),
+    "validate": (),
+}
+
+
+def _bind(module: str) -> None:
+    """Import ``module`` and bind each of its ``_DEFERRED`` names that is not
+    bound yet."""
+    source = importlib.import_module(f".{module}", __package__)
+    scope = globals()
+    for name in _DEFERRED[module]:
+        if name not in scope:
+            scope[name] = getattr(source, name)
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _require_file(path: str, what: str) -> None:
     if not os.path.isfile(path):
         raise ValidationError(f"{what} file not found: {path}")
-
-
-def _fmt(x: float) -> str:
-    return "NA" if x != x else f"{x:.6g}"
-
-
-def _eps_label(e: float) -> str:
-    return f"{e:g}"
 
 
 def _load_inputs(args):
@@ -123,97 +138,7 @@ def _make_out_dir(path: str) -> None:
         ) from exc
 
 
-def _block_rows(gene_ids, rows: np.ndarray, *columns: np.ndarray):
-    """``(gene id, *values)`` of each gene in ``rows``, in that order, with
-    the values of each column as Python numbers. They are converted one
-    block of genes at a time, so no whole-column list is ever built."""
-    for block in _blocks(rows):
-        yield from zip([gene_ids[j] for j in block.tolist()],
-                       *(column[block].tolist() for column in columns))
-
-
-def _write_ranked_csv(s: ScoreTable, order: np.ndarray, path: str) -> None:
-    """The rows ``order`` of ``s``, ranked 1, 2, ... in that order."""
-    # Column counts come from the score table's shape, which the model (k)
-    # and the profile (m) fix, so the header does not depend on the rows.
-    n_u, n_k = s.u_values.shape[1], s.gamma.shape[1]
-    header = (
-        ["rank", "gene_id", "U"]
-        + [f"U_{i + 1}" for i in range(n_u)]
-        + [f"gamma_{i + 1}" for i in range(n_k)]
-        + [f"se_{i + 1}" for i in range(n_k)]
-        + ["s2", "posterior_s2"]
-    )
-    ranked = _block_rows(s.gene_ids, order, s.u, s.u_values, s.gamma, s.se, s.s2,
-                         s.posterior_s2)
-    write_csv(path, header, (
-        [str(rank), gene_id, _fmt(u), *map(_fmt, u_values), *map(_fmt, gamma),
-         *map(_fmt, se), _fmt(s2), _fmt(posterior_s2)]
-        for rank, (gene_id, u, u_values, gamma, se, s2, posterior_s2) in enumerate(ranked, 1)
-    ))
-
-
-def _write_excluded_csv(table: RankedTable, path: str) -> None:
-    s = table.scores
-    n_u = s.u_values.shape[1]
-    header = ["gene_id", "reason"] + [f"U_{i + 1}" for i in range(n_u)]
-    # One line template per reason code, filled with the quoted gene id and
-    # the U values: "%.6g" is _fmt's format, and a gene without a usable
-    # fit has no U values ("%.0s" takes its NaN and writes nothing). A
-    # fitted gene with a NaN U, which _fmt writes as NA, takes the fallback
-    # template: its whole line, made by _line and _fmt, in place of its id.
-    templates = [
-        f"%s,{reason}" + ("," + ("%.0s" if code >= _INSUFFICIENT else "%.6g")) * n_u + "\n"
-        for code, reason in enumerate(REASONS)
-    ]
-    fallback = "%s" + "%.0s" * n_u
-
-    def blocks():
-        # One % per block: the rows' templates joined in row order, filled
-        # from one flat tuple of (id, *U values) per row.
-        for block in _blocks(table.dropped):
-            codes, u_values = s.reason[block], s.u_values[block]
-            ids = [s.gene_ids[j] for j in block.tolist()]
-            fields = np.empty((len(block), 1 + n_u), dtype=object)
-            fields[:, 0] = [_quoted(gene_id) for gene_id in ids]
-            fields[:, 1:] = u_values
-            row_templates = [templates[code] for code in codes.tolist()]
-            by_fmt = np.isnan(u_values).any(axis=1) & (codes < _INSUFFICIENT)
-            for i in np.flatnonzero(by_fmt).tolist():
-                fields[i, 0] = _line([ids[i], REASONS[codes[i]], *map(_fmt, u_values[i].tolist())])
-                row_templates[i] = fallback
-            yield "".join(row_templates) % tuple(fields.ravel().tolist())
-
-    write_lines(path, header, blocks())
-
-
-def _write_moderation_json(
-    fitted: FittedExperiment, profile: ProfileSpec, n_included: int,
-    alpha: float, path: str,
-) -> None:
-    """The prior and the run settings; ``n_included`` genes are included
-    under ``profile``, and every other gene is excluded."""
-    mod = fitted.moderation
-    payload = {
-        "d0": mod.d0 if math.isfinite(mod.d0) else "inf",
-        "s0_2": mod.s0_2,
-        "n_estimation_genes": mod.n_estimation_genes,
-        "profile": profile.name,
-        "margins": {
-            profile.coefficient_names[j]: profile.constraints[j].token()
-            for j in profile.test_bearing
-        },
-        "alpha": alpha,
-        "n_included": n_included,
-        "n_excluded": len(fitted.fits) - n_included,
-    }
-    # Strict JSON: a non-finite number raises instead of being written.
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
-
-
-def _write_profiles_svg(fitted, profile, table: RankedTable, top_n: int, path: str) -> None:
+def _write_profiles_svg(fitted, profile, table, top_n: int, path: str) -> None:
     genes = []
     for rank, row in enumerate(table.order[:top_n].tolist(), start=1):
         fit = fitted.fits[row]
@@ -226,21 +151,6 @@ def _write_profiles_svg(fitted, profile, table: RankedTable, top_n: int, path: s
     svg = render_profiles_svg(genes, profile.condition_labels, title)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
-
-
-def _write_sensitivity_csv(sweep: SweepResult, path: str) -> None:
-    header = ["gene_id"] + [f"rank_eps_{_eps_label(e)}" for e in sweep.epsilons]
-    write_csv(path, header, (
-        [gene_id, *("" if r is None else str(r) for r in ranks)]
-        for gene_id, ranks in sweep.stability
-    ))
-
-
-def _alpha_pass_count(fitted: FittedExperiment, stats: ScoreTable, alpha: float) -> int:
-    """Included genes that pass ``iut_decision`` at level ``alpha``."""
-    included = stats.included
-    return int(_passes(stats.u_values[included], fitted.moderation.posterior_df[included],
-                       alpha).sum())
 
 
 def _parse_deltas(items) -> dict:
@@ -451,6 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for module in _RUNS[args.command] + (("fitting",) if args.data is not None else ()):
+        _bind(module)
     try:
         return args.func(args)
     except ValidationError as exc:

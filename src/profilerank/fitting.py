@@ -20,7 +20,7 @@ import math
 import operator
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -69,17 +69,21 @@ class ExpressionMatrix:
     gene_ids: tuple[str, ...]
     array_ids: tuple[str, ...]
     values: np.ndarray = field(compare=False)
+    # True from a reader, which has checked every id as below, so that a
+    # read checks its ids once.
+    _ids_checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        if not _ids_pass(tuple(self.gene_ids)):
-            for gene_id in self.gene_ids:  # name the first bad id
-                check_gene_id(gene_id)
-        if len(set(self.gene_ids)) != len(self.gene_ids):
-            seen: set[str] = set()
-            for gene_id in self.gene_ids:
-                if gene_id in seen:
-                    raise DataError(f"gene ids must be unique: {gene_id!r} repeats")
-                seen.add(gene_id)
+    def __post_init__(self, _ids_checked: bool) -> None:
+        if not _ids_checked:
+            if not _ids_pass(tuple(self.gene_ids)):
+                for gene_id in self.gene_ids:  # name the first bad id
+                    check_gene_id(gene_id)
+            if not _ids_unique(self.gene_ids):
+                seen: set[str] = set()
+                for gene_id in self.gene_ids:
+                    if gene_id in seen:
+                        raise DataError(f"gene ids must be unique: {gene_id!r} repeats")
+                    seen.add(gene_id)
         if self.values.shape != (len(self.gene_ids), len(self.array_ids)):
             raise DataError(
                 f"expression matrix shape {self.values.shape} does not match "
@@ -141,6 +145,15 @@ def _ids_pass(ids: tuple[str, ...]) -> bool:
     joined = "".join(ids)
     return (all(ids) and tuple(map(str.strip, ids)) == ids and "\r" not in joined
             and not _not_xml(joined))
+
+
+def _ids_unique(ids: Sequence[str]) -> bool:
+    """Whether no id repeats. Equal ids have equal hashes, so sorted hashes
+    without a repeat settle it in 8 bytes per id, where building a set of
+    the ids peaks at about 60; only a repeated hash is checked with the set."""
+    hashes = np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids))
+    hashes.sort()
+    return not (hashes[1:] == hashes[:-1]).any() or len(set(ids)) == len(ids)
 
 
 def _not_xml(text: str) -> re.Match | None:
@@ -501,7 +514,8 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
         raise DataError(f"cannot read expression file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise not_utf8(path, DataError) from exc
-    return ExpressionMatrix(gene_ids=gene_ids, array_ids=array_ids, values=values)
+    return ExpressionMatrix(gene_ids=gene_ids, array_ids=array_ids, values=values,
+                            _ids_checked=True)
 
 
 class _Declined(Exception):
@@ -557,9 +571,10 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
             raise
         except (_Declined, ValueError):
             return None
+    # Each line has passed the id rule's other parts above.
     if (values.shape != (len(gene_ids), len(array_ids))
             or np.count_nonzero(~np.isfinite(values)) != n_missing
-            or len(set(gene_ids)) != len(gene_ids) or _not_xml("".join(gene_ids))):
+            or _not_xml("".join(gene_ids)) or not _ids_unique(gene_ids)):
         return None
     return tuple(gene_ids), values
 

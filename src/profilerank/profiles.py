@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 
@@ -391,6 +390,11 @@ def profile_to_file(spec: ProfileSpec, path) -> None:
 
 def bundled_data_path(filename: str):
     """Path to a data file shipped with the package."""
+    # Imported here, its only use: the commands never call this, and the
+    # import takes tens of milliseconds where the interpreter has not loaded
+    # it already.
+    from importlib import resources
+
     return resources.files("profilerank.data").joinpath(filename)
 
 

@@ -473,6 +473,13 @@ def gene_statistics(
     )
 
 
+def _alpha_pass_count(fitted: FittedExperiment, stats: ScoreTable, alpha: float) -> int:
+    """Included genes that pass ``iut_decision`` at level ``alpha``."""
+    included = stats.included
+    return int(_passes(stats.u_values[included], fitted.moderation.posterior_df[included],
+                       alpha).sum())
+
+
 def _included_rows(fitted: FittedExperiment, profile: ProfileSpec) -> np.ndarray:
     """The fit-table rows that ``gene_statistics(fitted, profile)``
     includes, found one test column at a time without the score table."""

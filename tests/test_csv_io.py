@@ -13,6 +13,7 @@ import math
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,39 @@ def test_the_bulk_id_check_is_the_per_id_rule(gene_ids):
         return True
 
     assert fitting._ids_pass(tuple(gene_ids)) == all(map(passes, gene_ids))
+
+
+class _OneHash(str):
+    """An id whose hash equals every other's, so only the set can tell two
+    of them apart."""
+
+    def __hash__(self):
+        return 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="ab", max_size=3), max_size=8), st.booleans())
+def test_the_hashed_uniqueness_check_is_the_set_check(gene_ids, collide):
+    if collide:
+        gene_ids = [_OneHash(gene_id) for gene_id in gene_ids]
+    assert fitting._ids_unique(gene_ids) == (len(set(gene_ids)) == len(gene_ids))
+
+
+def test_a_200k_id_read_checks_its_ids_without_a_set(tmp_path):
+    # A set of 200k ids peaks at 12 MiB; the fast path built one and
+    # ExpressionMatrix built it again. Measured: 1.8 MiB above what the read
+    # keeps, against 12.0 MiB with either set.
+    n = 200_000
+    path = tmp_path / "expr.csv"
+    path.write_text(HEADER + "".join(f"g{i},{i % 9}.5,NA\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        expr = pr.read_expression_csv(path, ARRAYS)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert expr.n_genes == n and np.isnan(expr.values[:, 1]).all()
+    assert peak - kept < 4 * 2**20
 
 
 def test_carriage_return_id_is_rejected_as_an_id():
