@@ -77,8 +77,14 @@ _EXPORTS = {
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
+# The modules that are attributes of the package, imported on first access
+# like the names: those above and csvout and special, which they import.
+_MODULES = (*_EXPORTS, "csvout", "special")
+
 
 def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
     for module, names in _EXPORTS.items():
         if name in names:
             value = getattr(importlib.import_module(f".{module}", __name__), name)
@@ -88,4 +94,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_MODULES})

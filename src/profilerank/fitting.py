@@ -20,7 +20,7 @@ import math
 import operator
 import re
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -69,21 +69,17 @@ class ExpressionMatrix:
     gene_ids: tuple[str, ...]
     array_ids: tuple[str, ...]
     values: np.ndarray = field(compare=False)
-    # True from a reader, which has checked every id as below, so that a
-    # read checks its ids once.
-    _ids_checked: InitVar[bool] = False
 
-    def __post_init__(self, _ids_checked: bool) -> None:
-        if not _ids_checked:
-            if not _ids_pass(tuple(self.gene_ids)):
-                for gene_id in self.gene_ids:  # name the first bad id
-                    check_gene_id(gene_id)
-            if not _ids_unique(self.gene_ids):
-                seen: set[str] = set()
-                for gene_id in self.gene_ids:
-                    if gene_id in seen:
-                        raise DataError(f"gene ids must be unique: {gene_id!r} repeats")
-                    seen.add(gene_id)
+    def __post_init__(self) -> None:
+        if not _ids_pass(tuple(self.gene_ids)):
+            for gene_id in self.gene_ids:  # name the first bad id
+                check_gene_id(gene_id)
+        if not _ids_unique(self.gene_ids):
+            seen: set[str] = set()
+            for gene_id in self.gene_ids:
+                if gene_id in seen:
+                    raise DataError(f"gene ids must be unique: {gene_id!r} repeats")
+                seen.add(gene_id)
         if self.values.shape != (len(self.gene_ids), len(self.array_ids)):
             raise DataError(
                 f"expression matrix shape {self.values.shape} does not match "
@@ -514,8 +510,7 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
         raise DataError(f"cannot read expression file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise not_utf8(path, DataError) from exc
-    return ExpressionMatrix(gene_ids=gene_ids, array_ids=array_ids, values=values,
-                            _ids_checked=True)
+    return ExpressionMatrix(gene_ids=gene_ids, array_ids=array_ids, values=values)
 
 
 class _Declined(Exception):

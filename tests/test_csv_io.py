@@ -422,7 +422,7 @@ def test_the_hashed_uniqueness_check_is_the_set_check(gene_ids, collide):
 
 def test_a_200k_id_read_checks_its_ids_without_a_set(tmp_path):
     # A set of 200k ids peaks at 12 MiB; the fast path built one and
-    # ExpressionMatrix built it again. Measured: 1.8 MiB above what the read
+    # ExpressionMatrix built it again. Measured: 3.0 MiB above what the read
     # keeps, against 12.0 MiB with either set.
     n = 200_000
     path = tmp_path / "expr.csv"

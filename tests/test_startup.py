@@ -77,6 +77,20 @@ print(before, ranking is sys.modules["profilerank.ranking"])
     assert _child(code) == "[] True"
 
 
+def test_a_submodule_is_an_attribute_of_the_package():
+    # Each in a fresh interpreter, so that no import has set the attribute
+    # before it is read.
+    code = """
+import sys
+import profilerank
+name = sys.argv[1]
+module = getattr(profilerank, name)
+print(module is sys.modules["profilerank." + name], name in dir(profilerank))
+"""
+    for name in pr._MODULES:
+        assert _child(code, name) == "True True", name
+
+
 def test_validate_imports_no_pipeline_module(expression):
     plain = _modules("validate", *MODEL)
     assert not plain & PIPELINE
