@@ -47,7 +47,7 @@ _DEFERRED = {
                 "gene_statistics", "rank_from_fits", "sweep_from_fits"),
     "svgplot": ("fitted_relative_profile", "render_profiles_svg"),
     "synth": ("generate_dataset", "write_expression_csv", "write_truth_csv"),
-    "outputs": ("_eps_label", "_fmt", "_write_excluded_csv", "_write_moderation_json",
+    "outputs": ("_eps_label", "_write_excluded_csv", "_write_moderation_json",
                 "_write_ranked_csv", "_write_sensitivity_csv"),
 }
 # The modules of _DEFERRED whose names each subcommand calls; a command

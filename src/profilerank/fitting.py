@@ -499,13 +499,19 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
     and be unique; values are finite decimals, ``NA`` or empty for missing
     (``inf``, ``nan`` and overflow are errors, not missing spots).
 
-    Plain files are parsed by numpy's C reader; anything else, and every
-    file with an error, goes through the ``csv`` loop, which names the
-    file, line and column of the first problem.
+    Plain files go from numpy's C reader into ``ExpressionMatrix``, which
+    checks them; other files, and any file with an error, go through the
+    ``csv`` loop, which names the file, line and column of the first problem.
     """
     array_ids = tuple(array_ids)
     try:
-        gene_ids, values = _parse_fast(path, array_ids) or _parse_csv(path, array_ids)
+        fast = _parse_fast(path, array_ids)
+        if fast is not None:
+            try:
+                return ExpressionMatrix(gene_ids=fast[0], array_ids=array_ids, values=fast[1])
+            except DataError:
+                del fast  # freed before the loop rereads the file to name the line
+        gene_ids, values = _parse_csv(path, array_ids)
     except OSError as exc:
         raise DataError(f"cannot read expression file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -519,14 +525,13 @@ class _Declined(Exception):
 
 def _parse_fast(path, array_ids: tuple[str, ...]):
     """``(gene ids, values)`` from ``np.loadtxt``, or None where the csv loop
-    could read the file differently or must report an error.
+    could read a line differently; it checks neither ids nor shape.
 
     Only plain lines are taken: no quote, carriage return, NUL, space or
-    tab, no empty field, no blank line, no line longer than the csv field
+    tab, no empty value, no blank line, no line longer than the csv field
     limit, and ``NA`` only as a whole field, rewritten to ``nan``. The file
-    goes back to the loop when ``loadtxt`` fails, the shape is wrong, a
-    value is non-finite without having been ``NA``, or a gene id repeats or
-    holds a character that XML cannot hold.
+    goes back to the loop when ``loadtxt`` fails or a value is non-finite
+    without having been ``NA``.
     """
     limit = csv.field_size_limit()
     gene_ids: list[str] = []
@@ -536,10 +541,8 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
         nonlocal n_missing
         for line in lines:
             gene_id, _, body = line.partition(",")
-            if (not gene_id or not body or len(line) > limit or ",," in line
-                    or body.endswith((",", ",\n")) or '"' in line or "\r" in line
-                    or "\0" in line or " " in line or "\t" in line
-                    or gene_id.strip() != gene_id):
+            if (not body or len(line) > limit or ",," in line or body.endswith((",", ",\n"))
+                    or '"' in line or "\r" in line or "\0" in line or " " in line or "\t" in line):
                 raise _Declined
             n = body.count("NA")
             if n:
@@ -566,10 +569,7 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
             raise
         except (_Declined, ValueError):
             return None
-    # Each line has passed the id rule's other parts above.
-    if (values.shape != (len(gene_ids), len(array_ids))
-            or np.count_nonzero(~np.isfinite(values)) != n_missing
-            or _not_xml("".join(gene_ids)) or not _ids_unique(gene_ids)):
+    if np.count_nonzero(~np.isfinite(values)) != n_missing:
         return None
     return tuple(gene_ids), values
 

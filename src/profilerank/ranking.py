@@ -405,8 +405,7 @@ def iut_decision(u: UStatistics, posterior_df: float, alpha: float) -> bool:
 def _passes(u_values: np.ndarray, df: np.ndarray, alpha: float) -> np.ndarray:
     """Rows of ``u_values`` whose every U exceeds the one-sided t quantile
     at level ``alpha`` and the row's moderated ``df``: one quantile per
-    distinct df."""
-    alpha = _check_alpha(alpha)
+    distinct df. Its callers check ``alpha``."""
     distinct, which = np.unique(df, return_inverse=True)
     tstar = np.array([student_t_upper_quantile(alpha, float(d)) for d in distinct])
     return np.all(u_values > tstar[which][:, None], axis=1)

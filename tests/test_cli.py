@@ -495,7 +495,7 @@ def test_validate_subcommand(workdir, capsys):
 
 
 def test_csv_number_formatting():
-    from profilerank.cli import _fmt
+    from profilerank.outputs import _fmt
 
     assert _fmt(0.123456789) == "0.123457"
     assert _fmt(1234567.0) == "1.23457e+06"

@@ -1,10 +1,10 @@
 """The expression CSV's two read paths, and the CSV writer.
 
 ``read_expression_csv`` parses plain files with numpy's C reader
-(``fitting._parse_fast``) and leaves everything else to the ``csv`` loop
-(``fitting._parse_csv``), the only place that reports errors. The fast path
-may decline any file, but what it accepts must read exactly as the loop
-reads it.
+(``fitting._parse_fast``), checks the result as an ``ExpressionMatrix``, and
+leaves everything else to the ``csv`` loop (``fitting._parse_csv``), the only
+place that reports errors. The fast path may decline any file, but what the
+matrix accepts from it must read exactly as the loop reads it.
 """
 
 import csv
@@ -25,6 +25,7 @@ import profilerank as pr
 from profilerank import cli, fitting
 from profilerank.csvout import write_csv
 from profilerank.errors import DataError
+from profilerank.outputs import _fmt
 from profilerank.ranking import (
     _DEGENERATE, _INSUFFICIENT, _NONFINITE, _VIOLATED, REASONS, RankedTable, ScoreTable,
 )
@@ -41,6 +42,17 @@ def _reference(path, array_ids):
         return pr.ExpressionMatrix(gene_ids=gene_ids, array_ids=array_ids, values=values)
     except DataError as exc:
         return str(exc)
+
+
+def _fast_matrix(path, array_ids):
+    """The fast path's parse as an ExpressionMatrix; None where it declines
+    the file or the matrix rejects the parse."""
+    fast = fitting._parse_fast(path, array_ids)
+    try:
+        return fast and pr.ExpressionMatrix(gene_ids=fast[0], array_ids=array_ids,
+                                            values=fast[1])
+    except DataError:
+        return None
 
 
 def _read(path, array_ids):
@@ -133,14 +145,12 @@ def test_fast_path_declines_or_agrees_with_the_loop(case):
         path = Path(tmp, "expr.csv")
         path.write_text(text, encoding="utf-8", newline="")
         want = _reference(path, ARRAYS)
-        fast = fitting._parse_fast(path, ARRAYS)
+        fast = _fast_matrix(path, ARRAYS)
         got = _read(path, ARRAYS)
     if plain:
         assert fast is not None
     if fast is not None:
-        assert not isinstance(want, str), want
-        if not isinstance(want, str):
-            _assert_same_parse(fast, (want.gene_ids, want.values))
+        _assert_same(fast, want)
     _assert_same(got, want)
 
 
@@ -149,6 +159,7 @@ def test_fast_path_declines_or_agrees_with_the_loop(case):
 # ---------------------------------------------------------------------------
 
 _LONG_ID = "g" * 70000  # with a long value, a line beyond the field limit
+# Files that the fast path declines.
 _DECLINED = {
     # scanned per line
     "quote": HEADER + '"g1",1.0,2.0\n',
@@ -156,13 +167,11 @@ _DECLINED = {
     "space": HEADER + "g1, 1.0,2.0\n",
     "tab": HEADER + "g1,1.0\t,2.0\n",
     "nul": HEADER + "g\x001,1.0,2.0\n",
-    "leading-comma": HEADER + ",1.0,2.0\n",
     "trailing-comma": HEADER + "g1,1.0,\n",
     "double-comma": HEADER + "g1,,2.0\n",
     "blank-line": HEADER + "g1,1.0,2.0\n\ng2,3.0,4.0\n",
     "id-only-line": HEADER + "g1\n",
     "long-line": HEADER + f"{_LONG_ID},1.{'0' * 70000},2.0\n",
-    "id-with-unicode-space": HEADER + "g1\xa0,1.0,2.0\n",
     "na-inside-a-field": HEADER + "g1,-NA,2.0\n",
     "header-not-plain": "gene_id,a1,a2\r\ng1,1.0,2.0\n",
     "no-data-rows": HEADER,
@@ -173,6 +182,12 @@ _DECLINED = {
     "overflow": HEADER + "g1,1e400,2.0\n",
     "nan-not-na": HEADER + "g1,nan,2.0\n",
     "field-count-changes": HEADER + "g1,1.0,2.0\ng2,3.0\n",
+}
+# Files that the fast path parses but ExpressionMatrix rejects, so the read
+# falls back to the loop.
+_REJECTED = {
+    "leading-comma": HEADER + ",1.0,2.0\n",
+    "id-with-unicode-space": HEADER + "g1\xa0,1.0,2.0\n",
     "every-row-too-wide": HEADER + "g1,1.0,2.0,3.0\ng2,4.0,5.0,6.0\n",
     "duplicate-id": HEADER + "g1,1.0,2.0\ng2,3.0,4.0\ng1,5.0,6.0\n",
     "id-not-xml": HEADER + "g1,1.0,2.0\ng\x01x,3.0,4.0\ng\x0cy,5.0,6.0\n",
@@ -180,12 +195,30 @@ _DECLINED = {
 }
 
 
-@pytest.mark.parametrize("text", _DECLINED.values(), ids=_DECLINED.keys())
-def test_fast_path_declines(tmp_path, text):
+@pytest.mark.parametrize("text, parsed", [*((t, False) for t in _DECLINED.values()),
+                                          *((t, True) for t in _REJECTED.values())],
+                         ids=[*_DECLINED, *_REJECTED])
+def test_fast_path_declines(tmp_path, text, parsed):
+    # The read takes no fast result that _parse_fast declines or that
+    # ExpressionMatrix rejects; either way the loop reads the file.
     path = tmp_path / "expr.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert fitting._parse_fast(path, ARRAYS) is None
+    assert (fitting._parse_fast(path, ARRAYS) is not None) == parsed
+    assert _fast_matrix(path, ARRAYS) is None
     _assert_same(_read(path, ARRAYS), _reference(path, ARRAYS))
+
+
+def test_a_plain_read_checks_its_ids_once(tmp_path, monkeypatch):
+    path = tmp_path / "expr.csv"
+    path.write_text(HEADER + "g1,1.0,2.0\ng2,NA,4.0\n", encoding="utf-8")
+    calls = {"_ids_pass": 0, "_ids_unique": 0}
+    for name in calls:
+        def counted(ids, check=getattr(fitting, name), name=name):
+            calls[name] += 1
+            return check(ids)
+        monkeypatch.setattr(fitting, name, counted)
+    assert pr.read_expression_csv(path, ARRAYS).gene_ids == ("g1", "g2")
+    assert calls == {"_ids_pass": 1, "_ids_unique": 1}
 
 
 def test_fast_path_raises_a_decode_error_past_the_first_chunk(tmp_path):
@@ -283,7 +316,7 @@ def _per_field_excluded_csv(table, path):
     rows = []
     for j in table.dropped.tolist():
         code = int(s.reason[j])
-        u = [""] * n_u if code >= _INSUFFICIENT else map(cli._fmt, s.u_values[j].tolist())
+        u = [""] * n_u if code >= _INSUFFICIENT else map(_fmt, s.u_values[j].tolist())
         rows.append([s.gene_ids[j], REASONS[code], *u])
     write_csv(path, header, rows)
 
