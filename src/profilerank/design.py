@@ -9,13 +9,12 @@ eliminating coefficients the comparisons cannot estimate.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, located, not_utf8
+from .errors import ValidationError, csv_records, located, reading
 
 __all__ = [
     "LABEL_PATTERN",
@@ -249,53 +248,35 @@ def read_conditions_csv(path) -> tuple[str, ...]:
     """Read the ordered condition list: one label per line, '#' comments allowed."""
     labels: list[str] = []
     seen: set[str] = set()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                with located(f"{path}:{lineno}"):
-                    check_label(line, "condition label", seen)
-                labels.append(line)
-    except OSError as exc:
-        raise ValidationError(f"cannot read conditions file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, ValidationError) from exc
+    with reading(path, "conditions", ValidationError), open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            with located(f"{path}:{lineno}"):
+                check_label(line, "condition label", seen)
+            labels.append(line)
     if not labels:
         raise ValidationError(f"{path}: no condition labels found")
     return tuple(labels)
 
 
 def read_design_csv(path, conditions: tuple[str, ...]) -> ComparisonDesign:
-    """Read the array table: header ``array_id,cy3,cy5,replicate_group``."""
+    """Read the array table: header ``array_id,cy3,cy5,replicate_group``,
+    then one array per record of 4 fields, read by ``csv_records``."""
     expected = ["array_id", "cy3", "cy5", "replicate_group"]
     arrays: list[ArrayComparison] = []
     seen_ids: set[str] = set()
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != expected:
-                raise ValidationError(
-                    f"{path}: expected header {','.join(expected)!r}, "
-                    f"got {','.join(header) if header else '<empty file>'!r}"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 4:
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected 4 fields, got {len(row)}"
-                    )
-                arr = ArrayComparison(*[f.strip() for f in row])
-                with located(f"{path}:{lineno}"):
-                    _check_array(arr, conditions, seen_ids)
-                arrays.append(arr)
-    except csv.Error as exc:
-        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
-    except OSError as exc:
-        raise ValidationError(f"cannot read design file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, ValidationError) from exc
+    records = csv_records(path, "design", ValidationError, len(expected))
+    header = next(records)
+    if header != expected:
+        raise ValidationError(
+            f"{path}: expected header {','.join(expected)!r}, "
+            f"got {','.join(header) if header else '<empty file>'!r}"
+        )
+    for lineno, fields in records:
+        arr = ArrayComparison(*fields)
+        with located(f"{path}:{lineno}"):
+            _check_array(arr, conditions, seen_ids)
+        arrays.append(arr)
     return ComparisonDesign(conditions=tuple(conditions), arrays=tuple(arrays))

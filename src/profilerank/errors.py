@@ -1,10 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and how a read of an input
+file reports failure.
 
 Two families matter to callers: configuration problems (bad design,
 profile, or option values) and data problems (malformed or inconsistent
 expression files). The CLI maps them to distinct exit codes.
+
+Every input file is read under ``reading``, and the two CSV inputs through
+``csv_records``, so an unreadable file, text that is not UTF-8, a wrong
+field count and a csv error are reported the same way for each of them.
 """
 
+import csv
 from contextlib import contextmanager
 
 
@@ -40,3 +46,35 @@ def located(where: str):
         yield
     except ProfileRankError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
+
+
+@contextmanager
+def reading(path, what: str, error: type[ProfileRankError]):
+    """Raise an ``error`` for a failed read of ``path``, the ``what`` file:
+    ``cannot read <what> file`` for an OS error, and the line and byte for
+    text that is not UTF-8."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, error) from exc
+
+
+def csv_records(path, what: str, error: type[ProfileRankError], n_fields: int):
+    """Yield the header of the CSV file ``path`` as read (None if the file
+    is empty), then ``(line, fields)`` for each record that is not blank,
+    its fields stripped. A record without ``n_fields`` fields, or a csv
+    error, raises an ``error`` at ``path:line:``."""
+    with reading(path, what, error), open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield next(reader, None)
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != n_fields:
+                    raise error(f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}")
+                yield lineno, [f.strip() for f in row]
+        except csv.Error as exc:
+            raise error(f"{path}:{reader.line_num}: {exc}") from exc

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .design import ModelMatrix, least_squares_operators
-from .errors import DataError, not_utf8
+from .errors import DataError, csv_records, reading
 from .special import digamma, trigamma, trigamma_inverse
 
 __all__ = [
@@ -504,7 +504,7 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
     ``csv`` loop, which names the file, line and column of the first problem.
     """
     array_ids = tuple(array_ids)
-    try:
+    with reading(path, "expression", DataError):
         fast = _parse_fast(path, array_ids)
         if fast is not None:
             try:
@@ -512,10 +512,6 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
             except DataError:
                 del fast  # freed before the loop rereads the file to name the line
         gene_ids, values = _parse_csv(path, array_ids)
-    except OSError as exc:
-        raise DataError(f"cannot read expression file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, DataError) from exc
     return ExpressionMatrix(gene_ids=gene_ids, array_ids=array_ids, values=values)
 
 
@@ -541,7 +537,7 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
         nonlocal n_missing
         for line in lines:
             gene_id, _, body = line.partition(",")
-            if (not body or len(line) > limit or ",," in line or body.endswith((",", ",\n"))
+            if (not body or len(line) > limit or ",," in line or line.endswith((",", ",\n"))
                     or '"' in line or "\r" in line or "\0" in line or " " in line or "\t" in line):
                 raise _Declined
             n = body.count("NA")
@@ -575,61 +571,49 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
 
 
 def _parse_csv(path, array_ids: tuple[str, ...]):
-    """``(gene ids, values)`` read field by field with the ``csv`` module;
-    the first malformed input in file order raises a ``DataError`` naming
-    its position."""
+    """``(gene ids, values)`` read field by field from ``csv_records``; the
+    first malformed input in file order raises a ``DataError`` naming its
+    position."""
     expected = ["gene_id", *array_ids]
     line_of: dict[str, int] = {}  # gene id -> its line, in file order
     rows: list[list[float]] = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            if header != expected:
+    records = csv_records(path, "expression", DataError, len(expected))
+    header = next(records)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if header != expected:
+        raise DataError(
+            f"{path}: header does not match the design's arrays; "
+            f"expected {','.join(expected)!r}, got {','.join(header)!r}"
+        )
+    for lineno, fields in records:
+        gene_id = fields[0]
+        try:
+            check_gene_id(gene_id)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: column 1: {exc}") from exc
+        if gene_id in line_of:
+            raise DataError(f"{path}:{lineno}: column 1: gene id {gene_id!r} is not "
+                            f"unique, it is also on line {line_of[gene_id]}")
+        line_of[gene_id] = lineno
+        values = []
+        for col, text in enumerate(fields[1:], start=2):
+            if text in _MISSING_TOKENS:
+                values.append(math.nan)
+                continue
+            try:
+                value = float(text)
+            except ValueError as exc:
                 raise DataError(
-                    f"{path}: header does not match the design's arrays; "
-                    f"expected {','.join(expected)!r}, got {','.join(header)!r}"
+                    f"{path}:{lineno}: column {col}: not a number: {text!r}"
+                ) from exc
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}:{lineno}: column {col}: not a finite number "
+                    f"(parsed as {value}); use NA for a missing spot"
                 )
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(expected):
-                    raise DataError(
-                        f"{path}:{lineno}: expected {len(expected)} fields, "
-                        f"got {len(row)}"
-                    )
-                gene_id = row[0].strip()
-                try:
-                    check_gene_id(gene_id)
-                except DataError as exc:
-                    raise DataError(f"{path}:{lineno}: column 1: {exc}") from exc
-                if gene_id in line_of:
-                    raise DataError(f"{path}:{lineno}: column 1: gene id {gene_id!r} is not "
-                                    f"unique, it is also on line {line_of[gene_id]}")
-                line_of[gene_id] = lineno
-                values = []
-                for col, text in enumerate(row[1:], start=2):
-                    text = text.strip()
-                    if text in _MISSING_TOKENS:
-                        values.append(math.nan)
-                        continue
-                    try:
-                        value = float(text)
-                    except ValueError as exc:
-                        raise DataError(
-                            f"{path}:{lineno}: column {col}: not a number: {text!r}"
-                        ) from exc
-                    if not math.isfinite(value):
-                        raise DataError(
-                            f"{path}:{lineno}: column {col}: not a finite number "
-                            f"(parsed as {value}); use NA for a missing spot"
-                        )
-                    values.append(value)
-                rows.append(values)
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+            values.append(value)
+        rows.append(values)
     if not line_of:
         raise DataError(f"{path}: no gene rows")
     return tuple(line_of), np.array(rows, dtype=float)

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .design import check_label
-from .errors import ValidationError, located, not_utf8
+from .errors import ValidationError, located, reading
 
 __all__ = [
     "Constraint",
@@ -373,13 +373,8 @@ def format_profile(spec: ProfileSpec) -> str:
 
 
 def profile_from_file(path) -> ProfileSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read profile file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, ValidationError) from exc
+    with reading(path, "profile", ValidationError), open(path, encoding="utf-8") as fh:
+        text = fh.read()
     return parse_profile(text, source=str(path))
 
 

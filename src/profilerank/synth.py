@@ -81,8 +81,6 @@ D0 = 16.0
 S0_2 = 0.05
 
 # Genes drawn and computed at a time, so every temporary is a block's.
-# Whole-column draw buffers, once freed, made the allocator keep the set
-# the gene id check builds, which raised peak RSS at large sizes.
 _BLOCK = 1024
 
 

@@ -361,6 +361,26 @@ def test_input_that_is_not_utf8_names_the_file_and_line(workdir, tmp_path, capsy
     assert f"{name}:{line}: not UTF-8 text: byte 0xe9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("what, read, error", [
+    ("conditions", pr.read_conditions_csv, pr.ValidationError),
+    ("design", lambda path: pr.read_design_csv(path, ("day0",)), pr.ValidationError),
+    ("profile", pr.profile_from_file, pr.ValidationError),
+    ("expression", lambda path: pr.read_expression_csv(path, ("a1",)), pr.DataError),
+])
+def test_an_unreadable_input_names_its_kind_and_path(tmp_path, what, read, error):
+    with pytest.raises(error) as caught:
+        read(tmp_path)
+    assert str(caught.value).startswith(f"cannot read {what} file {tmp_path}: ")
+
+
+def test_blank_and_whitespace_records_in_a_design_are_skipped(tmp_path, stemcell_conditions,
+                                                             stemcell_design):
+    lines = pr.bundled_data_path("design_stemcell.csv").read_text().splitlines()
+    path = tmp_path / "design.csv"
+    path.write_text("\n".join([*lines[:2], "", "  \t ", *lines[2:]]) + "\n")
+    assert pr.read_design_csv(path, stemcell_conditions) == stemcell_design
+
+
 @pytest.mark.parametrize("name, old, new, token", [
     ("pluripotent.profile", "name pluripotent", "name plu$ri", "'plu$ri'"),
     ("pluripotent.profile", "conditions day0,day3", "conditions day0,da$y3", "'da$y3'"),

@@ -14,6 +14,7 @@ import re
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,19 @@ def test_fast_path_declines(tmp_path, text, parsed):
     assert (fitting._parse_fast(path, ARRAYS) is not None) == parsed
     assert _fast_matrix(path, ARRAYS) is None
     _assert_same(_read(path, ARRAYS), _reference(path, ARRAYS))
+
+
+def test_fast_path_declines_empty_values_of_a_one_array_file(tmp_path):
+    # Each line "g1," holds a body of "\n" alone, which loadtxt would read
+    # as no data, with a warning, had the fast path taken it.
+    path = tmp_path / "expr.csv"
+    path.write_text("gene_id,a1\ng1,\ng2,\n", encoding="utf-8", newline="")
+    assert fitting._parse_fast(path, ("a1",)) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pr.read_expression_csv(path, ("a1",))
+    assert got.values.shape == (2, 1) and np.isnan(got.values).all()
+    _assert_same(got, _reference(path, ("a1",)))
 
 
 def test_a_plain_read_checks_its_ids_once(tmp_path, monkeypatch):
