@@ -35,12 +35,11 @@ __all__ = ["main"]
 # sensitivity, which has no --alpha, records in moderation.json.
 ALPHA = 0.05
 
-# Names this module calls from the pipeline modules, which it imports only
-# when a command runs them. main binds the names of each module that the
-# chosen subcommand runs (_RUNS) into this module's globals, where the
-# commands look them up; __getattr__ binds a module's names on their first
-# access from outside. A name already bound, for instance to a wrapper set
-# from outside, is never rebound, so the commands call that wrapper.
+# Names the commands call from the pipeline modules, which this module
+# imports only when a command first calls one of them. The commands call
+# each name as an attribute of this module (_cli), so __getattr__ imports
+# its module on first use, and a wrapper set on the module from outside is
+# what they call.
 _DEFERRED = {
     "fitting": ("read_expression_csv",),
     "ranking": ("_alpha_pass_count", "_check_alpha", "_check_sweep", "fit_experiment",
@@ -50,31 +49,15 @@ _DEFERRED = {
     "outputs": ("_eps_label", "_write_excluded_csv", "_write_moderation_json",
                 "_write_ranked_csv", "_write_sensitivity_csv"),
 }
-# The modules of _DEFERRED whose names each subcommand calls; a command
-# given --data also reads it with fitting's reader.
-_RUNS = {
-    "rank": ("ranking", "svgplot", "outputs"),
-    "sensitivity": ("ranking", "outputs"),
-    "synth": ("synth",),
-    "validate": (),
-}
-
-
-def _bind(module: str) -> None:
-    """Import ``module`` and bind each of its ``_DEFERRED`` names that is not
-    bound yet."""
-    source = importlib.import_module(f".{module}", __package__)
-    scope = globals()
-    for name in _DEFERRED[module]:
-        if name not in scope:
-            scope[name] = getattr(source, name)
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
     for module, names in _DEFERRED.items():
         if name in names:
-            _bind(module)
-            return globals()[name]
+            value = getattr(importlib.import_module(f".{module}", __package__), name)
+            globals()[name] = value
+            return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -106,10 +89,10 @@ def _fit_run(args, grid: tuple[float, ...] | None):
     ``(profile, fitted)``."""
     design, profile = _load_inputs(args)
     if grid is not None:
-        _check_sweep(profile, grid)
+        _cli._check_sweep(profile, grid)
     _check_out_dir(args.out)
-    expr = read_expression_csv(args.data, design.array_ids)
-    return profile, fit_experiment(expr, design, profile)
+    expr = _cli.read_expression_csv(args.data, design.array_ids)
+    return profile, _cli.fit_experiment(expr, design, profile)
 
 
 def _check_out_dir(path: str) -> None:
@@ -142,13 +125,13 @@ def _write_profiles_svg(fitted, profile, table, top_n: int, path: str) -> None:
     genes = []
     for rank, row in enumerate(table.order[:top_n].tolist(), start=1):
         fit = fitted.fits[row]
-        rel = fitted_relative_profile(fit, profile, fitted.model)
+        rel = _cli.fitted_relative_profile(fit, profile, fitted.model)
         genes.append((fit.gene_id, rank, rel))
     title = (
         f"{profile.name}: top {len(genes)} fitted trajectories "
         f"(log ratio vs {profile.condition_labels[0]})"
     )
-    svg = render_profiles_svg(genes, profile.condition_labels, title)
+    svg = _cli.render_profiles_svg(genes, profile.condition_labels, title)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
 
@@ -189,7 +172,7 @@ def _parse_grid(text: str | None) -> tuple[float, ...]:
     # Each margin names its own column and ranked_eps_<label>.csv file.
     labels: dict[str, str] = {}
     for token, e in zip(tokens, grid):
-        label = _eps_label(e)
+        label = _cli._eps_label(e)
         if label in labels:
             raise ValidationError(
                 f"--grid margins {labels[label]!r} and {token!r} are both labelled eps_{label}; "
@@ -220,24 +203,24 @@ def _cmd_rank(args) -> int:
     output behind."""
     if args.top_n < 1:
         raise ValidationError(f"--top-n must be >= 1, got {args.top_n}")
-    _check_alpha(args.alpha)
+    _cli._check_alpha(args.alpha)
     grid = _parse_grid(args.grid)
     profile, fitted = _fit_run(args, grid or None)
-    stats = gene_statistics(fitted, profile)
-    table = rank_from_fits(fitted, profile, stats=stats)
-    sweep = sweep_from_fits(fitted, profile, grid) if grid else None
-    n_pass = _alpha_pass_count(fitted, stats, args.alpha)
+    stats = _cli.gene_statistics(fitted, profile)
+    table = _cli.rank_from_fits(fitted, profile, stats=stats)
+    sweep = _cli.sweep_from_fits(fitted, profile, grid) if grid else None
+    n_pass = _cli._alpha_pass_count(fitted, stats, args.alpha)
     _make_out_dir(args.out)
-    _write_ranked_csv(table.scores, table.order, os.path.join(args.out, "ranked.csv"))
-    _write_excluded_csv(table, os.path.join(args.out, "excluded.csv"))
-    _write_moderation_json(
+    _cli._write_ranked_csv(table.scores, table.order, os.path.join(args.out, "ranked.csv"))
+    _cli._write_excluded_csv(table, os.path.join(args.out, "excluded.csv"))
+    _cli._write_moderation_json(
         fitted, profile, len(table.order), args.alpha, os.path.join(args.out, "moderation.json")
     )
     _write_profiles_svg(
         fitted, profile, table, args.top_n, os.path.join(args.out, "profiles.svg")
     )
     if sweep is not None:
-        _write_sensitivity_csv(sweep, os.path.join(args.out, "sensitivity.csv"))
+        _cli._write_sensitivity_csv(sweep, os.path.join(args.out, "sensitivity.csv"))
     d0 = fitted.moderation.d0
     print(
         f"profile {profile.name}: {len(table.order)} genes ranked, "
@@ -252,21 +235,21 @@ def _cmd_rank(args) -> int:
 def _cmd_sensitivity(args) -> int:
     grid = _parse_grid(args.grid)
     profile, fitted = _fit_run(args, grid)
-    sweep = sweep_from_fits(fitted, profile, grid)
+    sweep = _cli.sweep_from_fits(fitted, profile, grid)
     # Each margin's included genes, scored in rank order.
-    ranked = [gene_statistics(fitted, profile.with_margins(epsilon=e), rows=order)
+    ranked = [_cli.gene_statistics(fitted, profile.with_margins(epsilon=e), rows=order)
               for e, order in zip(sweep.epsilons, sweep.orders)]
     _make_out_dir(args.out)
-    _write_sensitivity_csv(sweep, os.path.join(args.out, "sensitivity.csv"))
+    _cli._write_sensitivity_csv(sweep, os.path.join(args.out, "sensitivity.csv"))
     for eps, scores in zip(sweep.epsilons, ranked):
-        _write_ranked_csv(scores, np.arange(len(scores)),
-                          os.path.join(args.out, f"ranked_eps_{_eps_label(eps)}.csv"))
-    _write_moderation_json(
+        _cli._write_ranked_csv(scores, np.arange(len(scores)),
+                               os.path.join(args.out, f"ranked_eps_{_cli._eps_label(eps)}.csv"))
+    _cli._write_moderation_json(
         fitted, profile.with_margins(epsilon=grid[-1]), len(sweep.orders[-1]), ALPHA,
         os.path.join(args.out, "moderation.json"),
     )
     sizes = ", ".join(
-        f"eps={_eps_label(e)}: {len(o)}" for e, o in zip(sweep.epsilons, sweep.orders)
+        f"eps={_cli._eps_label(e)}: {len(o)}" for e, o in zip(sweep.epsilons, sweep.orders)
     )
     print(f"profile {profile.name}: included genes per margin: {sizes}; outputs in {args.out}")
     return 0
@@ -275,14 +258,14 @@ def _cmd_sensitivity(args) -> int:
 def _cmd_synth(args) -> int:
     design, profile = _load_inputs(args)
     _check_out_dir(args.out)
-    result = generate_dataset(
+    result = _cli.generate_dataset(
         design, profile, n_genes=args.genes, n_planted=args.planted, seed=args.seed
     )
     _make_out_dir(args.out)
     expr_path = os.path.join(args.out, "expression.csv")
     truth_path = os.path.join(args.out, "truth.csv")
-    write_expression_csv(result.expression, expr_path)
-    write_truth_csv(result, truth_path)
+    _cli.write_expression_csv(result.expression, expr_path)
+    _cli.write_truth_csv(result, truth_path)
     print(
         f"wrote {args.genes} genes ({args.planted} planted) for profile "
         f"{profile.name} to {expr_path} and {truth_path}"
@@ -292,7 +275,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_validate(args) -> int:
     design, profile = _load_inputs(args)
-    expr = None if args.data is None else read_expression_csv(args.data, design.array_ids)
+    expr = None if args.data is None else _cli.read_expression_csv(args.data, design.array_ids)
     model = compose_model_matrix(build_comparison_matrix(design), profile)
     conditions = design.conditions
     print(f"conditions: {len(conditions)} ({','.join(conditions)})")
@@ -361,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for module in _RUNS[args.command] + (("fitting",) if args.data is not None else ()):
-        _bind(module)
     try:
         return args.func(args)
     except ValidationError as exc:

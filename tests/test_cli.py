@@ -338,6 +338,26 @@ def test_design_field_beyond_the_csv_field_limit_exits_2(workdir, tmp_path, caps
     assert "design.csv:2: field larger than field limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("quoted, message", [
+    ('"{}', "not closed"),
+    ('"{}"x', "text follows the closing quote of a field"),
+], ids=["open-quote", "text-after-quote"])
+@pytest.mark.parametrize("name, code", [("expression.csv", 3), ("design.csv", 2)])
+def test_a_quote_not_closed_or_followed_by_text_names_its_line(workdir, tmp_path, capsys,
+                                                               quoted, message, name, code):
+    inputs = {"design.csv": workdir / "design.csv",
+              "expression.csv": workdir / "data" / "expression.csv"}
+    lines = inputs[name].read_text().splitlines()
+    first, _, rest = lines[2].partition(",")
+    lines[2] = quoted.format(first) + "," + rest
+    inputs[name] = tmp_path / name
+    inputs[name].write_text("\n".join(lines) + "\n")
+    assert main(_validate_args(workdir, data=inputs["expression.csv"],
+                               design=inputs["design.csv"])) == code
+    err = capsys.readouterr().err
+    assert f"{name}:3: " in err and message in err
+
+
 @pytest.mark.parametrize("name, line, code", [
     ("conditions.csv", 2, 2),
     ("design.csv", 3, 2),

@@ -274,6 +274,31 @@ def test_the_first_problem_in_file_order_is_reported(tmp_path, text, error):
         pr.read_expression_csv(path, ARRAYS)
 
 
+_MULTI_LINE_ID = '"g\n1",1.0,2.0\n'
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (HEADER + _MULTI_LINE_ID + "g2,wat,2.0\n", "expr.csv:4: column 2: not a number: 'wat'"),
+        (HEADER + "g0,1.0,2.0\n" + _MULTI_LINE_ID * 2,
+         "expr.csv:5: column 1: gene id 'g\\n1' is not unique, it is also on line 3"),
+        (HEADER + _MULTI_LINE_ID + "g2,1.0\n", "expr.csv:4: expected 3 fields, got 2"),
+        (HEADER + _MULTI_LINE_ID + '"g2"x,1.0,2.0\n',
+         "expr.csv:4: text follows the closing quote of a field"),
+        (HEADER + _MULTI_LINE_ID + '"g2,1.0,2.0\ng3,1.0,2.0\n',
+         "expr.csv:4: a quote is not closed before the end of the file"),
+    ],
+    ids=["value", "duplicate-id", "field-count", "text-after-quote", "open-quote"],
+)
+def test_a_record_is_named_by_its_first_line(tmp_path, text, error):
+    # A quoted id may hold a line feed, so a record's index is not its line.
+    path = tmp_path / "expr.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(DataError, match="^" + re.escape(f"{path.parent}/{error}")):
+        pr.read_expression_csv(path, ARRAYS)
+
+
 def test_benchmark_file_takes_the_fast_path(tmp_path, monkeypatch, stemcell_design):
     # The benchmark's own input generator at its default seed, complete and
     # with 5% NA, at 2000 genes instead of 20 000 to keep the test quick.

@@ -426,6 +426,15 @@ def test_read_design_wrong_field_count(tmp_path):
         pr.read_design_csv(p, ("a", "b"))
 
 
+def test_read_design_names_a_record_by_its_first_line(tmp_path):
+    # The quoted replicate group of line 2 holds a line feed, so the next
+    # record is the third but starts on line 4.
+    p = tmp_path / "design.csv"
+    p.write_text('array_id,cy3,cy5,replicate_group\nx,a,b,"r\n1"\ny,a,c,r\n')
+    with pytest.raises(ValidationError, match=re.escape("design.csv:4: array 'y': unknown cy5")):
+        pr.read_design_csv(p, ("a", "b"))
+
+
 def test_read_design_roundtrip(tmp_path, stemcell_design):
     # the bundled file parses to the same 20-array design
     assert len(stemcell_design.arrays) == 20
