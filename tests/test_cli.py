@@ -341,7 +341,8 @@ def test_design_field_beyond_the_csv_field_limit_exits_2(workdir, tmp_path, caps
 @pytest.mark.parametrize("quoted, message", [
     ('"{}', "not closed"),
     ('"{}"x', "text follows the closing quote of a field"),
-], ids=["open-quote", "text-after-quote"])
+    ('"{}" ', "text follows the closing quote of a field"),  # even a space
+], ids=["open-quote", "text-after-quote", "space-after-quote"])
 @pytest.mark.parametrize("name, code", [("expression.csv", 3), ("design.csv", 2)])
 def test_a_quote_not_closed_or_followed_by_text_names_its_line(workdir, tmp_path, capsys,
                                                                quoted, message, name, code):

@@ -288,8 +288,11 @@ _MULTI_LINE_ID = '"g\n1",1.0,2.0\n'
          "expr.csv:4: text follows the closing quote of a field"),
         (HEADER + _MULTI_LINE_ID + '"g2,1.0,2.0\ng3,1.0,2.0\n',
          "expr.csv:4: a quote is not closed before the end of the file"),
+        (HEADER + _MULTI_LINE_ID + 'g2,1.0,"2.0" \n',
+         "expr.csv:4: text follows the closing quote of a field"),
     ],
-    ids=["value", "duplicate-id", "field-count", "text-after-quote", "open-quote"],
+    ids=["value", "duplicate-id", "field-count", "text-after-quote", "open-quote",
+         "space-after-quote"],
 )
 def test_a_record_is_named_by_its_first_line(tmp_path, text, error):
     # A quoted id may hold a line feed, so a record's index is not its line.

@@ -27,11 +27,14 @@ MODULE_ATTRIBUTES = {"__name__", "__doc__", "__package__", "__loader__", "__spec
                      "__file__", "__cached__", "__builtins__", "__path__"}
 
 
-def _code_objects(code: types.CodeType):
-    yield code
+def _code_objects(code: types.CodeType, name: str = ""):
+    """Yield ``(dotted name, code)`` for ``code`` and every code object
+    nested in it; functions of the module body are named without a prefix.
+    (``co_qualname`` would do, but Python 3.10 lacks it.)"""
+    yield name or code.co_name, code
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            yield from _code_objects(const)
+            yield from _code_objects(const, f"{name}.{const.co_name}" if name else const.co_name)
 
 
 def _names(code: types.CodeType, *opnames: str) -> set[str]:
@@ -44,15 +47,15 @@ def undefined_globals(source: str, filename: str) -> list[tuple[str, str]]:
     module = compile(source, filename, "exec")
     codes = list(_code_objects(module))
     defined = (_names(module, "STORE_NAME")
-               | {name for code in codes for name in _names(code, "STORE_GLOBAL")}
+               | {name for _, code in codes for name in _names(code, "STORE_GLOBAL")}
                | set(dir(builtins)) | MODULE_ATTRIBUTES)
     found = []
-    for code in codes:
+    for qualname, code in codes:
         known = defined
         if code is not module and not code.co_flags & inspect.CO_OPTIMIZED:
             # A class body reads its own names, and its annotations, first.
             known = defined | _names(code, "STORE_NAME") | {"__annotations__"}
-        found += [(code.co_qualname, name)
+        found += [(qualname, name)
                   for name in _names(code, "LOAD_GLOBAL", "LOAD_NAME") - known]
     return sorted(found)
 
