@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 invalid configuration or design/profile input,
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import math
 import os
@@ -29,7 +30,7 @@ from .design import build_comparison_matrix, compose_model_matrix, read_conditio
 from .errors import DataError, ValidationError
 from .profiles import profile_from_file
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # Level of the pass/fail test: the default of --alpha, and the level that
 # sensitivity, which has no --alpha, records in moderation.json.
@@ -354,5 +355,18 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> int:
+    """The process entry of ``python -m profilerank`` and the
+    ``profilerank`` script: ``main()`` on ``sys.argv``, then
+    ``gc.freeze()``, so the collections at interpreter exit skip every
+    object the run left alive. Output files are closed by then, and
+    ``atexit`` handlers and the flush of stdout still run. ``main`` itself
+    leaves the collector alone, for callers that go on running."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -10,7 +10,8 @@ Every input file is read under ``reading``, and the two CSV inputs through
 field count and a csv error are reported the same way for each of them.
 A CSV error names the physical line where its record starts, and the csv
 reader is strict, so a quote left open or text after a closing quote is an
-error rather than a silently different field.
+error rather than a silently different field. Spaces before an opening
+quote are skipped, so a space then ``"g,1"`` is the field ``g,1``.
 """
 
 import csv
@@ -78,13 +79,14 @@ def csv_records(path, what: str, error: type[ProfileRankError], n_fields: int):
     differs from its index once a quoted field has held a line feed.
 
     The csv reader is strict: a quote must be closed, and nothing may follow
-    a closing quote but the delimiter or the end of the line. A record
-    without ``n_fields`` fields, or a csv error, raises an ``error`` at
+    a closing quote but the delimiter or the end of the line. Spaces at the
+    start of a field are skipped before the reader looks for a quote. A
+    record without ``n_fields`` fields, or a csv error, raises an ``error`` at
     ``path:line:``, naming the line where the record starts; a csv error
     past that line, such as an open quote that runs into the field limit,
     also names the line where reading stopped."""
     with reading(path, what, error), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, strict=True)
+        reader = csv.reader(fh, strict=True, skipinitialspace=True)
         lineno = 1
         try:
             yield next(reader, None)

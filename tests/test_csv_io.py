@@ -302,6 +302,34 @@ def test_a_record_is_named_by_its_first_line(tmp_path, text, error):
         pr.read_expression_csv(path, ARRAYS)
 
 
+@pytest.mark.parametrize(
+    "line, gene_id, values",
+    [
+        (' "g1",1.0,2.0\n', "g1", [1.0, 2.0]),
+        (' "g,1",1.0,2.0\n', "g,1", [1.0, 2.0]),
+        ('  "g1", "1.0",  "NA"\n', "g1", [1.0, math.nan]),
+        ('g1, "",2.0\n', "g1", [math.nan, 2.0]),
+    ],
+    ids=["id", "id-with-comma", "every-field", "empty-value"],
+)
+def test_spaces_before_an_opening_quote_are_skipped(tmp_path, line, gene_id, values):
+    # The quote opens the field as it would at the very start, so neither
+    # the quotes nor a comma inside them change the record.
+    path = tmp_path / "expr.csv"
+    path.write_text(HEADER + line, encoding="utf-8", newline="")
+    got = pr.read_expression_csv(path, ARRAYS)
+    assert got.gene_ids == (gene_id,)
+    np.testing.assert_array_equal(got.values, [values])
+
+
+def test_a_space_after_a_closing_quote_stays_an_error(tmp_path):
+    path = tmp_path / "expr.csv"
+    path.write_text(HEADER + ' "g1" ,1.0,2.0\n', encoding="utf-8", newline="")
+    with pytest.raises(DataError, match=re.escape(
+            "expr.csv:2: text follows the closing quote of a field")):
+        pr.read_expression_csv(path, ARRAYS)
+
+
 def test_benchmark_file_takes_the_fast_path(tmp_path, monkeypatch, stemcell_design):
     # The benchmark's own input generator at its default seed, complete and
     # with 5% NA, at 2000 genes instead of 20 000 to keep the test quick.

@@ -435,6 +435,17 @@ def test_read_design_names_a_record_by_its_first_line(tmp_path):
         pr.read_design_csv(p, ("a", "b"))
 
 
+def test_read_design_skips_spaces_before_an_opening_quote(tmp_path, stemcell_design):
+    # A quoted field after spaces reads as the same field unquoted.
+    lines = pr.bundled_data_path("design_stemcell.csv").read_text().splitlines(keepends=True)
+    assert lines[1] == "p21_1,day3,day0,p21\n"
+    lines[1] = ' "p21_1",  "day3",day0, "p21"\n'
+    p = tmp_path / "design.csv"
+    p.write_text("".join(lines))
+    design = pr.read_design_csv(p, stemcell_design.conditions)
+    assert design.arrays == stemcell_design.arrays
+
+
 def test_read_design_roundtrip(tmp_path, stemcell_design):
     # the bundled file parses to the same 20-array design
     assert len(stemcell_design.arrays) == 20

@@ -1,4 +1,5 @@
-"""No function in the package reads a global its module never defines.
+"""No function in the package reads a global its module never defines,
+and no module imports a name it never reads.
 
 Each module's source is compiled and every code object in it walked with
 ``dis``: a ``LOAD_GLOBAL`` or ``LOAD_NAME`` must name something the module
@@ -7,8 +8,12 @@ a name some function declares ``global`` and stores, a builtin, or a module
 attribute Python sets. A name bound only at run time, by writing to
 ``globals()``, is flagged: a command path that misses the write fails with
 a ``NameError``.
+
+Imports are checked on each module's syntax tree: every name an import
+binds must be read somewhere in the module or be listed in ``__all__``.
 """
 
+import ast
 import builtins
 import dis
 import importlib
@@ -87,3 +92,46 @@ def test_every_deferred_name_resolves_in_its_module():
         source = importlib.import_module(f"profilerank.{module}")
         for name in names:
             assert callable(getattr(source, name)), f"{module}.{name}"
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that imports in the module ``source`` bind and the module
+    never reads, sorted. A name listed in ``__all__`` counts as read, and a
+    ``__future__`` import binds nothing."""
+    tree = ast.parse(source)
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+              and isinstance(node.value, (ast.List, ast.Tuple))):
+            read |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_imports_a_name_it_never_reads(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_flags_an_import_that_is_never_read():
+    source = """
+from __future__ import annotations
+
+import os.path
+import sys as system
+from math import inf, nan
+from .errors import DataError
+
+__all__ = ["DataError"]
+
+def f(x: float = inf) -> None:
+    from json import dumps, loads
+    return os.sep, loads
+"""
+    assert unused_imports(source) == ["dumps", "nan", "system"]
