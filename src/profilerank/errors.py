@@ -11,7 +11,9 @@ field count and a csv error are reported the same way for each of them.
 A CSV error names the physical line where its record starts, and the csv
 reader is strict, so a quote left open or text after a closing quote is an
 error rather than a silently different field. Spaces before an opening
-quote are skipped, so a space then ``"g,1"`` is the field ``g,1``.
+quote are skipped, so a space then ``"g,1"`` is the field ``g,1``; any other
+whitespace there, such as a tab, is an error, because the reader would keep
+the quotes as text.
 """
 
 import csv
@@ -72,6 +74,19 @@ _CSV_ERRORS = {
 }
 
 
+def _check_no_quote_after_whitespace(row, where: str, error: type[ProfileRankError]) -> None:
+    """Raise an ``error`` at ``where`` for a field of ``row`` whose quote
+    the reader kept as text, because whitespace other than a space came
+    before it. The reader skips spaces before it looks for a quote, so a
+    field that starts with a space was quoted; so, in the one other case
+    this rejects, was a quoted field that itself starts with a tab and a
+    quote."""
+    for col, field in enumerate(row, start=1):
+        if field[:1].isspace() and field[0] != " " and field.lstrip()[:1] == '"':
+            raise error(f"{where}: column {col}: {field[0]!r} comes before the opening "
+                        "quote of a field; only spaces may")
+
+
 def csv_records(path, what: str, error: type[ProfileRankError], n_fields: int):
     """Yield the header of the CSV file ``path`` as read (None if the file
     is empty), then ``(line, fields)`` for each record that is not blank,
@@ -81,7 +96,8 @@ def csv_records(path, what: str, error: type[ProfileRankError], n_fields: int):
     The csv reader is strict: a quote must be closed, and nothing may follow
     a closing quote but the delimiter or the end of the line. Spaces at the
     start of a field are skipped before the reader looks for a quote. A
-    record without ``n_fields`` fields, or a csv error, raises an ``error`` at
+    quote after other whitespace at the start of a field, a record without
+    ``n_fields`` fields, or a csv error, raises an ``error`` at
     ``path:line:``, naming the line where the record starts; a csv error
     past that line, such as an open quote that runs into the field limit,
     also names the line where reading stopped."""
@@ -97,6 +113,8 @@ def csv_records(path, what: str, error: type[ProfileRankError], n_fields: int):
                     return
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
+                if '"' in "".join(row):
+                    _check_no_quote_after_whitespace(row, f"{path}:{lineno}", error)
                 if len(row) != n_fields:
                     raise error(f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}")
                 yield lineno, [f.strip() for f in row]

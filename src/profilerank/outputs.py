@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .csvout import _line, _quoted, write_csv, write_lines
+from .csvout import _quoted, write_csv, write_lines
 from .fitting import _blocks
 from .profiles import ProfileSpec
 from .ranking import (
@@ -29,13 +29,34 @@ def _eps_label(e: float) -> str:
     return f"{e:g}"
 
 
-def _block_rows(gene_ids, rows: np.ndarray, *columns: np.ndarray):
-    """``(gene id, *values)`` of each gene in ``rows``, in that order, with
-    the values of each column as Python numbers. They are converted one
-    block of genes at a time, so no whole-column list is ever built."""
+def _score_lines(s: ScoreTable, rows: np.ndarray, columns, lead, after_lead):
+    """The CSV lines of the rows ``rows`` of ``s``, in that order. A block
+    of rows from position ``first`` of ``rows`` on takes its line heads from
+    ``lead(first, block)``; a head is followed by ``after_lead[code]`` for
+    the row's reason code and then by the row's values in ``columns``, as
+    ``_fmt`` writes them. A gene without a usable fit has empty value cells."""
+    n = np.column_stack([column[:0] for column in columns]).shape[1]
+    # One % per block, filled from one flat tuple of (lead, *values) per
+    # row: "%.6g" is _fmt's format, and "%.0s" takes an unfit gene's NaN
+    # and writes nothing. A fitted row with a NaN, which _fmt writes as NA,
+    # takes the fallback template: its whole line, made with _fmt.
+    templates = [f"%s{after}" + ("," + ("%.0s" if code >= _INSUFFICIENT else "%.6g")) * n
+                 + "\n" for code, after in enumerate(after_lead)]
+    fallback = "%s" + "%.0s" * n + "\n"
+    first = 0
     for block in _blocks(rows):
-        yield from zip([gene_ids[j] for j in block.tolist()],
-                       *(column[block].tolist() for column in columns))
+        codes = s.reason[block]
+        values = np.column_stack([column[block] for column in columns])
+        fields = np.empty((len(block), 1 + n), dtype=object)
+        fields[:, 0] = lead(first, block)
+        fields[:, 1:] = values
+        row_templates = [templates[code] for code in codes.tolist()]
+        for i in np.flatnonzero(np.isnan(values).any(axis=1) & (codes < _INSUFFICIENT)).tolist():
+            fields[i, 0] = ",".join([fields[i, 0] + after_lead[codes[i]],
+                                     *map(_fmt, values[i].tolist())])
+            row_templates[i] = fallback
+        yield "".join(row_templates) % tuple(fields.ravel().tolist())
+        first += len(block)
 
 
 def _write_ranked_csv(s: ScoreTable, order: np.ndarray, path: str) -> None:
@@ -50,47 +71,20 @@ def _write_ranked_csv(s: ScoreTable, order: np.ndarray, path: str) -> None:
         + [f"se_{i + 1}" for i in range(n_k)]
         + ["s2", "posterior_s2"]
     )
-    ranked = _block_rows(s.gene_ids, order, s.u, s.u_values, s.gamma, s.se, s.s2,
-                         s.posterior_s2)
-    write_csv(path, header, (
-        [str(rank), gene_id, _fmt(u), *map(_fmt, u_values), *map(_fmt, gamma),
-         *map(_fmt, se), _fmt(s2), _fmt(posterior_s2)]
-        for rank, (gene_id, u, u_values, gamma, se, s2, posterior_s2) in enumerate(ranked, 1)
-    ))
+    write_lines(path, header, _score_lines(
+        s, order, (s.u, s.u_values, s.gamma, s.se, s.s2, s.posterior_s2),
+        lambda first, block: [f"{rank},{_quoted(s.gene_ids[j])}"
+                              for rank, j in enumerate(block.tolist(), first + 1)],
+        [""] * len(REASONS)))
 
 
 def _write_excluded_csv(table: RankedTable, path: str) -> None:
     s = table.scores
-    n_u = s.u_values.shape[1]
-    header = ["gene_id", "reason"] + [f"U_{i + 1}" for i in range(n_u)]
-    # One line template per reason code, filled with the quoted gene id and
-    # the U values: "%.6g" is _fmt's format, and a gene without a usable
-    # fit has no U values ("%.0s" takes its NaN and writes nothing). A
-    # fitted gene with a NaN U, which _fmt writes as NA, takes the fallback
-    # template: its whole line, made by _line and _fmt, in place of its id.
-    templates = [
-        f"%s,{reason}" + ("," + ("%.0s" if code >= _INSUFFICIENT else "%.6g")) * n_u + "\n"
-        for code, reason in enumerate(REASONS)
-    ]
-    fallback = "%s" + "%.0s" * n_u
-
-    def blocks():
-        # One % per block: the rows' templates joined in row order, filled
-        # from one flat tuple of (id, *U values) per row.
-        for block in _blocks(table.dropped):
-            codes, u_values = s.reason[block], s.u_values[block]
-            ids = [s.gene_ids[j] for j in block.tolist()]
-            fields = np.empty((len(block), 1 + n_u), dtype=object)
-            fields[:, 0] = [_quoted(gene_id) for gene_id in ids]
-            fields[:, 1:] = u_values
-            row_templates = [templates[code] for code in codes.tolist()]
-            by_fmt = np.isnan(u_values).any(axis=1) & (codes < _INSUFFICIENT)
-            for i in np.flatnonzero(by_fmt).tolist():
-                fields[i, 0] = _line([ids[i], REASONS[codes[i]], *map(_fmt, u_values[i].tolist())])
-                row_templates[i] = fallback
-            yield "".join(row_templates) % tuple(fields.ravel().tolist())
-
-    write_lines(path, header, blocks())
+    header = ["gene_id", "reason"] + [f"U_{i + 1}" for i in range(s.u_values.shape[1])]
+    write_lines(path, header, _score_lines(
+        s, table.dropped, (s.u_values,),
+        lambda first, block: [_quoted(s.gene_ids[j]) for j in block.tolist()],
+        [f",{reason}" for reason in REASONS]))
 
 
 def _write_moderation_json(

@@ -374,9 +374,13 @@ def cii_decision(
     Positivity: reject iff the one-sided lower limit exceeds the threshold.
     Either holds exactly when the criterion's U exceeds the t quantile, the
     test ``iut_decision`` applies, so the decision is made by that test and
-    the two agree by construction. The t quantile uses the moderated degrees
-    of freedom (normal when the prior is degenerate). ``coefficient``
-    indexes retained model columns.
+    the two agree, with one exception: a zero standard error
+    (``posterior_s2 = 0``). The interval is then the point gamma_hat and U
+    is infinite, so this test rejects wherever gamma_hat meets the
+    criterion, while ``iut_decision`` never passes an infinite U: such a
+    gene is excluded as ``degenerate variance``. The t quantile uses the
+    moderated degrees of freedom (normal when the prior is degenerate).
+    ``coefficient`` indexes retained model columns.
     """
     alpha = _check_alpha(alpha)
     if not fit.ok:

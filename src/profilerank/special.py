@@ -3,10 +3,10 @@
 Everything here is implemented locally so the core library depends only on
 numpy: polygamma functions via upward recurrence plus asymptotic series,
 the regularized incomplete beta via a continued fraction, and distribution
-quantiles via bisection on the corresponding CDF. Accuracy is ~1e-12 over
-the argument ranges that arise in practice (positive arguments, moderate
-degrees of freedom), which the test suite pins against independent
-references.
+quantiles via bisection on the corresponding CDF (in closed form far out in
+the t tail). Accuracy is ~1e-12 over the argument ranges that arise in
+practice (positive arguments, moderate degrees of freedom), which the test
+suite pins against independent references.
 """
 
 from __future__ import annotations
@@ -233,9 +233,12 @@ def student_t_upper_quantile(alpha: float, df: float) -> float:
 
     Found by bisection on the locally implemented CDF; the bracket is
     narrowed until the endpoint spread is below 1e-13 relative, which puts
-    the CDF error well under 1e-10. Results are memoized: ``ranking._passes``
-    asks once per distinct df, and the cache serves the per-gene
-    ``iut_decision`` and ``cii_decision`` calls, which repeat those pairs.
+    the CDF error well under 1e-10. A t* past 1e12 (a tiny alpha at a few
+    df) comes from the tail's leading term instead, as ``_far_quantile``
+    explains; past the float range it is ``inf``, above every finite U.
+    Results are memoized: ``ranking._passes`` asks once per distinct df,
+    and the cache serves the per-gene ``iut_decision`` and ``cii_decision``
+    calls, which repeat those pairs.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:
@@ -251,7 +254,7 @@ def student_t_upper_quantile(alpha: float, df: float) -> float:
         lo = hi
         hi *= 2.0
         if hi > 1e12:
-            raise ArithmeticError("quantile bracket expansion failed")
+            return _far_quantile(alpha, df)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if student_t_sf(mid, df) > alpha:
@@ -261,3 +264,21 @@ def student_t_upper_quantile(alpha: float, df: float) -> float:
         if hi - lo <= 1e-13 * max(1.0, lo):
             break
     return 0.5 * (lo + hi)
+
+
+def _far_quantile(alpha: float, df: float) -> float:
+    """``student_t_upper_quantile`` where t* > 2**39. P(T > 2**39) is below
+    the smallest positive float, 5e-324, from 30 df on, so df is below 30
+    here and ``x = df / (df + t*t)`` is below 1e-22. The upper tail
+    ``0.5 * I_x(df/2, 1/2)`` then equals its leading term
+    ``0.5 * x**(df/2) / ((df/2) * B(df/2, 1/2))`` to double precision, and
+    ``x = df / t**2``, so ``log t*`` has a closed form, free of the overflow
+    of ``t*t`` past 1.3e154. t* is rounded up by 1e-12 relative, more than
+    the rounding error of its logarithm (at most ~710), so it is never
+    below the true quantile; past the float range it is ``inf``."""
+    log_beta = math.lgamma(0.5 * df) + math.lgamma(0.5) - math.lgamma(0.5 * df + 0.5)
+    log_t = 0.5 * math.log(df) - (math.log(df) + log_beta + math.log(alpha)) / df
+    try:
+        return math.exp(log_t) * (1.0 + 1e-12)
+    except OverflowError:
+        return math.inf

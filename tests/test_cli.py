@@ -52,6 +52,26 @@ def _rank_args(root, out, extra=()):
     ]
 
 
+def test_a_tiny_alpha_at_few_degrees_of_freedom_ranks(workdir, tmp_path, capsys):
+    # A gene at 1e100 times another sinks the prior's d0 below 1, so the
+    # moderated df are ~17 and t* at alpha 1e-300 is ~1e18, far past the
+    # quantile's bisection bracket.
+    design = pr.read_design_csv(workdir / "design.csv",
+                                pr.read_conditions_csv(workdir / "conditions.csv"))
+    expr = pr.read_expression_csv(workdir / "data" / "expression.csv", design.array_ids)
+    data = tmp_path / "outlier.csv"
+    write_expression_csv(pr.ExpressionMatrix(
+        gene_ids=(*expr.gene_ids, "outlier"), array_ids=expr.array_ids,
+        values=np.vstack([expr.values, expr.values[:1] * 1e100])), data)
+    out = tmp_path / "out"
+    args = _rank_args(workdir, out, ["--alpha", "1e-300"])
+    args[args.index("--data") + 1] = str(data)
+    assert main(args) == 0
+    assert "0 pass the alpha=1e-300 test" in capsys.readouterr().out
+    assert json.loads((out / "moderation.json").read_text())["d0"] < 1.0
+    assert len((out / "ranked.csv").read_text().splitlines()) > 1
+
+
 def _read_truth(root):
     rows = (root / "data" / "truth.csv").read_text().splitlines()
     header = rows[0].split(",")
@@ -357,6 +377,23 @@ def test_a_quote_not_closed_or_followed_by_text_names_its_line(workdir, tmp_path
                                design=inputs["design.csv"])) == code
     err = capsys.readouterr().err
     assert f"{name}:3: " in err and message in err
+
+
+@pytest.mark.parametrize("name, code", [("expression.csv", 3), ("design.csv", 2)])
+def test_a_tab_before_an_opening_quote_names_its_line(workdir, tmp_path, capsys, name, code):
+    # Only spaces may come before an opening quote; after a tab the quotes
+    # would be read as part of the id.
+    inputs = {"design.csv": workdir / "design.csv",
+              "expression.csv": workdir / "data" / "expression.csv"}
+    lines = inputs[name].read_text().splitlines()
+    first, _, rest = lines[2].partition(",")
+    lines[2] = f'\t"{first}",{rest}'
+    inputs[name] = tmp_path / name
+    inputs[name].write_text("\n".join(lines) + "\n")
+    assert main(_validate_args(workdir, data=inputs["expression.csv"],
+                               design=inputs["design.csv"])) == code
+    err = capsys.readouterr().err
+    assert f"{name}:3: column 1: '\\t' comes before the opening quote of a field" in err
 
 
 @pytest.mark.parametrize("name, line, code", [

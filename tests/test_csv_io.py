@@ -322,6 +322,26 @@ def test_spaces_before_an_opening_quote_are_skipped(tmp_path, line, gene_id, val
     np.testing.assert_array_equal(got.values, [values])
 
 
+@pytest.mark.parametrize(
+    "line, column",
+    [
+        (' \t"g1",1.0,2.0\n', 1),
+        ('g1,\t"1.0",2.0\n', 2),
+        ('\t"g,1",1.0,2.0\n', 1),
+        ('g1,1.0,\t "2.0"\n', 3),
+    ],
+    ids=["id", "value", "id-with-comma", "tab-then-space"],
+)
+def test_a_tab_before_an_opening_quote_is_an_error(tmp_path, line, column):
+    # The reader skips only spaces before a quote: after a tab it would keep
+    # the quotes as text, and a comma inside them would split the field.
+    path = tmp_path / "expr.csv"
+    path.write_text(HEADER + _MULTI_LINE_ID + line, encoding="utf-8", newline="")
+    with pytest.raises(DataError, match="^" + re.escape(
+            f"{path}:4: column {column}: '\\t' comes before the opening quote of a field")):
+        pr.read_expression_csv(path, ARRAYS)
+
+
 def test_a_space_after_a_closing_quote_stays_an_error(tmp_path):
     path = tmp_path / "expr.csv"
     path.write_text(HEADER + ' "g1" ,1.0,2.0\n', encoding="utf-8", newline="")
@@ -460,6 +480,53 @@ def test_excluded_csv_blocks_split_between_fallback_and_unfit_rows(tmp_path):
         f"g{edge + 1},degenerate variance,NA,NA,NA",
     ]
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _per_cell_ranked_csv(s, order, path):
+    # ranked.csv written cell by cell, one _fmt call per value: the
+    # reference that the block writer must match byte for byte.
+    n_u, n_k = s.u_values.shape[1], s.gamma.shape[1]
+    header = (["rank", "gene_id", "U"] + [f"U_{i + 1}" for i in range(n_u)]
+              + [f"gamma_{i + 1}" for i in range(n_k)] + [f"se_{i + 1}" for i in range(n_k)]
+              + ["s2", "posterior_s2"])
+    write_csv(path, header, (
+        [str(rank), s.gene_ids[j], _fmt(s.u[j].item()), *map(_fmt, s.u_values[j].tolist()),
+         *map(_fmt, s.gamma[j].tolist()), *map(_fmt, s.se[j].tolist()), _fmt(s.s2[j].item()),
+         _fmt(s.posterior_s2[j].item())]
+        for rank, j in enumerate(order.tolist(), 1)
+    ))
+
+
+@pytest.mark.parametrize("block_rows", [2, 1024])
+def test_ranked_csv_is_written_as_the_per_cell_writer_writes_it(tmp_path, monkeypatch,
+                                                                block_rows):
+    monkeypatch.setattr(fitting, "_BLOCK_ROWS", block_rows)
+    inf, nan = math.inf, math.nan
+    genes = [  # (gene id, U values, gamma, s2, posterior_s2)
+        ("plain", [1.5, 2.25, 0.1], [0.5, -1.25, 3.0], 0.04, 0.05),
+        ('a,"b', [inf, inf, -0.0], [2.0, 2.0, 0.0], 0.0, 0.0),  # zero se
+        ("big", [1234567.0, 1e-05, 2.0], [1234567.0, 1e-05, -1e-05], 1e-05, 1234567.0),
+        ('q"', [0.5, 0.75, 1.0], [1.0, 2.0, -0.5], nan, 0.25),
+        ("x,y", [3.0, 0.25, 1.0], [-0.0, 4.0, 0.125], 0.5, nan),
+        ("last", [2.0, 2.0, 2.0], [1.0, 1.0, 1.0], 0.125, 0.125),
+    ]
+    n = len(genes)
+    u_values = np.array([u for _, u, _, _, _ in genes])
+    scores = ScoreTable(
+        gene_ids=tuple(g for g, *_ in genes), gamma=np.array([g for _, _, g, _, _ in genes]),
+        se=np.full((n, 3), 0.5), u_values=u_values, u=u_values.min(axis=1),
+        reason=np.zeros(n, dtype=np.int8), s2=np.array([s2 for *_, s2, _ in genes]),
+        posterior_s2=np.array([p for *_, p in genes]),
+    )
+    order = np.array([4, 0, 1, 3, 2, 5])
+    cli._write_ranked_csv(scores, order, tmp_path / "block.csv")
+    _per_cell_ranked_csv(scores, order, tmp_path / "reference.csv")
+    written = (tmp_path / "block.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert b'1,"x,y",0.25,3,0.25,1,-0,4,0.125,0.5,0.5,0.5,0.5,NA\n' in written
+    assert b'3,"a,""b",-0,inf,inf,-0,2,2,0,0.5,0.5,0.5,0,0\n' in written
+    assert b'4,"q""",0.5,0.5,0.75,1,1,2,-0.5,0.5,0.5,0.5,NA,0.25\n' in written
+    assert b"5,big,1e-05,1.23457e+06,1e-05,2,1.23457e+06,1e-05,-1e-05" in written
 
 
 @pytest.mark.parametrize("gene_id", ["g\x00", "a\x08b", "a\x0bb", "a\x0cb", "a\x0eb",

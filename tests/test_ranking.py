@@ -322,6 +322,21 @@ def test_cii_agrees_with_iut_at_the_boundary():
     assert dec.interval[1] == math.inf
 
 
+def test_cii_rejects_where_iut_excludes_a_zero_standard_error(pluripotent, stemcell_model):
+    # The one case where the two tests part. With posterior_s2 = 0 every se
+    # is 0, so each interval is the point gamma_hat, inside its criterion's
+    # region, while every U is infinite and the gene is excluded.
+    fit = make_fit([2.0, 2.0, 0.1], stemcell_model.unscaled_se)
+    mod = make_mod(posterior_s2=0.0, posterior_df=20.0)
+    decisions = [pr.cii_decision(fit, mod, 0, col, pluripotent.constraints[j], 0.05)
+                 for col, j in enumerate(pluripotent.test_bearing)]
+    assert all(d.reject_h0 for d in decisions)
+    assert [d.interval for d in decisions] == [(2.0, math.inf), (2.0, math.inf), (0.1, 0.1)]
+    u = pr.u_statistics(fit, mod, pluripotent, stemcell_model, 0)
+    assert u.exclusion_reason == "degenerate variance"
+    assert not pr.iut_decision(u, 20.0, 0.05)
+
+
 def test_ranking_equals_sup_alpha_ordering():
     # Observed significance per criterion is sf(U_i); the gene-level score
     # sup_i sf(U_i) = sf(min U_i) orders genes identically to U.

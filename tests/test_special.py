@@ -136,6 +136,29 @@ def test_t_quantile_matches_bisection_oracle():
             )
 
 
+@pytest.mark.parametrize("alpha, df", [
+    (1e-300, 17.2), (1e-20, 1.0), (1e-12, 0.5), (1e-300, 27.0), (1e-300, 2.0), (1e-300, 1.0),
+])
+def test_t_quantile_past_the_bisection_bracket(alpha, df):
+    # t* from 6e11 (27 df) to 3e299 (1 df, where t*t overflows): never
+    # below the true quantile, and within 1e-11 of it.
+    want = float(scipy.stats.t.isf(alpha, df))
+    got = special.student_t_upper_quantile(alpha, df)
+    assert got >= want
+    assert got == pytest.approx(want, rel=1e-11)
+
+
+def test_t_quantile_beyond_the_float_range_is_inf():
+    # At the largest float, P(T > t) at 0.5 df is still above 1e-300: it is
+    # at least its series' leading term, 0.5 * x**a / (a * B(a, 1/2)) with
+    # a = df / 2 and x = df / (df + t*t), taken in logs here.
+    a, log_x = 0.25, math.log(0.5) - 2.0 * math.log(np.finfo(float).max)
+    log_tail = math.log(0.5) + a * log_x - math.log(a) - scipy.special.betaln(a, 0.5)
+    assert log_tail > math.log(1e-300)
+    assert special.student_t_upper_quantile(1e-300, 0.5) == math.inf
+    assert special.student_t_upper_quantile(5e-324, 0.5) == math.inf
+
+
 def test_normal_quantile():
     assert special.student_t_upper_quantile(0.05, math.inf) == pytest.approx(
         float(scipy.stats.norm.isf(0.05)), abs=1e-10
