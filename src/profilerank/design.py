@@ -24,7 +24,6 @@ __all__ = [
     "ModelMatrix",
     "build_comparison_matrix",
     "compose_model_matrix",
-    "least_squares_operator",
     "least_squares_operators",
     "read_conditions_csv",
     "read_design_csv",
@@ -134,9 +133,8 @@ class ModelMatrix:
 
     def __post_init__(self) -> None:
         self.x.setflags(write=False)
-        solved = least_squares_operator(self.x)
-        if solved is None:
-            rank = int(_rank(np.linalg.svd(self.x, compute_uv=False)))
+        (rank,), _, unscaled_se = least_squares_operators(self.x[None])
+        if rank < self.n_coefficients:
             raise ValidationError(
                 "profile not identifiable under this design: retained model matrix "
                 f"has rank {rank} < {self.n_coefficients} columns"
@@ -146,8 +144,9 @@ class ModelMatrix:
                 f"insufficient residual degrees of freedom: {self.n_arrays} arrays "
                 f"for {self.rank} coefficients"
             )
-        solved[1].setflags(write=False)
-        object.__setattr__(self, "unscaled_se", solved[1])
+        se = unscaled_se[0]
+        se.setflags(write=False)
+        object.__setattr__(self, "unscaled_se", se)
 
     @property
     def n_arrays(self) -> int:
@@ -172,31 +171,25 @@ def _rank(s: np.ndarray) -> np.ndarray:
     return np.count_nonzero(s > RANK_TOLERANCE * s[..., :1], axis=-1)
 
 
-def least_squares_operator(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Pseudo-inverse of ``x`` and sqrt of the diagonal of (X'X)^-1, or None
-    when ``x`` has rank (under RANK_TOLERANCE) below its column count, as
-    every ``x`` with fewer rows than columns has: ``least_squares_operators``
-    on a stack of one."""
-    full_rank, pinv, unscaled_se = least_squares_operators(x[None])
-    return (pinv[0], unscaled_se[0]) if full_rank[0] else None
-
-
 def least_squares_operators(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The least-squares operators of a stack ``x`` of equal-shape matrices
-    (matrices x rows x columns), from one stacked SVD: ``(full_rank, pinv,
-    unscaled_se)``. ``full_rank`` holds one verdict per matrix; ``pinv``
-    and ``unscaled_se`` hold the pseudo-inverse and sqrt of the diagonal of
-    (X'X)^-1 of each full-rank matrix only, in stack order, so no singular
-    value of a rank-deficient one is ever inverted. LAPACK and BLAS are
-    called per matrix exactly as for a single one, and the pseudo-inverse
-    is built from the SVD factors as ``np.linalg.pinv`` builds it, so each
-    result is bit for bit that of the matrix alone."""
+    (matrices x rows x columns), from one stacked SVD: ``(rank, pinv,
+    unscaled_se)``. Every model matrix is solved here, a single one as a
+    stack of one. ``rank`` holds each matrix's rank under RANK_TOLERANCE,
+    below the column count wherever there are fewer rows than columns;
+    ``pinv`` and ``unscaled_se`` hold the pseudo-inverse and sqrt of the
+    diagonal of (X'X)^-1 of each matrix of full column rank only, in stack
+    order, so no singular value of a rank-deficient one is ever inverted.
+    LAPACK and BLAS are called per matrix exactly as for a single one, and
+    the pseudo-inverse is built from the SVD factors as ``np.linalg.pinv``
+    builds it, so each result is bit for bit that of the matrix alone."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    full_rank = _rank(s) == x.shape[-1]
+    rank = _rank(s)
+    full_rank = rank == x.shape[-1]
     u, s, vt = u[full_rank], s[full_rank], vt[full_rank]
     pinv = vt.transpose(0, 2, 1) @ ((1 / s)[:, :, None] * u.transpose(0, 2, 1))
     gram = pinv @ pinv.transpose(0, 2, 1)
-    return full_rank, pinv, np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    return rank, pinv, np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
 
 
 def build_comparison_matrix(design: ComparisonDesign) -> ComparisonMatrix:

@@ -299,7 +299,8 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
         for chunk in _blocks(np.flatnonzero(n_obs == n), _OPERATOR_CHUNK):
             cols = np.nonzero(masks[chunk])[1].reshape(len(chunk), n)
             x_obs = model.x[cols]
-            full_rank, pinv, se = least_squares_operators(x_obs)
+            rank, pinv, se = least_squares_operators(x_obs)
+            full_rank = rank == k
             chunk, cols, x_obs = chunk[full_rank], cols[full_rank], x_obs[full_rank]
             for p, offset, r in _block_calls(size[chunk]):
                 genes = by_pattern[(start[chunk[p]] + offset)[:, None] + np.arange(r)]

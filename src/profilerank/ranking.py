@@ -375,12 +375,13 @@ def cii_decision(
     Either holds exactly when the criterion's U exceeds the t quantile, the
     test ``iut_decision`` applies, so the decision is made by that test and
     the two agree, with one exception: a zero standard error
-    (``posterior_s2 = 0``). The interval is then the point gamma_hat and U
-    is infinite, so this test rejects wherever gamma_hat meets the
-    criterion, while ``iut_decision`` never passes an infinite U: such a
-    gene is excluded as ``degenerate variance``. The t quantile uses the
-    moderated degrees of freedom (normal when the prior is degenerate).
-    ``coefficient`` indexes retained model columns.
+    (``posterior_s2 = 0``). The interval is then the point gamma_hat, even
+    at t* = inf, and U is infinite, so this test rejects wherever gamma_hat
+    meets the criterion (nowhere at t* = inf, which no U exceeds), while
+    ``iut_decision`` never passes an infinite U: such a gene is excluded as
+    ``degenerate variance``. The t quantile uses the moderated degrees of
+    freedom (normal when the prior is degenerate). ``coefficient`` indexes
+    retained model columns.
     """
     alpha = _check_alpha(alpha)
     if not fit.ok:
@@ -391,10 +392,11 @@ def cii_decision(
                                 mod.posterior_s2[[gene_index]])[0, coefficient])
     tstar = student_t_upper_quantile(alpha, float(mod.posterior_df[gene_index]))
     gamma = float(fit.gamma_hat[coefficient])
-    upper = gamma + tstar * se if constraint.kind == "equiv" else math.inf
+    half = tstar * se if se else 0.0  # not inf * 0 = nan at t* = inf
+    upper = gamma + half if constraint.kind == "equiv" else math.inf
     u = _u_column(np.array([gamma]), np.array([se]), constraint)
     reject = _passes(u[:, None], mod.posterior_df[[gene_index]], alpha)[0]
-    return CIIDecision(reject_h0=bool(reject), interval=(gamma - tstar * se, upper))
+    return CIIDecision(reject_h0=bool(reject), interval=(gamma - half, upper))
 
 
 def iut_decision(u: UStatistics, posterior_df: float, alpha: float) -> bool:

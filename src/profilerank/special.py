@@ -3,8 +3,9 @@
 Everything here is implemented locally so the core library depends only on
 numpy: polygamma functions via upward recurrence plus asymptotic series,
 the regularized incomplete beta via a continued fraction, and distribution
-quantiles via bisection on the corresponding CDF (in closed form far out in
-the t tail). Accuracy is ~1e-12 over the argument ranges that arise in
+quantiles via bisection on the corresponding CDF (far out in the t tail,
+the tail and its quantile come from the tail's leading term, in closed
+form). Accuracy is ~1e-12 over the argument ranges that arise in
 practice (positive arguments, moderate degrees of freedom), which the test
 suite pins against independent references.
 """
@@ -58,6 +59,11 @@ _TETRAGAMMA_COEFFS = (
     -5.0 / 6.0,
     691.0 / 210.0,
 )
+
+# Past this |t|, at fewer than 30 df, Student's t tail comes from its
+# leading term (``_log_far_tail_scale``); the quantile's bisection never
+# evaluates the tail past it.
+_FAR_T = 2.0**39
 
 
 def _require_positive(x: float, name: str) -> float:
@@ -207,7 +213,9 @@ def betainc(a: float, b: float, x: float) -> float:
 
 
 def student_t_cdf(t: float, df: float) -> float:
-    """P(T <= t) for Student's t with df degrees of freedom (df = inf allowed)."""
+    """P(T <= t) for Student's t with df degrees of freedom (df = inf allowed).
+    Past ``|t| = 2**39`` at fewer than 30 df the tail is its leading term,
+    taken in logs, so that ``t*t`` cannot overflow."""
     t = float(t)
     df = float(df)
     if not df > 0.0:
@@ -216,7 +224,11 @@ def student_t_cdf(t: float, df: float) -> float:
         return 0.5 * math.erfc(-t / math.sqrt(2.0))
     if t == 0.0:
         return 0.5
-    tail = 0.5 * betainc(0.5 * df, 0.5, df / (df + t * t))
+    if abs(t) > _FAR_T and df < 30.0:
+        tail = math.exp(0.5 * df * (math.log(df) - 2.0 * math.log(abs(t)))
+                        - _log_far_tail_scale(df))
+    else:
+        tail = 0.5 * betainc(0.5 * df, 0.5, df / (df + t * t))
     return 1.0 - tail if t > 0.0 else tail
 
 
@@ -266,6 +278,16 @@ def student_t_upper_quantile(alpha: float, df: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _log_far_tail_scale(df: float) -> float:
+    """``log(df * B(df/2, 1/2))``. Past ``_FAR_T``, and below 30 df, the
+    upper tail of Student's t is ``(df / t**2)**(df/2) / exp(this)``, the
+    leading term of ``0.5 * I_x(df/2, 1/2)``, to double precision, as
+    ``_far_quantile`` explains; from 30 df on it is below the smallest
+    positive float there."""
+    log_beta = math.lgamma(0.5 * df) + math.lgamma(0.5) - math.lgamma(0.5 * df + 0.5)
+    return math.log(df) + log_beta
+
+
 def _far_quantile(alpha: float, df: float) -> float:
     """``student_t_upper_quantile`` where t* > 2**39. P(T > 2**39) is below
     the smallest positive float, 5e-324, from 30 df on, so df is below 30
@@ -276,8 +298,7 @@ def _far_quantile(alpha: float, df: float) -> float:
     of ``t*t`` past 1.3e154. t* is rounded up by 1e-12 relative, more than
     the rounding error of its logarithm (at most ~710), so it is never
     below the true quantile; past the float range it is ``inf``."""
-    log_beta = math.lgamma(0.5 * df) + math.lgamma(0.5) - math.lgamma(0.5 * df + 0.5)
-    log_t = 0.5 * math.log(df) - (math.log(df) + log_beta + math.log(alpha)) / df
+    log_t = 0.5 * math.log(df) - (_log_far_tail_scale(df) + math.log(alpha)) / df
     try:
         return math.exp(log_t) * (1.0 + 1e-12)
     except OverflowError:

@@ -29,6 +29,8 @@ _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 170
 _MARGIN_TOP = 48
 _MARGIN_BOTTOM = 56
+# Intervals the y axis is cut into before its tick spacing is rounded.
+_TICK_INTERVALS = 5
 
 
 def fitted_relative_profile(
@@ -49,11 +51,11 @@ def fitted_relative_profile(
     return mu - mu[0]
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     # Round tick spacing to 1/2/5 x 10^k covering [lo, hi].
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / _TICK_INTERVALS
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

@@ -35,10 +35,11 @@ turn draws, in this order and from nothing else:
 3. ``rng.chisquare(D0)`` for its variance;
 4. one ``rng.standard_normal`` call for its noise, one double per array.
 
-Genes are drawn in blocks of ``_BLOCK``; the arithmetic on a block's
-drawn numbers runs on its columns after its draws and gives the bits
-that per-gene ``rng.uniform(a, b)`` (``a + (b - a) * u``),
-``rng.normal(0, s)`` (``0.0 + s * z``) and ``model.x @ gamma`` would.
+Genes are drawn in blocks of ``fitting._BLOCK_ROWS``, the fit's block
+size; the arithmetic on a block's drawn numbers runs on its columns
+after its draws and gives the bits that per-gene ``rng.uniform(a, b)``
+(``a + (b - a) * u``), ``rng.normal(0, s)`` (``0.0 + s * z``) and
+``model.x @ gamma`` would.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from . import fitting
 from .csvout import write_csv
 from .design import ComparisonDesign, build_comparison_matrix, compose_model_matrix
 from .errors import ValidationError
@@ -79,9 +81,6 @@ VIOLATION = (0.25, 2.0)
 # Gene variances: sigma2_g = D0 * S0_2 / chisq(D0).
 D0 = 16.0
 S0_2 = 0.05
-
-# Genes drawn and computed at a time, so every temporary is a block's.
-_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -239,8 +238,9 @@ def generate_dataset(
     values = np.empty((n_genes, model.n_arrays))
     gamma = np.empty((n_genes, len(constraints)))
     sigma2 = np.empty(n_genes)
-    for lo in range(0, n_genes, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
+    size = fitting._BLOCK_ROWS
+    for lo in range(0, n_genes, size):
+        block = slice(lo, lo + size)
         rows = values[block]
         gamma[block], chisq = _draw_block(rng, roles[block], constraints, rows)
         sigma2[block] = D0 * S0_2 / chisq

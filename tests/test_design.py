@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import profilerank as pr
-from profilerank.design import RANK_TOLERANCE, least_squares_operator, least_squares_operators
+from profilerank.design import RANK_TOLERANCE, least_squares_operators
 from profilerank.errors import ValidationError
 from profilerank.special import trigamma_inverse
 
@@ -201,7 +201,7 @@ def test_hand_built_model_matrix_derives_rank_df_and_se(stemcell_model):
     assert (bare.rank, bare.residual_df) == (stemcell_model.rank, stemcell_model.residual_df)
     assert (bare.rank, bare.residual_df) == (3, 17)
     assert np.array_equal(bare.unscaled_se, stemcell_model.unscaled_se)
-    assert np.array_equal(bare.unscaled_se, least_squares_operator(bare.x)[1])
+    assert np.array_equal(bare.unscaled_se, least_squares_operators(bare.x[None])[2][0])
     with pytest.raises(ValueError):
         bare.unscaled_se[0] = 1.0
 
@@ -277,17 +277,18 @@ def _assert_operator_is_pinv(x, pinv, unscaled_se):
 
 def test_least_squares_operator_matches_pinv_and_rank(stemcell_design, stemcell_model):
     cases = _operator_cases(stemcell_design, stemcell_model)
-    n_none = 0
+    n_deficient = 0
     for x in cases:
-        solved = least_squares_operator(x)
-        assert (solved is None) == (_svd_rank(x) < x.shape[1]), x
-        if solved is None:
-            n_none += 1
+        (rank,), pinv, unscaled_se = least_squares_operators(x[None])
+        assert rank == _svd_rank(x), x
+        assert len(pinv) == len(unscaled_se) == (rank == x.shape[1])
+        if rank < x.shape[1]:
+            n_deficient += 1
             continue
-        _assert_operator_is_pinv(x, *solved)
-    assert n_none >= 4
+        _assert_operator_is_pinv(x, pinv[0], unscaled_se[0])
+    assert n_deficient >= 4
 
-    # The same matrices, stacked by shape: one verdict per matrix, and the
+    # The same matrices, stacked by shape: one rank per matrix, and the
     # operators of the full-rank ones, bit for bit, with no warning from
     # the singular values of the rank-deficient ones.
     by_shape = {}
@@ -297,8 +298,9 @@ def test_least_squares_operator_matches_pinv_and_rank(stemcell_design, stemcell_
     for xs in by_shape.values():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            full_rank, pinv, unscaled_se = least_squares_operators(np.stack(xs))
-        assert full_rank.tolist() == [least_squares_operator(x) is not None for x in xs]
+            rank, pinv, unscaled_se = least_squares_operators(np.stack(xs))
+        assert rank.tolist() == [_svd_rank(x) for x in xs]
+        full_rank = rank == xs[0].shape[1]
         assert len(pinv) == len(unscaled_se) == full_rank.sum()
         for x, *operator in zip(itertools.compress(xs, full_rank), pinv, unscaled_se):
             _assert_operator_is_pinv(x, *operator)

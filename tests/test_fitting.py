@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import profilerank as pr
-from profilerank.design import least_squares_operator
+from profilerank.design import least_squares_operators
 from profilerank.errors import DataError, ValidationError
 from profilerank.fitting import posterior_variance
 from profilerank.synth import generate_dataset, write_expression_csv
@@ -196,7 +196,7 @@ def test_a_fit_that_overflows_is_excluded_from_the_prior(stemcell_design, stemce
     rng = np.random.default_rng(16)
     rows = rng.normal(0, 1, (8, 20))
     rows[1] *= 1e200
-    pinv, _ = least_squares_operator(stemcell_model.x)
+    pinv = least_squares_operators(stemcell_model.x[None])[1][0]
     rows[2] = 1.7e308 * np.where(pinv[1] < 0, -1.0, 1.0)
     rows[3] = np.nan
     fits = pr.fit_all(_expr(stemcell_model, rows, stemcell_design.array_ids), stemcell_model)

@@ -337,6 +337,20 @@ def test_cii_rejects_where_iut_excludes_a_zero_standard_error(pluripotent, stemc
     assert not pr.iut_decision(u, 20.0, 0.05)
 
 
+def test_cii_interval_at_a_zero_standard_error_and_an_infinite_quantile(pluripotent,
+                                                                        stemcell_model):
+    # A tiny alpha at few df puts t* past the float range, so t* * se is
+    # inf * 0: the interval is still the point gamma_hat, and nothing
+    # rejects, since no U exceeds t* = inf.
+    assert student_t_upper_quantile(1e-300, 0.6) == math.inf
+    fit = make_fit([2.0, 2.0, 0.1], stemcell_model.unscaled_se)
+    mod = make_mod(posterior_s2=0.0, posterior_df=0.6)
+    decisions = [pr.cii_decision(fit, mod, 0, col, pluripotent.constraints[j], 1e-300)
+                 for col, j in enumerate(pluripotent.test_bearing)]
+    assert [d.interval for d in decisions] == [(2.0, math.inf), (2.0, math.inf), (0.1, 0.1)]
+    assert not any(d.reject_h0 for d in decisions)
+
+
 def test_ranking_equals_sup_alpha_ordering():
     # Observed significance per criterion is sf(U_i); the gene-level score
     # sup_i sf(U_i) = sf(min U_i) orders genes identically to U.

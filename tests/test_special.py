@@ -159,6 +159,43 @@ def test_t_quantile_beyond_the_float_range_is_inf():
     assert special.student_t_upper_quantile(5e-324, 0.5) == math.inf
 
 
+def _far_tail_closed_form(t, df):
+    # The leading term of P(T > t), 0.5 * x**a / (a * B(a, 1/2)) with
+    # a = df / 2 and x = df / t**2, taken in logs: exact to double
+    # precision once t**2 exceeds df by 1e22.
+    a = 0.5 * df
+    return 0.5 * math.exp(a * (math.log(df) - 2.0 * math.log(t)) - math.log(a)
+                          - scipy.special.betaln(a, 0.5))
+
+
+@pytest.mark.parametrize("t", [1e13, 1e100, 1e160, 1e200, 1e300])
+@pytest.mark.parametrize("df", [0.5, 1.0, 2.0, 17.2])
+def test_t_tail_past_the_overflow_of_t_squared(t, df):
+    # Past t ~ 1.3e154, t*t overflows and the incomplete beta's argument
+    # rounds to 0 (scipy's t.sf returns 0 there too). The tail is 0.0 only
+    # where its closed form underflows; a subnormal one is exact to its
+    # last place.
+    want = _far_tail_closed_form(t, df)
+    got = special.student_t_sf(t, df)
+    assert got == pytest.approx(want, rel=1e-12, abs=5e-324)
+    assert (got == 0.0) == (want == 0.0)
+    assert special.student_t_cdf(-t, df) == got
+    # From 30 df on, the tail past 2**39 is below the smallest float.
+    assert special.student_t_sf(t, 30.0) == special.student_t_sf(t, 1e30) == 0.0
+    if got >= np.finfo(float).tiny:  # a normal float: t* round-trips
+        back = special.student_t_upper_quantile(got, df)
+        assert t <= back <= t * (1.0 + 1e-11)
+
+
+@pytest.mark.parametrize("df", [0.5, 1.0, 17.2, 27.0])
+def test_t_tail_is_continuous_where_its_leading_term_takes_over(df):
+    near = special.student_t_sf(special._FAR_T, df)
+    far = special.student_t_sf(np.nextafter(special._FAR_T, math.inf), df)
+    assert far == pytest.approx(near, rel=1e-12, abs=5e-324)
+    assert far == pytest.approx(_far_tail_closed_form(special._FAR_T, df), rel=1e-12,
+                                abs=5e-324)
+
+
 def test_normal_quantile():
     assert special.student_t_upper_quantile(0.05, math.inf) == pytest.approx(
         float(scipy.stats.norm.isf(0.05)), abs=1e-10
