@@ -524,11 +524,10 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
     """``(gene ids, values)`` from ``np.loadtxt``, or None where the csv loop
     could read a line differently; it checks neither ids nor shape.
 
-    Only plain lines are taken: no quote, carriage return, NUL, space or
-    tab, no empty value, no blank line, no line longer than the csv field
-    limit, and ``NA`` only as a whole field, rewritten to ``nan``. The file
-    goes back to the loop when ``loadtxt`` fails or a value is non-finite
-    without having been ``NA``.
+    Lines end at ``\\r``, ``\\n`` or ``\\r\\n``, as csv records do. Only plain
+    lines are taken: no quote, NUL, space, tab, empty value or blank line, no
+    line over the csv field limit, and ``NA`` only as a whole field; each value
+    must parse, and be finite unless it was ``NA``.
     """
     limit = csv.field_size_limit()
     gene_ids: list[str] = []
@@ -539,7 +538,7 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
         for line in lines:
             gene_id, _, body = line.partition(",")
             if (not body or len(line) > limit or ",," in line or line.endswith((",", ",\n"))
-                    or '"' in line or "\r" in line or "\0" in line or " " in line or "\t" in line):
+                    or '"' in line or "\0" in line or " " in line or "\t" in line):
                 raise _Declined
             n = body.count("NA")
             if n:
@@ -550,10 +549,10 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
             gene_ids.append(gene_id)
             yield body
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if (header.removesuffix("\n").split(",") != ["gene_id", *array_ids]
-                or '"' in header or "\r" in header or "\0" in header):
+                or '"' in header or "\0" in header):
             return None
         lines = bodies(fh)
         try:
@@ -574,10 +573,12 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
 def _parse_csv(path, array_ids: tuple[str, ...]):
     """``(gene ids, values)`` read field by field from ``csv_records``; the
     first malformed input in file order raises a ``DataError`` naming its
-    position."""
+    position. Values are held as Python floats for ``_BLOCK_ROWS`` rows at
+    a time, then as a float array."""
     expected = ["gene_id", *array_ids]
     line_of: dict[str, int] = {}  # gene id -> its line, in file order
     rows: list[list[float]] = []
+    blocks: list[np.ndarray] = []
     records = csv_records(path, "expression", DataError, len(expected))
     header = next(records)
     if header is None:
@@ -615,6 +616,10 @@ def _parse_csv(path, array_ids: tuple[str, ...]):
                 )
             values.append(value)
         rows.append(values)
+        if len(rows) == _BLOCK_ROWS:
+            blocks.append(np.array(rows, dtype=float))
+            rows.clear()
     if not line_of:
         raise DataError(f"{path}: no gene rows")
-    return tuple(line_of), np.array(rows, dtype=float)
+    blocks.append(np.array(rows, dtype=float).reshape(len(rows), len(array_ids)))
+    return tuple(line_of), np.concatenate(blocks)

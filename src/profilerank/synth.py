@@ -272,9 +272,9 @@ def write_truth_csv(result: SynthResult, path) -> None:
         + [f"gamma_{name}" for name in result.coefficient_names]
         + ["sigma2"]
     )
-    rows = zip(result.expression.gene_ids, result.roles, result.gamma, result.sigma2.tolist())
+    rows = zip(result.expression.gene_ids, result.roles, result.gamma, result.sigma2)
     write_csv(path, header, (
         [gene_id, "0" if role == ROLE_BACKGROUND else "1", role,
-         *map(repr, gamma.tolist()), repr(sigma2)]
+         *map(repr, gamma.tolist()), repr(float(sigma2))]
         for gene_id, role, gamma, sigma2 in rows
     ))

@@ -164,17 +164,16 @@ _LONG_ID = "g" * 70000  # with a long value, a line beyond the field limit
 _DECLINED = {
     # scanned per line
     "quote": HEADER + '"g1",1.0,2.0\n',
-    "carriage-return": HEADER + "g1,1.0,2.0\r\ng2,3.0,4.0\r\n",
     "space": HEADER + "g1, 1.0,2.0\n",
     "tab": HEADER + "g1,1.0\t,2.0\n",
     "nul": HEADER + "g\x001,1.0,2.0\n",
     "trailing-comma": HEADER + "g1,1.0,\n",
     "double-comma": HEADER + "g1,,2.0\n",
     "blank-line": HEADER + "g1,1.0,2.0\n\ng2,3.0,4.0\n",
+    "carriage-return-blank-line": HEADER + "g1,1.0,2.0\r\r\ng2,3.0,4.0\n",
     "id-only-line": HEADER + "g1\n",
     "long-line": HEADER + f"{_LONG_ID},1.{'0' * 70000},2.0\n",
     "na-inside-a-field": HEADER + "g1,-NA,2.0\n",
-    "header-not-plain": "gene_id,a1,a2\r\ng1,1.0,2.0\n",
     "no-data-rows": HEADER,
     # found after parsing
     "loadtxt-error": HEADER + "g1,1_0,2.0\n",
@@ -188,12 +187,36 @@ _DECLINED = {
 # falls back to the loop.
 _REJECTED = {
     "leading-comma": HEADER + ",1.0,2.0\n",
+    "carriage-return-mid-line": HEADER + "g1,1.0\r,2.0\n",
     "id-with-unicode-space": HEADER + "g1\xa0,1.0,2.0\n",
     "every-row-too-wide": HEADER + "g1,1.0,2.0,3.0\ng2,4.0,5.0,6.0\n",
     "duplicate-id": HEADER + "g1,1.0,2.0\ng2,3.0,4.0\ng1,5.0,6.0\n",
     "id-not-xml": HEADER + "g1,1.0,2.0\ng\x01x,3.0,4.0\ng\x0cy,5.0,6.0\n",
     "id-noncharacter": HEADER + "g\ufffe,1.0,2.0\n",
 }
+
+
+# Files that the fast path takes: lines end at "\r", "\n" or "\r\n", as
+# the csv loop's records do.
+_TAKEN = {
+    "carriage-return": HEADER + "g1,1.0,2.0\r\ng2,3.0,4.0\r\n",
+    "crlf-header": "gene_id,a1,a2\r\ng1,1.0,2.0\n",
+    "carriage-return-only": "gene_id,a1,a2\rg1,1.0,NA\rg2,3.0,4.0\r",
+    "mixed-line-ends": "gene_id,a1,a2\r\ng1,1.0,2.0\rg2,NA,4.0\ng3,5.0,6.0\r\n",
+    "trailing-carriage-return": HEADER + "g1,1.0,2.0\ng2,3.0,4.0\r",
+}
+
+
+@pytest.mark.parametrize("text", _TAKEN.values(), ids=_TAKEN)
+def test_fast_path_takes(tmp_path, text):
+    path = tmp_path / "expr.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = _reference(path, ARRAYS)
+    assert not isinstance(want, str), want
+    fast = _fast_matrix(path, ARRAYS)
+    assert fast is not None
+    _assert_same(fast, want)
+    _assert_same(_read(path, ARRAYS), want)
 
 
 @pytest.mark.parametrize("text, parsed", [*((t, False) for t in _DECLINED.values()),
@@ -605,6 +628,28 @@ def test_a_200k_id_read_checks_its_ids_without_a_set(tmp_path):
         tracemalloc.stop()
     assert expr.n_genes == n and np.isnan(expr.values[:, 1]).all()
     assert peak - kept < 4 * 2**20
+
+
+def test_the_csv_loop_holds_one_block_of_python_floats_at_a_time(tmp_path):
+    # An empty cell on every line sends the read to the csv loop. 8192 rows
+    # of 20 values, eight whole blocks and an empty last one, peak at 6.2 MiB
+    # above what the read keeps when all are lists of Python floats, and at
+    # 1.7 MiB when each block becomes an array as it fills.
+    arrays = tuple(f"a{j}" for j in range(20))
+    n = 8 * fitting._BLOCK_ROWS
+    path = tmp_path / "expr.csv"
+    path.write_text(f"gene_id,{','.join(arrays)}\n"
+                    + "".join(f"g{i},{f'{i % 9}.5,' * 19}\n" for i in range(n)))
+    assert fitting._parse_fast(path, arrays) is None
+    tracemalloc.start()
+    try:
+        expr = pr.read_expression_csv(path, arrays)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert expr.values.shape == (n, 20) and np.isnan(expr.values[:, -1]).all()
+    assert expr.values[n - 1, 0] == (n - 1) % 9 + 0.5
+    assert peak - kept < 3 * 2**20
 
 
 def test_carriage_return_id_is_rejected_as_an_id():

@@ -13,7 +13,9 @@ from hypothesis.extra.numpy import arrays
 import profilerank as pr
 from profilerank.design import least_squares_operators
 from profilerank.errors import DataError, ValidationError
+from profilerank import special
 from profilerank.fitting import posterior_variance
+from profilerank.ranking import _passes
 from profilerank.synth import generate_dataset, write_expression_csv
 
 from test_design import _profile, make_design
@@ -314,6 +316,24 @@ def test_shrinkage_bound_holds_for_every_gene():
     mod = pr.moderate_variances(_fits_from_s2(s2))
     for v, post in zip(s2, mod.posterior_s2):
         assert min(mod.s0_2, v) <= post <= max(mod.s0_2, v)
+
+
+def test_a_tiny_positive_excess_gives_a_huge_finite_d0_that_decides_as_the_normal():
+    # Two genes whose log-variances spread exactly as the chi-square noise
+    # at 17 df, give or take a few ulps: the moment excess is a tiny
+    # positive number, d0 = 2 / excess is above 1e12, and so is each
+    # gene's posterior df. Student's t there is the normal to 1e-12.
+    half = math.sqrt(special.trigamma(8.5) / 2.0)
+    mods = (pr.moderate_variances(_fits_from_s2([math.exp(c), math.exp(-c)]))
+            for c in half * (1.0 + np.arange(-50, 50) * 1e-15))
+    mod = next(m for m in mods if 1e12 < m.d0 < math.inf)
+    z = special.student_t_upper_quantile(0.05, math.inf)
+    u = z * (1.0 + np.array([-1e-6, -1e-9, 1e-9, 1e-6]))[:, None]
+    normal = _passes(u, np.full(4, math.inf), 0.05)
+    assert normal.tolist() == [False, False, True, True]
+    for df in mod.posterior_df:
+        assert df > 1e12
+        assert np.array_equal(_passes(u, np.full(4, df), 0.05), normal)
 
 
 def test_zero_variance_gene_flagged_and_moderated():

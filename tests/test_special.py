@@ -196,6 +196,39 @@ def test_t_tail_is_continuous_where_its_leading_term_takes_over(df):
                                 abs=5e-324)
 
 
+def test_t_tail_against_scipy_at_large_df():
+    # df from 1e3 to 1e300 in steps of 10**0.5, and both sides of the
+    # switch to Hill's transformation. Within 1e-9 relative on both sides,
+    # wherever scipy's value is a normal float: below it the incomplete beta
+    # is within ~5e-10, from it on Hill's transformation within ~1e-12.
+    t = np.concatenate([np.logspace(-3.0, 3.0, 61), -np.logspace(-3.0, 3.0, 13)])
+    for df in [*10.0 ** np.arange(3.0, 300.1, 0.5), np.nextafter(special._HILL_DF, 0.0),
+               special._HILL_DF]:
+        for ours, theirs in ((special.student_t_sf, scipy.stats.t.sf),
+                             (special.student_t_cdf, scipy.stats.t.cdf)):
+            want = theirs(t, df)
+            normal = want >= np.finfo(float).tiny
+            got = np.array([ours(x, df) for x in t[normal]])
+            np.testing.assert_allclose(got, want[normal], rtol=1e-9, atol=0.0,
+                                       err_msg=f"{ours.__name__} at df = {df!r}")
+
+
+def test_t_quantile_never_rises_as_df_rises():
+    # From 1e3 to 1e300 df in steps of 10**(1/8): t* falls towards the
+    # normal quantile and reaches it, matching scipy on the way. Near the
+    # switch-over t* falls by ~5e-5 between grid points, against the
+    # branches' disagreement of at most 1e-9 in the tail there.
+    grid = 10.0 ** (np.arange(24, 2401) / 8.0)
+    assert special._HILL_DF in grid
+    for alpha in (0.4, 0.05, 1e-6, 1e-300):
+        tstar = np.array([special.student_t_upper_quantile(alpha, df) for df in grid])
+        assert np.all(np.diff(tstar) <= 0.0)
+        assert tstar[-1] == pytest.approx(special.student_t_upper_quantile(alpha, math.inf),
+                                          rel=1e-12)
+        np.testing.assert_allclose(tstar[::4], scipy.stats.t.isf(alpha, grid[::4]),
+                                   rtol=1e-10)
+
+
 def test_normal_quantile():
     assert special.student_t_upper_quantile(0.05, math.inf) == pytest.approx(
         float(scipy.stats.norm.isf(0.05)), abs=1e-10
