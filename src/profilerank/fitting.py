@@ -19,7 +19,7 @@ import itertools
 import math
 import operator
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,12 +71,10 @@ class ExpressionMatrix:
     values: np.ndarray = field(compare=False)
 
     def __post_init__(self) -> None:
-        if not _ids_pass(tuple(self.gene_ids)):
-            for gene_id in self.gene_ids:  # name the first bad id
-                check_gene_id(gene_id)
+        check_gene_ids(self.gene_ids)
         if not _ids_unique(self.gene_ids):
             seen: set[str] = set()
-            for gene_id in self.gene_ids:
+            for gene_id in self.gene_ids:  # a repeat, or only a hash collision
                 if gene_id in seen:
                     raise DataError(f"gene ids must be unique: {gene_id!r} repeats")
                 seen.add(gene_id)
@@ -115,47 +113,36 @@ class GeneFit:
         return self.status == "ok"
 
 
-def check_gene_id(gene_id: str) -> None:
-    """The rule on one gene id, which ``ExpressionMatrix`` checks on each of
-    its ids and the reader on each id it has stripped: non-empty, without
-    surrounding whitespace, without a carriage return and without a
-    character that XML 1.0 cannot hold. The reader strips whitespace and
-    rejects a carriage return, so only such an id reads back as it was
-    written; ``profiles.svg`` holds ids as XML text."""
-    if not gene_id or gene_id != gene_id.strip():
-        raise DataError(f"a gene id must be non-empty, without surrounding "
-                        f"whitespace, got {gene_id!r}")
-    if "\r" in gene_id:
-        raise DataError(f"a gene id must be non-empty and hold no carriage return, "
-                        f"got {gene_id!r}")
-    bad = _not_xml(gene_id)
-    if bad:
-        raise DataError(f"a gene id must hold only characters that XML 1.0 allows, "
-                        f"got {gene_id!r} (U+{ord(bad.group()):04X})")
-
-
-def _ids_pass(ids: tuple[str, ...]) -> bool:
-    """Whether every id passes ``check_gene_id``, checked on all at once.
-    The same rule as ``check_gene_id``'s; a rule added there must be added
-    here (``test_csv_io`` checks that the two agree)."""
-    joined = "".join(ids)
-    return (all(ids) and tuple(map(str.strip, ids)) == ids and "\r" not in joined
-            and not _not_xml(joined))
+def check_gene_ids(gene_ids: Iterable[str]) -> None:
+    """The rule on gene ids, which ``ExpressionMatrix`` checks on its ids and
+    the reader on each id it has stripped: non-empty, without surrounding
+    whitespace, without a carriage return and without a character that XML
+    1.0 cannot hold. The reader strips whitespace and rejects a carriage
+    return, so only such an id reads back as it was written;
+    ``profiles.svg`` holds ids as XML text. The first id that breaks the
+    rule is named."""
+    for gene_id in gene_ids:
+        if not gene_id or gene_id != gene_id.strip():
+            raise DataError(f"a gene id must be non-empty, without surrounding "
+                            f"whitespace, got {gene_id!r}")
+        if not gene_id.isprintable():  # printable text, the usual case, passes
+            if "\r" in gene_id:
+                raise DataError(f"a gene id must be non-empty and hold no carriage "
+                                f"return, got {gene_id!r}")
+            bad = _NOT_XML.search(gene_id)
+            if bad:
+                raise DataError(f"a gene id must hold only characters that XML 1.0 "
+                                f"allows, got {gene_id!r} (U+{ord(bad.group()):04X})")
 
 
 def _ids_unique(ids: Sequence[str]) -> bool:
-    """Whether no id repeats. Equal ids have equal hashes, so sorted hashes
-    without a repeat settle it in 8 bytes per id, where building a set of
-    the ids peaks at about 60; only a repeated hash is checked with the set."""
+    """Whether no id's hash repeats, which proves that no id repeats: equal
+    ids have equal hashes. Sorted hashes settle it in 8 bytes per id, where
+    building a set of the ids peaks at about 60; a repeated hash may be a
+    repeated id or only a collision."""
     hashes = np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids))
     hashes.sort()
-    return not (hashes[1:] == hashes[:-1]).any() or len(set(ids)) == len(ids)
-
-
-def _not_xml(text: str) -> re.Match | None:
-    """The first character of ``text`` that XML 1.0 cannot hold, if any;
-    printable text, the usual case, skips the search."""
-    return None if text.isprintable() else _NOT_XML.search(text)
+    return not (hashes[1:] == hashes[:-1]).any()
 
 
 def _excluded(gene_id: str, reason: str, n_used: int) -> GeneFit:
@@ -496,7 +483,7 @@ def moderate_variances(fits) -> ModerationResult:
 
 def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
     """Read a log-ratio table: header ``gene_id,<array ids...>`` matching the
-    design order exactly; a gene id (stripped) must pass ``check_gene_id``
+    design order exactly; a gene id (stripped) must pass ``check_gene_ids``
     and be unique; values are finite decimals, ``NA`` or empty for missing
     (``inf``, ``nan`` and overflow are errors, not missing spots).
 
@@ -591,7 +578,7 @@ def _parse_csv(path, array_ids: tuple[str, ...]):
     for lineno, fields in records:
         gene_id = fields[0]
         try:
-            check_gene_id(gene_id)
+            check_gene_ids((gene_id,))
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: column 1: {exc}") from exc
         if gene_id in line_of:

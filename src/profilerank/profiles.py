@@ -136,11 +136,12 @@ def _basis_column(cname: str, column: tuple[str, ...], n_cond: int) -> list[floa
 def _check_independent(name: str, coefficient_names, basis_text) -> None:
     # Linear independence of the basis columns, certified exactly over the
     # rationals parsed from the decimal text, so acceptance matches
-    # brute-force elimination by construction.
+    # brute-force elimination by construction. ``float`` has placed any
+    # digit-group underscores, which ``Fraction`` takes only from Python 3.11.
     columns = []
     for cname, col in zip(coefficient_names, basis_text):
         try:
-            columns.append([Fraction(v) for v in col])
+            columns.append([Fraction(v.replace("_", "")) for v in col])
         except ValueError as exc:
             raise ValidationError(
                 f"coefficient {cname!r}: entry not an exact decimal"

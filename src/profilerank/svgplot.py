@@ -52,9 +52,7 @@ def fitted_relative_profile(
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    # Round tick spacing to 1/2/5 x 10^k covering [lo, hi].
-    if hi <= lo:
-        hi = lo + 1.0
+    # Round tick spacing to 1/2/5 x 10^k covering [lo, hi], where lo < hi.
     raw = (hi - lo) / _TICK_INTERVALS
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):

@@ -667,6 +667,27 @@ def test_an_error_after_the_read_creates_no_output_directory(workdir, tmp_path, 
     assert not out.exists()
 
 
+def test_an_empty_data_file_exits_3(workdir, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    out = tmp_path / "out"
+    args = _rank_args(workdir, out)
+    args[args.index("--data") + 1] = str(empty)
+    assert main(args) == 3
+    assert f"data error: {empty}: empty file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_out_path_the_os_refuses_exits_2_after_the_fit(workdir, tmp_path, capsys):
+    # No file system takes a 300-character name, which only makedirs finds out.
+    out = tmp_path / ("o" * 300) / "x"
+    assert main(_rank_args(workdir, out)) == 2
+    err = capsys.readouterr().err
+    assert f"--out {out}: cannot create the output directory: " in err
+    assert "is not a directory" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("the run went on past a bad --out")
 

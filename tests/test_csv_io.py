@@ -248,14 +248,14 @@ def test_fast_path_declines_empty_values_of_a_one_array_file(tmp_path):
 def test_a_plain_read_checks_its_ids_once(tmp_path, monkeypatch):
     path = tmp_path / "expr.csv"
     path.write_text(HEADER + "g1,1.0,2.0\ng2,NA,4.0\n", encoding="utf-8")
-    calls = {"_ids_pass": 0, "_ids_unique": 0}
+    calls = {"check_gene_ids": 0, "_ids_unique": 0}
     for name in calls:
         def counted(ids, check=getattr(fitting, name), name=name):
             calls[name] += 1
             return check(ids)
         monkeypatch.setattr(fitting, name, counted)
     assert pr.read_expression_csv(path, ARRAYS).gene_ids == ("g1", "g2")
-    assert calls == {"_ids_pass": 1, "_ids_unique": 1}
+    assert calls == {"check_gene_ids": 1, "_ids_unique": 1}
 
 
 def test_fast_path_raises_a_decode_error_past_the_first_chunk(tmp_path):
@@ -582,19 +582,27 @@ def test_of_two_bad_ids_the_first_is_named(gene_ids, message):
         pr.ExpressionMatrix(gene_ids=gene_ids, array_ids=ARRAYS, values=np.ones((3, 2)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_PLAIN_IDS | _ODD_IDS | st.text(max_size=4), max_size=4))
-def test_the_bulk_id_check_is_the_per_id_rule(gene_ids):
-    # ExpressionMatrix checks its ids all at once and asks check_gene_id only
-    # for the message; a rule in one and not the other would let ids through.
-    def passes(gene_id):
-        try:
-            fitting.check_gene_id(gene_id)
-        except DataError:
-            return False
-        return True
+def _matrix(gene_ids):
+    return pr.ExpressionMatrix(gene_ids=tuple(gene_ids), array_ids=("a1",),
+                               values=np.ones((len(gene_ids), 1)))
 
-    assert fitting._ids_pass(tuple(gene_ids)) == all(map(passes, gene_ids))
+
+def _message(gene_ids):
+    """The message of the DataError that ``_matrix(gene_ids)`` raises, or None."""
+    try:
+        _matrix(gene_ids)
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PLAIN_IDS | _ODD_IDS | st.text(max_size=4), max_size=4, unique=True))
+def test_the_bulk_id_check_is_the_per_id_rule(gene_ids):
+    # A matrix of distinct ids fails exactly when one of its ids fails on
+    # its own, and names the first such id as a matrix of that id alone does.
+    alone = [message for message in (_message([gene_id]) for gene_id in gene_ids) if message]
+    assert _message(gene_ids) == (alone[0] if alone else None)
 
 
 class _OneHash(str):
@@ -606,11 +614,14 @@ class _OneHash(str):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.text(alphabet="ab", max_size=3), max_size=8), st.booleans())
+@given(st.lists(st.text(alphabet="ab", min_size=1, max_size=3), max_size=8), st.booleans())
 def test_the_hashed_uniqueness_check_is_the_set_check(gene_ids, collide):
+    # Distinct ids whose hashes collide are accepted; a real repeat is named.
     if collide:
         gene_ids = [_OneHash(gene_id) for gene_id in gene_ids]
-    assert fitting._ids_unique(gene_ids) == (len(set(gene_ids)) == len(gene_ids))
+    repeats = [gene_id for i, gene_id in enumerate(gene_ids) if gene_id in gene_ids[:i]]
+    expected = f"gene ids must be unique: {repeats[0]!r} repeats" if repeats else None
+    assert _message(gene_ids) == expected
 
 
 def test_a_200k_id_read_checks_its_ids_without_a_set(tmp_path):

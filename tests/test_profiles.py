@@ -70,6 +70,20 @@ def test_hidden_dependence_rejected():
         pr.validate_profile(spec)
 
 
+def test_digit_group_underscores_read_the_same_on_every_python():
+    # float takes "1_0" as 10 on every supported Python, Fraction only from 3.11.
+    def spec(entry):
+        return pr.ProfileSpec.from_columns(
+            "u", ("a", "b"), [("c1", [entry, "0"]), ("c2", ["0", "1"])],
+            [pr.Constraint.positive_above()] * 2,
+        )
+
+    assert spec("1_0").basis.tolist() == spec("10").basis.tolist() == [[10, 0], [0, 1]]
+    with pytest.raises(ValidationError, match="linearly dependent"):
+        pr.ProfileSpec.from_columns("u", ("a", "b"), [("c1", ["1_0", "0"]), ("c2", ["10", "0"])],
+                                    [pr.Constraint.positive_above()] * 2)
+
+
 def test_all_unconstrained_rejected():
     with pytest.raises(ValidationError, match="nothing to rank"):
         spec = pr.ProfileSpec.from_columns(

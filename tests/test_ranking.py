@@ -251,6 +251,15 @@ def test_cii_positivity_never_rejects_at_zero_estimate(triple):
         assert dec.interval[1] == math.inf
 
 
+def test_cii_refuses_an_excluded_fit_and_a_free_coefficient():
+    excluded = pr.GeneFit(gene_id="g", status="excluded", reason="insufficient data")
+    with pytest.raises(ValueError, match="^gene 'g': cannot test an excluded fit$"):
+        pr.cii_decision(excluded, make_mod(), 0, 0, pr.Constraint.positive_above(), 0.05)
+    with pytest.raises(ValidationError, match="^unconstrained coefficients have no test$"):
+        pr.cii_decision(make_fit([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]), make_mod(), 0, 0,
+                        pr.Constraint.unconstrained(), 0.05)
+
+
 def test_cii_uses_moderated_df():
     fit = make_fit([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     mod = make_mod(posterior_s2=1.0, posterior_df=17.0)

@@ -213,6 +213,24 @@ def test_t_tail_against_scipy_at_large_df():
                                        err_msg=f"{ours.__name__} at df = {df!r}")
 
 
+@pytest.mark.parametrize("df", [0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 1e3, 5e3,
+                                np.nextafter(special._HILL_DF, 0.0)])
+def test_t_tail_against_scipy_at_small_t(df):
+    # Below |t| = 1 the tail is 1/2 less half the incomplete beta of
+    # t*t / (df + t*t), which keeps its digits where df / (df + t*t) rounds
+    # towards 1: that form was off by up to 3.9e-7 relative just below 1e4 df.
+    t = np.geomspace(1e-6, np.nextafter(1.0, 0.0), 200)
+    for x in (t, -t):
+        got = np.array([special.student_t_sf(v, df) for v in x])
+        np.testing.assert_allclose(got, scipy.stats.t.sf(x, df), rtol=1e-10, atol=0.0)
+
+
+def test_t_cdf_rejects_a_nonpositive_df():
+    for df in (0.0, -1.0):
+        with pytest.raises(ValueError, match="df must be positive"):
+            special.student_t_cdf(1.0, df)
+
+
 def test_t_quantile_never_rises_as_df_rises():
     # From 1e3 to 1e300 df in steps of 10**(1/8): t* falls towards the
     # normal quantile and reaches it, matching scipy on the way. Near the
