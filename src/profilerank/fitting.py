@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .design import ModelMatrix, least_squares_operators
-from .errors import DataError, csv_records, reading
+from .errors import DataError, csv_records, located, reading
 from .special import digamma, trigamma, trigamma_inverse
 
 __all__ = [
@@ -577,10 +577,8 @@ def _parse_csv(path, array_ids: tuple[str, ...]):
         )
     for lineno, fields in records:
         gene_id = fields[0]
-        try:
+        with located(f"{path}:{lineno}: column 1"):
             check_gene_ids((gene_id,))
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: column 1: {exc}") from exc
         if gene_id in line_of:
             raise DataError(f"{path}:{lineno}: column 1: gene id {gene_id!r} is not "
                             f"unique, it is also on line {line_of[gene_id]}")

@@ -167,7 +167,7 @@ def _score(gamma: np.ndarray, se: np.ndarray, unfit: np.ndarray,
     ``u_statistics`` describes them; a row whose ``unfit`` code is not
     ``_INCLUDED`` keeps that code as its reason."""
     tests = _tests(profile, model)
-    u_values = np.empty((len(gamma), len(tests)))
+    u_values = np.empty((len(gamma), len(tests)), order="F")
     for col, (p, con) in enumerate(tests):
         u_values[:, col] = _u_column(gamma[:, p], se[:, p], con)
     u = u_values.min(axis=1)

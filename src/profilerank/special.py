@@ -8,8 +8,9 @@ the tail and its quantile come from the tail's leading term, in closed
 form; from 1e4 degrees of freedom on, the t tail is the normal tail at
 Hill's transformation of t). Accuracy is ~1e-12 over the argument ranges
 that arise in practice (positive arguments, moderate degrees of freedom),
-and the t tail is within 1e-9 relative from 1e3 df on, which the test suite
-pins against independent references.
+and the t tail is within 1e-12 relative below 1e4 df (for |t| up to 100)
+and from 1e4 df on, which the test suite pins against independent
+references (to 5e-12 below 1e4 df and 1e-9 from 1e3 df on).
 """
 
 from __future__ import annotations
@@ -68,12 +69,14 @@ _TETRAGAMMA_COEFFS = (
 _FAR_T = 2.0**39
 
 # From this many df on, Student's t tail is ``_hill_tail``. The incomplete
-# beta of ``df / (df + t*t)`` loses digits as that argument rounds towards 1:
-# below 1e4 df it is within 1e-9 relative of the exact tail, but by 1e20 df
-# it returns 0.5 for every t. Hill's transformation is within 1e-12 from
-# 1e4 df on. Below |t| = 1 the tail comes from the exact complement
-# ``t*t / (df + t*t)`` instead, within 5e-11 below 1e4 df.
+# beta of ``df / (df + t*t)`` loses digits as that argument rounds towards 1,
+# and by 1e20 df it returns 0.5 for every t. Hill's transformation is within
+# 1e-12 from 1e4 df on; below 1e4 df the incomplete beta is within 1e-12.
 _HILL_DF = 1e4
+
+# From this a or b on, ``betainc`` takes ``lgamma(a + b) - lgamma(a)`` (a the
+# larger) from Stirling's series instead of as a difference of two lgammas.
+_STIRLING_MIN = 100.0
 
 
 def _require_positive(x: float, name: str) -> float:
@@ -196,6 +199,13 @@ def _betacf(a: float, b: float, x: float) -> float:
     return h
 
 
+def _stirling_rest(z: float) -> float:
+    """``lgamma(z) - ((z - 1/2) * log(z) - z + log(2 pi) / 2)``, Stirling's
+    series to its third term, within 1e-17 from ``_STIRLING_MIN`` on."""
+    z2 = z * z
+    return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * z2)) / z2) / z
+
+
 def betainc(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b), for a, b > 0."""
     a = _require_positive(a, "a")
@@ -207,14 +217,16 @@ def betainc(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
+    big, small = max(a, b), min(a, b)
+    if big >= _STIRLING_MIN:
+        # lgamma(big + small) - lgamma(big) from Stirling's series, free of
+        # the cancellation of two values near big * log(big).
+        ln_ratio = ((big - 0.5) * math.log1p(small / big) + small * math.log(big + small)
+                    - small + _stirling_rest(big + small) - _stirling_rest(big))
+        ln_inv_beta = ln_ratio - math.lgamma(small)
+    else:
+        ln_inv_beta = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    front = math.exp(ln_inv_beta + a * math.log(x) + b * math.log1p(-x))
     # The continued fraction converges fast on one side of the mean;
     # use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) on the other.
     if x < (a + 1.0) / (a + b + 2.0):
@@ -226,7 +238,12 @@ def student_t_cdf(t: float, df: float) -> float:
     """P(T <= t) for Student's t with df degrees of freedom (df = inf allowed).
     Past ``|t| = 2**39`` at fewer than 30 df the tail is its leading term,
     taken in logs, so that ``t*t`` cannot overflow; from ``_HILL_DF`` df on
-    it is ``_hill_tail``."""
+    it is ``_hill_tail``. Otherwise it is half the incomplete beta of
+    ``x = df / (df + t*t)`` or, where that would take its symmetry
+    ``1 - I_{1-x}``, 1/2 less half that of the exact complement
+    ``t*t / (df + t*t)``: within 1e-12 relative of scipy for |t| up to 100,
+    with a step of up to 7e-13 where the two meet, at
+    ``t*t = 3 df / (df + 2)``, from the rounding of x."""
     t = float(t)
     df = float(df)
     if not df > 0.0:
@@ -240,10 +257,15 @@ def student_t_cdf(t: float, df: float) -> float:
     elif abs(t) > _FAR_T and df < 30.0:
         tail = math.exp(0.5 * df * (math.log(df) - 2.0 * math.log(abs(t)))
                         - _log_far_tail_scale(df))
-    elif abs(t) < 1.0:
-        tail = 0.5 - 0.5 * betainc(0.5, 0.5 * df, t * t / (df + t * t))
     else:
-        tail = 0.5 * betainc(0.5 * df, 0.5, df / (df + t * t))
+        a = 0.5 * df
+        x = df / (df + t * t)
+        # Where betainc(a, 1/2, x) would take its symmetry, 1 - I_{1-x}, the
+        # exact complement keeps the digits that 1 - x would lose.
+        if x < (a + 1.0) / (a + 2.5):
+            tail = 0.5 * betainc(a, 0.5, x)
+        else:
+            tail = 0.5 - 0.5 * betainc(0.5, a, t * t / (df + t * t))
     return 1.0 - tail if t > 0.0 else tail
 
 

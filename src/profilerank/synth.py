@@ -120,10 +120,13 @@ def _uniform(bounds: tuple[float, float], u: np.ndarray) -> np.ndarray:
     return low + (high - low) * u
 
 
-def _gamma_columns(constraints, starts, u: np.ndarray, violated: np.ndarray) -> np.ndarray:
+def _gamma_columns(constraints, starts, u: np.ndarray, violated: np.ndarray,
+                   top: np.ndarray, challenger: np.ndarray) -> np.ndarray:
     """Genes x coefficients truth, column by column, from each gene's drawn
-    doubles ``u`` (coefficient j's first in column ``starts[j]``) and its
-    violated test-bearing coefficients ``violated``."""
+    doubles ``u`` (coefficient j's first in column ``starts[j]``), its
+    violated test-bearing coefficients ``violated`` and whether it is the
+    ``top`` or the ``challenger`` gene, whose pos and equiv coefficients are
+    fixed."""
     gamma = np.empty((len(u), len(constraints)))
     test = 0
     for j, (con, col) in enumerate(zip(constraints, starts)):
@@ -133,26 +136,16 @@ def _gamma_columns(constraints, starts, u: np.ndarray, violated: np.ndarray) -> 
         broken = violated[:, test]
         test += 1
         if con.kind == "pos":
-            gamma[:, j] = np.where(broken, con.value - _uniform(VIOLATION, u[:, col]),
-                                   con.value + _uniform(POS_MARGIN, u[:, col]))
+            drawn = np.where(broken, con.value - _uniform(VIOLATION, u[:, col]),
+                             con.value + _uniform(POS_MARGIN, u[:, col]))
+            fixed = [con.value + TOP_POS_MARGIN, con.value + CHALLENGER_POS_MARGIN]
         else:
             sign = np.where(u[:, col] < 0.5, 1.0, -1.0)
             magnitude = u[:, col + 1]
-            gamma[:, j] = sign * np.where(broken, con.value + _uniform(VIOLATION, magnitude),
-                                          _uniform(EQUIV_BAND, magnitude))
-    return gamma
-
-
-def _fixed_gamma(constraints, role: str, drawn: list[float]) -> list[float]:
-    """A top or challenger gene's truth: fixed pos and equiv coefficients,
-    and the ``drawn`` free ones."""
-    gamma = []
-    for con, g in zip(constraints, drawn):
-        if con.kind == "pos":
-            g = con.value + (TOP_POS_MARGIN if role == ROLE_TOP else CHALLENGER_POS_MARGIN)
-        elif con.kind == "equiv":
-            g = 0.0 if role == ROLE_TOP else CHALLENGER_EQUIV_FRACTION * con.value
-        gamma.append(g)
+            drawn = sign * np.where(broken, con.value + _uniform(VIOLATION, magnitude),
+                                    _uniform(EQUIV_BAND, magnitude))
+            fixed = [0.0, CHALLENGER_EQUIV_FRACTION * con.value]
+        gamma[:, j] = np.select([top, challenger], fixed, drawn)
     return gamma
 
 
@@ -167,7 +160,6 @@ def _draw_block(rng, roles, constraints, noise: np.ndarray):
     starts = [0, *accumulate(2 if c.kind == "equiv" else 1 for c in constraints)]
     free = [starts[j] for j, c in enumerate(constraints) if c.kind == "free"]
     coins = np.ones((n_genes, n_tests))
-    fixed: list[int] = []
     u = np.zeros((n_genes, starts[-1]))
     chisq = np.empty(n_genes)
     for i, role in enumerate(roles):
@@ -180,15 +172,13 @@ def _draw_block(rng, roles, constraints, noise: np.ndarray):
         elif role == ROLE_PLANTED:
             rng.random(out=u[i])
         else:
-            fixed.append(i)
             u[i, free] = rng.random(len(free))
         chisq[i] = rng.chisquare(D0)
         rng.standard_normal(out=noise[i])
 
-    gamma = _gamma_columns(constraints, starts, u, coins < 0.5)
-    for i in fixed:
-        gamma[i] = _fixed_gamma(constraints, roles[i], gamma[i].tolist())
-    return gamma, chisq
+    roles = np.array(roles, dtype=object)
+    return _gamma_columns(constraints, starts, u, coins < 0.5,
+                          roles == ROLE_TOP, roles == ROLE_CHALLENGER), chisq
 
 
 def generate_dataset(

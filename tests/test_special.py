@@ -90,6 +90,20 @@ def test_betainc_against_scipy():
     assert special.betainc(2.0, 3.0, 1.0) == 1.0
 
 
+def test_betainc_against_scipy_with_one_large_parameter():
+    # From 100 on, lgamma(a + b) - lgamma(a) comes from Stirling's series:
+    # as a difference of two lgammas it was off by up to 1e-12 here.
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        a = float(rng.uniform(100.0, 1e4))
+        b = float(rng.uniform(0.1, 50.0))
+        x = float(rng.random())
+        for p, q in ((a, b), (b, a)):
+            assert special.betainc(p, q, x) == pytest.approx(
+                float(scipy.special.betainc(p, q, x)), abs=1e-13
+            )
+
+
 def test_betainc_domain_errors():
     with pytest.raises(ValueError):
         special.betainc(-1.0, 2.0, 0.5)
@@ -225,6 +239,34 @@ def test_t_tail_against_scipy_at_small_t(df):
         np.testing.assert_allclose(got, scipy.stats.t.sf(x, df), rtol=1e-10, atol=0.0)
 
 
+def test_t_tail_against_scipy_below_the_hill_switch():
+    # Each incomplete-beta form is taken only on its continued fraction's
+    # side, and lgamma(a + b) - lgamma(a) comes from Stirling's series from
+    # a = 100 on: the tail was off by up to 8.4e-11 relative at t = 1.645
+    # just below 1e4 df, where 1 - I_{1-x} magnified a cancelled lgamma.
+    t = np.geomspace(1e-3, 1e2, 200)
+    for df in (0.5, 3.0, 30.0, 100.0, 1e3, 5e3, 8.2e3, np.nextafter(special._HILL_DF, 0.0)):
+        for x in (t, -t):
+            want = scipy.stats.t.sf(x, df)
+            normal = want >= np.finfo(float).tiny
+            got = np.array([special.student_t_sf(v, df) for v in x[normal]])
+            np.testing.assert_allclose(got, want[normal], rtol=5e-12, atol=0.0,
+                                       err_msg=f"df = {df!r}")
+
+
+def test_t_tail_has_no_step_where_its_forms_once_met_or_meet_now():
+    # The two incomplete-beta forms met at |t| = 1, with a step of up to
+    # 6e-12 relative; they now meet at t*t = 3 df / (df + 2), where
+    # I_x(df/2, 1/2) turns to its symmetry. There the step is the rounding
+    # of x = df / (df + t*t), which (df/2) * log(x) scales by df/2: up to
+    # 6.8e-13 on this grid.
+    for df in np.geomspace(0.5, np.nextafter(special._HILL_DF, 0.0), 400):
+        for t, rel in ((1.0, 1e-13), (math.sqrt(3.0 * df / (df + 2.0)), 1e-12)):
+            below = special.student_t_sf(np.nextafter(t, 0.0), df)
+            above = special.student_t_sf(np.nextafter(t, math.inf), df)
+            assert below == pytest.approx(above, rel=rel, abs=0.0), (df, t)
+
+
 def test_t_cdf_rejects_a_nonpositive_df():
     for df in (0.0, -1.0):
         with pytest.raises(ValueError, match="df must be positive"):
@@ -236,7 +278,7 @@ def test_t_quantile_never_rises_as_df_rises():
     # normal quantile and reaches it, matching scipy on the way. Near the
     # switch-over t* falls by ~5e-5 between grid points, against the
     # branches' disagreement of at most 1e-9 in the tail there.
-    grid = 10.0 ** (np.arange(24, 2401) / 8.0)
+    grid = np.sort([*10.0 ** (np.arange(24, 2401) / 8.0), np.nextafter(special._HILL_DF, 0.0)])
     assert special._HILL_DF in grid
     for alpha in (0.4, 0.05, 1e-6, 1e-300):
         tstar = np.array([special.student_t_upper_quantile(alpha, df) for df in grid])
