@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .design import build_comparison_matrix, compose_model_matrix, read_conditions_csv, read_design_csv
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, writing
 from .profiles import profile_from_file
 
 __all__ = ["main", "run"]
@@ -133,7 +133,7 @@ def _write_profiles_svg(fitted, profile, table, top_n: int, path: str) -> None:
         f"(log ratio vs {profile.condition_labels[0]})"
     )
     svg = _cli.render_profiles_svg(genes, profile.condition_labels, title)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with writing(path) as fh:
         fh.write(svg)
 
 

@@ -1,5 +1,7 @@
 """The one CSV writer behind every table profilerank writes."""
 
+from .errors import writing
+
 
 def write_csv(path, header, rows) -> None:
     """Write ``header`` and then ``rows``, lists of strings, with ``\\n``
@@ -11,7 +13,7 @@ def write_csv(path, header, rows) -> None:
 def write_lines(path, header, lines) -> None:
     """Write ``header``, a list of strings, as ``write_csv`` does, and then
     ``lines``, strings of whole CSV lines, each line with its ``\\n``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with writing(path) as fh:
         fh.write(_line(header))
         fh.writelines(lines)
 

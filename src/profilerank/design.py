@@ -241,7 +241,7 @@ def read_conditions_csv(path) -> tuple[str, ...]:
     """Read the ordered condition list: one label per line, '#' comments allowed."""
     labels: list[str] = []
     seen: set[str] = set()
-    with reading(path, "conditions", ValidationError), open(path, encoding="utf-8") as fh:
+    with reading(path, "conditions", ValidationError), open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

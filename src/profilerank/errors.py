@@ -1,5 +1,5 @@
 """Exception types shared across the package, and how a read of an input
-file reports failure.
+file or a write of an output file reports failure.
 
 Two families matter to callers: configuration problems (bad design,
 profile, or option values) and data problems (malformed or inconsistent
@@ -67,6 +67,18 @@ def reading(path, what: str, error: type[ProfileRankError]):
         raise not_utf8(path, error) from exc
 
 
+@contextmanager
+def writing(path):
+    """Open the output file ``path`` for UTF-8 text, written with no line-end
+    translation, and raise a ``ValidationError`` naming it for an OS error
+    in opening, writing or closing it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
+
+
 # What the csv module's errors for a quote mean, in this package's words.
 _CSV_ERRORS = {
     "unexpected end of data": "a quote is not closed before the end of the file",
@@ -101,7 +113,7 @@ def csv_records(path, what: str, error: type[ProfileRankError], n_fields: int):
     ``path:line:``, naming the line where the record starts; a csv error
     past that line, such as an open quote that runs into the field limit,
     also names the line where reading stopped."""
-    with reading(path, what, error), open(path, newline="", encoding="utf-8") as fh:
+    with reading(path, what, error), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, strict=True, skipinitialspace=True)
         lineno = 1
         try:

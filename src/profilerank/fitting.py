@@ -536,7 +536,7 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
             gene_ids.append(gene_id)
             yield body
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline()
         if (header.removesuffix("\n").split(",") != ["gene_id", *array_ids]
                 or '"' in header or "\0" in header):

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from .csvout import _quoted, write_csv, write_lines
+from .errors import writing
 from .fitting import _blocks
 from .profiles import ProfileSpec
 from .ranking import (
@@ -109,7 +110,7 @@ def _write_moderation_json(
     }
     # Strict JSON: a non-finite number raises instead of being written.
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with writing(path) as fh:
         fh.write(text + "\n")
 
 

@@ -374,7 +374,7 @@ def format_profile(spec: ProfileSpec) -> str:
 
 
 def profile_from_file(path) -> ProfileSpec:
-    with reading(path, "profile", ValidationError), open(path, encoding="utf-8") as fh:
+    with reading(path, "profile", ValidationError), open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     return parse_profile(text, source=str(path))
 

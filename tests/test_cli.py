@@ -688,6 +688,48 @@ def test_an_out_path_the_os_refuses_exits_2_after_the_fit(workdir, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, squatted, before", [
+    ("rank", "ranked.csv", []),
+    ("sensitivity", "ranked_eps_1.csv", ["ranked_eps_0.5.csv", "sensitivity.csv"]),
+    ("synth", "truth.csv", ["expression.csv"]),
+], ids=["rank", "sensitivity", "synth"])
+def test_an_output_file_the_os_refuses_exits_2_naming_it(workdir, tmp_path, capsys, command,
+                                                         squatted, before):
+    # A directory where an output file goes: the files written before it stay.
+    out = tmp_path / "out"
+    (out / squatted).mkdir(parents=True)
+    extra = ["--genes", "50", "--seed", "1"] if command == "synth" else ["--grid", "0.5,1"]
+    args = _rank_args(workdir, out, extra)
+    args[0] = command
+    if command == "synth":
+        del args[1:3]  # --data
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output file {out / squatted}: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == sorted([squatted, *before])
+
+
+@pytest.mark.parametrize("kind", ["conditions", "design", "profile", "expression"])
+def test_a_byte_order_mark_reads_as_nothing(workdir, tmp_path, kind):
+    # The conditions file starts with a comment line, which the mark must
+    # not turn into a label.
+    path = {"conditions": workdir / "conditions.csv", "design": workdir / "design.csv",
+            "profile": workdir / "pluripotent.profile",
+            "expression": workdir / "data" / "expression.csv"}[kind]
+    marked = tmp_path / path.name
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    outputs = []
+    for source, out in ((path, tmp_path / "plain"), (marked, tmp_path / "marked")):
+        args = _rank_args(workdir, out, ["--grid", "0.5,1"])
+        args[args.index(str(path))] = str(source)
+        assert main(args) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == ["excluded.csv", "moderation.json", "profiles.svg",
+                                  "ranked.csv", "sensitivity.csv"]
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("the run went on past a bad --out")
 

@@ -197,8 +197,9 @@ _REJECTED = {
 
 
 # Files that the fast path takes: lines end at "\r", "\n" or "\r\n", as
-# the csv loop's records do.
+# the csv loop's records do, and a leading byte-order mark is not read.
 _TAKEN = {
+    "byte-order-mark": "\ufeff" + HEADER + "g1,1.0,NA\ng2,3.0,4.0\n",
     "carriage-return": HEADER + "g1,1.0,2.0\r\ng2,3.0,4.0\r\n",
     "crlf-header": "gene_id,a1,a2\r\ng1,1.0,2.0\n",
     "carriage-return-only": "gene_id,a1,a2\rg1,1.0,NA\rg2,3.0,4.0\r",

@@ -203,10 +203,10 @@ def test_t_tail_past_the_overflow_of_t_squared(t, df):
 
 @pytest.mark.parametrize("df", [0.5, 1.0, 17.2, 27.0])
 def test_t_tail_is_continuous_where_its_leading_term_takes_over(df):
-    near = special.student_t_sf(special._FAR_T, df)
-    far = special.student_t_sf(np.nextafter(special._FAR_T, math.inf), df)
+    near = special.student_t_sf(2.0**39, df)
+    far = special.student_t_sf(np.nextafter(2.0**39, math.inf), df)
     assert far == pytest.approx(near, rel=1e-12, abs=5e-324)
-    assert far == pytest.approx(_far_tail_closed_form(special._FAR_T, df), rel=1e-12,
+    assert far == pytest.approx(_far_tail_closed_form(2.0**39, df), rel=1e-12,
                                 abs=5e-324)
 
 
@@ -230,9 +230,10 @@ def test_t_tail_against_scipy_at_large_df():
 @pytest.mark.parametrize("df", [0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 1e3, 5e3,
                                 np.nextafter(special._HILL_DF, 0.0)])
 def test_t_tail_against_scipy_at_small_t(df):
-    # Below |t| = 1 the tail is 1/2 less half the incomplete beta of
-    # t*t / (df + t*t), which keeps its digits where df / (df + t*t) rounds
-    # towards 1: that form was off by up to 3.9e-7 relative just below 1e4 df.
+    # At small |t| the incomplete beta takes its symmetry, on the complement
+    # of x = df / (df + t*t), taken from t*t / df, which keeps its digits
+    # where x rounds towards 1: 1 - x was off by up to 3.9e-7 relative just
+    # below 1e4 df.
     t = np.geomspace(1e-6, np.nextafter(1.0, 0.0), 200)
     for x in (t, -t):
         got = np.array([special.student_t_sf(v, df) for v in x])
@@ -240,10 +241,9 @@ def test_t_tail_against_scipy_at_small_t(df):
 
 
 def test_t_tail_against_scipy_below_the_hill_switch():
-    # Each incomplete-beta form is taken only on its continued fraction's
-    # side, and lgamma(a + b) - lgamma(a) comes from Stirling's series from
-    # a = 100 on: the tail was off by up to 8.4e-11 relative at t = 1.645
-    # just below 1e4 df, where 1 - I_{1-x} magnified a cancelled lgamma.
+    # lgamma(a + b) - lgamma(a) comes from Stirling's series from a = 100 on:
+    # the tail was off by up to 8.4e-11 relative at t = 1.645 just below 1e4
+    # df, where 1 - I_{1-x} magnified a cancelled lgamma.
     t = np.geomspace(1e-3, 1e2, 200)
     for df in (0.5, 3.0, 30.0, 100.0, 1e3, 5e3, 8.2e3, np.nextafter(special._HILL_DF, 0.0)):
         for x in (t, -t):
@@ -255,16 +255,31 @@ def test_t_tail_against_scipy_below_the_hill_switch():
 
 
 def test_t_tail_has_no_step_where_its_forms_once_met_or_meet_now():
-    # The two incomplete-beta forms met at |t| = 1, with a step of up to
-    # 6e-12 relative; they now meet at t*t = 3 df / (df + 2), where
-    # I_x(df/2, 1/2) turns to its symmetry. There the step is the rounding
-    # of x = df / (df + t*t), which (df/2) * log(x) scales by df/2: up to
-    # 6.8e-13 on this grid.
+    # Two incomplete-beta forms once met at |t| = 1, with a step of up to
+    # 6e-12 relative. At t*t = 3 df / (df + 2) I_x(df/2, 1/2) turns to its
+    # symmetry; the step there was up to 6.8e-13 while x = df / (df + t*t)
+    # was rounded before (df/2) * log(x) scaled it, and is 3.8e-13 on this
+    # grid with x and log(x) both taken from t*t / df.
     for df in np.geomspace(0.5, np.nextafter(special._HILL_DF, 0.0), 400):
-        for t, rel in ((1.0, 1e-13), (math.sqrt(3.0 * df / (df + 2.0)), 1e-12)):
+        for t, rel in ((1.0, 1e-13), (math.sqrt(3.0 * df / (df + 2.0)), 4e-13)):
             below = special.student_t_sf(np.nextafter(t, 0.0), df)
             above = special.student_t_sf(np.nextafter(t, math.inf), df)
             assert below == pytest.approx(above, rel=rel, abs=0.0), (df, t)
+
+
+@pytest.mark.parametrize("df", [0.5, 3.0, 1e3, special._HILL_DF, 1e30, math.inf])
+def test_t_tail_at_an_infinite_t(df):
+    assert special.student_t_sf(math.inf, df) == special.student_t_cdf(-math.inf, df) == 0.0
+    assert special.student_t_sf(-math.inf, df) == special.student_t_cdf(math.inf, df) == 1.0
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-200, 1e-162])
+@pytest.mark.parametrize("df", [0.5, 3.0, 1e3])
+def test_t_tail_is_one_half_where_t_squared_underflows(t, df):
+    # The tail is 1/2 less about 0.4 |t|, which rounds to 1/2 exactly.
+    assert t * t == 0.0
+    for x in (t, -t):
+        assert special.student_t_sf(x, df) == special.student_t_cdf(x, df) == 0.5
 
 
 def test_t_cdf_rejects_a_nonpositive_df():
