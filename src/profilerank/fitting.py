@@ -487,9 +487,11 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
     and be unique; values are finite decimals, ``NA`` or empty for missing
     (``inf``, ``nan`` and overflow are errors, not missing spots).
 
-    Plain files go from numpy's C reader into ``ExpressionMatrix``, which
-    checks them; other files, and any file with an error, go through the
-    ``csv`` loop, which names the file, line and column of the first problem.
+    Files go from numpy's C reader into ``ExpressionMatrix``, which checks
+    them. A file with a line that the C reader could read differently (a
+    quote, an over-long line, a line without a value), one that it fails to
+    parse and one that the matrix rejects go through the ``csv`` loop, which
+    names the file, line and column of the first problem.
     """
     array_ids = tuple(array_ids)
     with reading(path, "expression", DataError):
@@ -503,18 +505,16 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
     return ExpressionMatrix(gene_ids=gene_ids, array_ids=array_ids, values=values)
 
 
-class _Declined(Exception):
-    """A line that only the csv loop may judge."""
-
-
 def _parse_fast(path, array_ids: tuple[str, ...]):
     """``(gene ids, values)`` from ``np.loadtxt``, or None where the csv loop
     could read a line differently; it checks neither ids nor shape.
 
-    Lines end at ``\\r``, ``\\n`` or ``\\r\\n``, as csv records do. Only plain
-    lines are taken: no quote, NUL, space, tab, empty value or blank line, no
-    line over the csv field limit, and ``NA`` only as a whole field; each value
-    must parse, and be finite unless it was ``NA``.
+    Lines end at ``\\r``, ``\\n`` or ``\\r\\n``, as csv records do. A line is
+    declined only for what ``loadtxt`` would read differently and nothing
+    after it would catch: a quote, a line over the csv field limit, or no
+    value at all, which ``loadtxt`` would skip as blank. ``NA`` after a comma
+    becomes ``nan``; any other value must parse, as ``loadtxt`` parses it
+    (an empty value, a NUL or ``NA1`` does not), and be finite.
     """
     limit = csv.field_size_limit()
     gene_ids: list[str] = []
@@ -523,16 +523,12 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
     def bodies(lines):
         nonlocal n_missing
         for line in lines:
-            gene_id, _, body = line.partition(",")
-            if (not body or len(line) > limit or ",," in line or line.endswith((",", ",\n"))
-                    or '"' in line or "\0" in line or " " in line or "\t" in line):
-                raise _Declined
-            n = body.count("NA")
-            if n:
-                if body.startswith("NA") + body.count(",NA") != n:
-                    raise _Declined
-                body = body.replace("NA", "nan")
-                n_missing += n
+            if '"' in line or len(line) > limit:
+                raise ValueError
+            n_missing += line.count(",NA")
+            gene_id, _, body = line.replace(",NA", ",nan").partition(",")
+            if body in ("", "\n"):
+                raise ValueError
             gene_ids.append(gene_id)
             yield body
 
@@ -550,7 +546,7 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
                                 comments=None, ndmin=2, dtype=float)
         except UnicodeDecodeError:
             raise
-        except (_Declined, ValueError):
+        except ValueError:
             return None
     if np.count_nonzero(~np.isfinite(values)) != n_missing:
         return None

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .design import check_label
-from .errors import ValidationError, located, reading
+from .errors import ValidationError, located, reading, writing
 
 __all__ = [
     "Constraint",
@@ -380,7 +380,7 @@ def profile_from_file(path) -> ProfileSpec:
 
 
 def profile_to_file(spec: ProfileSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         fh.write(format_profile(spec))
 
 

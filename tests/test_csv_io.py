@@ -87,13 +87,14 @@ def _assert_same_parse(got, want):
 _PLAIN_IDS = st.text("ABCXYZabcxyz0189_.-", min_size=1, max_size=5)
 _ODD_IDS = st.sampled_from(
     ["", " g", "g\t", "g\xa0", '"g"', '"q,1"', '"a\rb"', "é", "#g", "NA", "g\x00", "١",
-     "g\x01x", "g\x0cy", "g\uffff"]
+     "g\x01x", "g\x0cy", "g\uffff", "g 1", "g\t1"]
 )
 _PLAIN_VALUES = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.just("NA")
 _ODD_VALUES = st.sampled_from([
     "", " NA", "NA ", " 1.5", "2.5 ", "\t3", '"4.0"', "nan", "NaN", "-nan", "inf",
     "-inf", "Infinity", "1e400", "-1e400", "1_0", "#1", "١", "١.٥", "0x10", "-NA",
     "+NA", "NA1", "NANA", "NAN", "na", "\xa01", "5e-324", "1e-320", ".5", "5.", "-0.0",
+    "1\x00", " ", "\x1c1", "NA\t",
 ])
 
 
@@ -164,29 +165,30 @@ _LONG_ID = "g" * 70000  # with a long value, a line beyond the field limit
 _DECLINED = {
     # scanned per line
     "quote": HEADER + '"g1",1.0,2.0\n',
-    "space": HEADER + "g1, 1.0,2.0\n",
-    "tab": HEADER + "g1,1.0\t,2.0\n",
-    "nul": HEADER + "g\x001,1.0,2.0\n",
-    "trailing-comma": HEADER + "g1,1.0,\n",
-    "double-comma": HEADER + "g1,,2.0\n",
     "blank-line": HEADER + "g1,1.0,2.0\n\ng2,3.0,4.0\n",
     "carriage-return-blank-line": HEADER + "g1,1.0,2.0\r\r\ng2,3.0,4.0\n",
     "id-only-line": HEADER + "g1\n",
     "long-line": HEADER + f"{_LONG_ID},1.{'0' * 70000},2.0\n",
-    "na-inside-a-field": HEADER + "g1,-NA,2.0\n",
     "no-data-rows": HEADER,
-    # found after parsing
+    # loadtxt errors
+    "trailing-comma": HEADER + "g1,1.0,\n",
+    "double-comma": HEADER + "g1,,2.0\n",
+    "space-only-value": HEADER + "g1, ,2.0\n",
+    "nul-in-a-value": HEADER + "g1,1.0\x00,2.0\n",
+    "na-inside-a-field": HEADER + "g1,-NA,2.0\n",
     "loadtxt-error": HEADER + "g1,1_0,2.0\n",
     "non-ascii-digit": HEADER + "g1,١,2.0\n",
+    "field-count-changes": HEADER + "g1,1.0,2.0\ng2,3.0\n",
+    # found after parsing
     "inf": HEADER + "g1,inf,2.0\n",
     "overflow": HEADER + "g1,1e400,2.0\n",
     "nan-not-na": HEADER + "g1,nan,2.0\n",
-    "field-count-changes": HEADER + "g1,1.0,2.0\ng2,3.0\n",
 }
 # Files that the fast path parses but ExpressionMatrix rejects, so the read
 # falls back to the loop.
 _REJECTED = {
     "leading-comma": HEADER + ",1.0,2.0\n",
+    "nul": HEADER + "g\x001,1.0,2.0\n",
     "carriage-return-mid-line": HEADER + "g1,1.0\r,2.0\n",
     "id-with-unicode-space": HEADER + "g1\xa0,1.0,2.0\n",
     "every-row-too-wide": HEADER + "g1,1.0,2.0,3.0\ng2,4.0,5.0,6.0\n",
@@ -197,7 +199,8 @@ _REJECTED = {
 
 
 # Files that the fast path takes: lines end at "\r", "\n" or "\r\n", as
-# the csv loop's records do, and a leading byte-order mark is not read.
+# the csv loop's records do, a leading byte-order mark is not read, and
+# whitespace around a value is stripped, as the loop strips it.
 _TAKEN = {
     "byte-order-mark": "\ufeff" + HEADER + "g1,1.0,NA\ng2,3.0,4.0\n",
     "carriage-return": HEADER + "g1,1.0,2.0\r\ng2,3.0,4.0\r\n",
@@ -205,6 +208,9 @@ _TAKEN = {
     "carriage-return-only": "gene_id,a1,a2\rg1,1.0,NA\rg2,3.0,4.0\r",
     "mixed-line-ends": "gene_id,a1,a2\r\ng1,1.0,2.0\rg2,NA,4.0\ng3,5.0,6.0\r\n",
     "trailing-carriage-return": HEADER + "g1,1.0,2.0\ng2,3.0,4.0\r",
+    "space": HEADER + "g1, 1.0,2.0\n",
+    "tab": HEADER + "g1,1.0\t,2.0\n",
+    "na-trailing-space": HEADER + "g1,NA ,2.0\n",
 }
 
 

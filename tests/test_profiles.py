@@ -143,6 +143,12 @@ def test_roundtrip_preserves_exact_decimals(tmp_path):
     assert pr.profile_from_file(path) == spec
 
 
+def test_profile_to_file_names_a_path_it_cannot_write(tmp_path, pluripotent):
+    with pytest.raises(ValidationError, match="^" + re.escape(
+            f"cannot write output file {tmp_path}: ")):
+        pr.profile_to_file(pluripotent, tmp_path)
+
+
 def test_parse_error_reports_line():
     text = "name x\nconditions a,b\ncoef c1 1,0,0 free\n"
     with pytest.raises(ValidationError, match=":3:.*3 basis entries for 2"):
