@@ -222,10 +222,9 @@ def _cmd_rank(args) -> int:
     )
     if sweep is not None:
         _cli._write_sensitivity_csv(sweep, os.path.join(args.out, "sensitivity.csv"))
-    d0 = fitted.moderation.d0
     print(
         f"profile {profile.name}: {len(table.order)} genes ranked, "
-        f"{len(table.dropped)} excluded; prior d0={'inf' if math.isinf(d0) else f'{d0:.4g}'}, "
+        f"{len(table.dropped)} excluded; prior d0={fitted.moderation.d0:.4g}, "
         f"s0_2={fitted.moderation.s0_2:.4g}; "
         f"{n_pass} pass the alpha={args.alpha:g} test; "
         f"outputs in {args.out}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, csv_records, located, reading
+from .errors import ValidationError, content_lines, csv_records, located, reading
 
 __all__ = [
     "LABEL_PATTERN",
@@ -242,10 +242,7 @@ def read_conditions_csv(path) -> tuple[str, ...]:
     labels: list[str] = []
     seen: set[str] = set()
     with reading(path, "conditions", ValidationError), open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in content_lines(fh):
             with located(f"{path}:{lineno}"):
                 check_label(line, "condition label", seen)
             labels.append(line)

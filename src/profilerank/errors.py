@@ -5,9 +5,11 @@ Two families matter to callers: configuration problems (bad design,
 profile, or option values) and data problems (malformed or inconsistent
 expression files). The CLI maps them to distinct exit codes.
 
-Every input file is read under ``reading``, and the two CSV inputs through
-``csv_records``, so an unreadable file, text that is not UTF-8, a wrong
-field count and a csv error are reported the same way for each of them.
+Every input file is read under ``reading``, the CSV inputs through
+``csv_records`` and the others through ``content_lines``, so an unreadable
+file, text that is not UTF-8, a wrong field count and a csv error are
+reported the same way for each of them. Every line ends at ``\\n``, ``\\r\\n``
+or a lone ``\\r``, as in csv and text-mode files; a BOM is not part of line 1.
 A CSV error names the physical line where its record starts, and the csv
 reader is strict, so a quote left open or text after a closing quote is an
 error rather than a silently different field. Spaces before an opening
@@ -34,15 +36,27 @@ class DataError(ProfileRankError):
 
 def not_utf8(path, error: type[ProfileRankError]) -> ProfileRankError:
     """An ``error`` naming the first line of ``path`` that is not valid
-    UTF-8, found by reading the file again as bytes after a decode failure."""
-    with open(path, "rb") as fh:
+    UTF-8, found by reading the file again after a decode failure: Latin-1
+    text is one character per byte, split into lines as every reader splits
+    them. A position counts bytes from the first after a leading BOM."""
+    with open(path, encoding="latin-1") as fh:
+        if fh.read(3) != "\xef\xbb\xbf":
+            fh.seek(0)
         for lineno, line in enumerate(fh, start=1):
             try:
-                line.decode("utf-8")
+                line.encode("latin-1").decode("utf-8")
             except UnicodeDecodeError as exc:
                 return error(f"{path}:{lineno}: not UTF-8 text: byte "
-                             f"0x{line[exc.start]:02x} at position {exc.start + 1} of the line")
+                             f"0x{ord(line[exc.start]):02x} at position {exc.start + 1} of the line")
     return error(f"{path}: not UTF-8 text")
+
+
+def content_lines(lines):
+    """Yield ``(line number, text)`` for each line of ``lines`` that is
+    neither blank nor a ``#`` comment, its text stripped."""
+    for lineno, raw in enumerate(lines, start=1):
+        if (line := raw.strip()) and not line.startswith("#"):
+            yield lineno, line
 
 
 @contextmanager

@@ -15,6 +15,7 @@ tolerance.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .design import check_label
-from .errors import ValidationError, located, reading, writing
+from .errors import ValidationError, content_lines, located, reading, writing
 
 __all__ = [
     "Constraint",
@@ -304,10 +305,7 @@ def parse_profile(text: str, source: str = "<string>") -> ProfileSpec:
     columns: list[tuple[str, tuple[str, ...]]] = []
     constraints: list[Constraint] = []
     names: set[str] = set()  # coefficient names so far
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(io.StringIO(text, newline=None)):
         where = f"{source}:{lineno}"
         fields = line.split()
         keyword = fields[0]

@@ -72,6 +72,22 @@ def test_a_tiny_alpha_at_few_degrees_of_freedom_ranks(workdir, tmp_path, capsys)
     assert len((out / "ranked.csv").read_text().splitlines()) > 1
 
 
+def test_a_degenerate_prior_prints_d0_inf(workdir, tmp_path, capsys):
+    # Every gene holds the same values, so every residual variance is the
+    # same and the prior's d0 is infinite.
+    design = pr.read_design_csv(workdir / "design.csv",
+                                pr.read_conditions_csv(workdir / "conditions.csv"))
+    expr = pr.read_expression_csv(workdir / "data" / "expression.csv", design.array_ids)
+    data = tmp_path / "same.csv"
+    write_expression_csv(pr.ExpressionMatrix(
+        gene_ids=tuple(f"g{i}" for i in range(5)), array_ids=expr.array_ids,
+        values=np.repeat(expr.values[:1], 5, axis=0)), data)
+    args = _rank_args(workdir, tmp_path / "out")
+    args[args.index("--data") + 1] = str(data)
+    assert main(args) == 0
+    assert " excluded; prior d0=inf, s0_2=" in capsys.readouterr().out
+
+
 def _read_truth(root):
     rows = (root / "data" / "truth.csv").read_text().splitlines()
     header = rows[0].split(",")
@@ -396,6 +412,24 @@ def test_a_tab_before_an_opening_quote_names_its_line(workdir, tmp_path, capsys,
     assert f"{name}:3: column 1: '\\t' comes before the opening quote of a field" in err
 
 
+def _inputs(workdir):
+    return {"conditions.csv": workdir / "conditions.csv",
+            "design.csv": workdir / "design.csv",
+            "pluripotent.profile": workdir / "pluripotent.profile",
+            "expression.csv": workdir / "data" / "expression.csv"}
+
+
+def _not_utf8_validate(workdir, tmp_path, name, content, code):
+    # ``validate`` with the input ``name`` replaced by the bytes ``content``.
+    inputs = _inputs(workdir)
+    inputs[name] = tmp_path / name
+    inputs[name].write_bytes(content)
+    assert main(["validate", "--conditions", str(inputs["conditions.csv"]),
+                 "--design", str(inputs["design.csv"]),
+                 "--profile", str(inputs["pluripotent.profile"]),
+                 "--data", str(inputs["expression.csv"])]) == code
+
+
 @pytest.mark.parametrize("name, line, code", [
     ("conditions.csv", 2, 2),
     ("design.csv", 3, 2),
@@ -404,19 +438,19 @@ def test_a_tab_before_an_opening_quote_names_its_line(workdir, tmp_path, capsys,
 ])
 def test_input_that_is_not_utf8_names_the_file_and_line(workdir, tmp_path, capsys,
                                                         name, line, code):
-    inputs = {"conditions.csv": workdir / "conditions.csv",
-              "design.csv": workdir / "design.csv",
-              "pluripotent.profile": workdir / "pluripotent.profile",
-              "expression.csv": workdir / "data" / "expression.csv"}
-    lines = inputs[name].read_bytes().split(b"\n")
+    # Lines end at LF, CRLF or a lone CR, as every reader ends them.
+    lines = _inputs(workdir)[name].read_bytes().splitlines()
     lines[line - 1] += b"\xe9"
-    inputs[name] = tmp_path / name
-    inputs[name].write_bytes(b"\n".join(lines))
-    assert main(["validate", "--conditions", str(inputs["conditions.csv"]),
-                 "--design", str(inputs["design.csv"]),
-                 "--profile", str(inputs["pluripotent.profile"]),
-                 "--data", str(inputs["expression.csv"])]) == code
-    assert f"{name}:{line}: not UTF-8 text: byte 0xe9" in capsys.readouterr().err
+    for end in (b"\n", b"\r\n", b"\r"):
+        _not_utf8_validate(workdir, tmp_path, name, end.join(lines) + end, code)
+        assert (f"{name}:{line}: not UTF-8 text: byte 0xe9 at position {len(lines[line - 1])} "
+                "of the line") in capsys.readouterr().err
+
+
+def test_a_not_utf8_position_counts_from_after_a_byte_order_mark(workdir, tmp_path, capsys):
+    _not_utf8_validate(workdir, tmp_path, "conditions.csv", b"\xef\xbb\xbfday\xe90\n", 2)
+    assert "conditions.csv:1: not UTF-8 text: byte 0xe9 at position 4 of the line" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("what, read, error", [

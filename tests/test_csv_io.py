@@ -87,7 +87,9 @@ def _assert_same_parse(got, want):
 _PLAIN_IDS = st.text("ABCXYZabcxyz0189_.-", min_size=1, max_size=5)
 _ODD_IDS = st.sampled_from(
     ["", " g", "g\t", "g\xa0", '"g"', '"q,1"', '"a\rb"', "é", "#g", "NA", "g\x00", "١",
-     "g\x01x", "g\x0cy", "g\uffff", "g 1", "g\t1"]
+     "g\x01x", "g\x0cy", "g\uffff", "g 1", "g\t1",
+     # where str.splitlines would break a line, and the csv reader would not
+     "g\x0by", "g\x85y", "g\u2028y", "g\u2029y"]
 )
 _PLAIN_VALUES = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.just("NA")
 _ODD_VALUES = st.sampled_from([

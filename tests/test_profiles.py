@@ -246,6 +246,35 @@ def test_comments_and_blanks_ignored():
     assert spec.name == "x"
 
 
+_PLAIN = "name p\n# a comment\nconditions a,b\ncoef c1 1,0 pos\ncoef c2 0,1 {}\n"
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                  "\u2028", "\u2029"])
+def test_only_line_feeds_and_carriage_returns_end_a_profile_line(tmp_path, char):
+    # str.splitlines ends a line at ``char``; no reader does. At the end of
+    # line 1 and inside the comment on line 2 it leaves every line in place.
+    path = tmp_path / "f.profile"
+
+    def read(text):
+        path.write_text(text, encoding="utf-8", newline="")
+        return pr.profile_from_file(path)
+
+    def message(text):
+        with pytest.raises(ValidationError) as caught:
+            read(text)
+        return str(caught.value)
+
+    odd = _PLAIN.replace("name p", f"name p{char}").replace("a comment", f"a{char}comment")
+    plain = read(_PLAIN.format("free"))
+    assert read(odd.format("free")) == plain
+    for end in ("\r\n", "\r"):
+        assert read(odd.replace("\n", end).format("free")) == plain
+        assert parse_profile(odd.replace("\n", end).format("free")) == plain
+    assert message(odd.format("bad")) == message(_PLAIN.format("bad")) == (
+        f"{path}:5: unknown constraint 'bad'")
+
+
 # ---------------------------------------------------------------------------
 # exact-rank acceptance vs brute-force oracle
 # ---------------------------------------------------------------------------

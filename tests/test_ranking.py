@@ -8,6 +8,7 @@ import profilerank as pr
 from profilerank.errors import ValidationError
 from profilerank.ranking import (
     REASONS,
+    FittedExperiment,
     gene_statistics,
     rank_from_fits,
     sweep_from_fits,
@@ -518,6 +519,22 @@ def test_rank_from_fits_metadata_and_fit_exclusions(triple):
     dead = [e for e in table.excluded if e.gene_id == "dead"]
     assert dead and dead[0].reason == "insufficient data"
     assert dead[0].u_values is None
+
+
+def test_a_model_without_a_test_bearing_coefficient_is_rejected(triple):
+    # A hand-built model that leaves out the test-bearing 'ez' column cannot
+    # be scored: no U statistic could be computed for it.
+    design, profile, model = triple
+    rng = np.random.default_rng(31)
+    values = rng.normal(0.0, 0.5, (4, model.n_arrays))
+    expr = pr.ExpressionMatrix(gene_ids=("a", "b", "c", "d"), array_ids=design.array_ids,
+                               values=values)
+    fitted = pr.fit_experiment(expr, design, profile)
+    partial = pr.ModelMatrix(x=model.x[:, :2], coefficient_indices=(0, 1),
+                             dropped_coefficients=(2,))
+    with pytest.raises(ValidationError, match=re.escape(
+            "test-bearing coefficient 'ez' is not in the model")):
+        gene_statistics(FittedExperiment(partial, fitted.fits, fitted.moderation), profile)
 
 
 def test_genes_without_a_usable_fit_are_excluded_last_in_row_order(triple):
