@@ -63,8 +63,10 @@ def __getattr__(name: str):
 
 
 def _require_file(path: str, what: str) -> None:
-    if not os.path.isfile(path):
+    if not os.path.exists(path):
         raise ValidationError(f"{what} file not found: {path}")
+    if not os.path.isfile(path):
+        raise ValidationError(f"{what} file is not a regular file: {path}")
 
 
 def _load_inputs(args):

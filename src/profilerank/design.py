@@ -241,7 +241,7 @@ def read_conditions_csv(path) -> tuple[str, ...]:
     """Read the ordered condition list: one label per line, '#' comments allowed."""
     labels: list[str] = []
     seen: set[str] = set()
-    with reading(path, "conditions", ValidationError), open(path, encoding="utf-8-sig") as fh:
+    with reading(path, "conditions", ValidationError) as fh:
         for lineno, line in content_lines(fh):
             with located(f"{path}:{lineno}"):
                 check_label(line, "condition label", seen)

@@ -5,11 +5,12 @@ Two families matter to callers: configuration problems (bad design,
 profile, or option values) and data problems (malformed or inconsistent
 expression files). The CLI maps them to distinct exit codes.
 
-Every input file is read under ``reading``, the CSV inputs through
-``csv_records`` and the others through ``content_lines``, so an unreadable
-file, text that is not UTF-8, a wrong field count and a csv error are
-reported the same way for each of them. Every line ends at ``\\n``, ``\\r\\n``
-or a lone ``\\r``, as in csv and text-mode files; a BOM is not part of line 1.
+Every input file is opened by ``reading``, as UTF-8 text whose leading BOM
+is not read, and every output file by ``writing``. The CSV inputs are read
+through ``csv_records`` and the others through ``content_lines``, so an
+unreadable file, text that is not UTF-8, a wrong field count and a csv
+error are reported the same way for each of them. Every line ends at
+``\\n``, ``\\r\\n`` or a lone ``\\r``, as in csv and text-mode files.
 A CSV error names the physical line where its record starts, and the csv
 reader is strict, so a quote left open or text after a closing quote is an
 error rather than a silently different field. Spaces before an opening
@@ -69,12 +70,14 @@ def located(where: str):
 
 
 @contextmanager
-def reading(path, what: str, error: type[ProfileRankError]):
-    """Raise an ``error`` for a failed read of ``path``, the ``what`` file:
+def reading(path, what: str, error: type[ProfileRankError], newline=None):
+    """Open the input file ``path``, the ``what`` file, for UTF-8 text whose
+    leading BOM is not read, and raise an ``error`` for a failed read:
     ``cannot read <what> file`` for an OS error, and the line and byte for
     text that is not UTF-8."""
     try:
-        yield
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
     except OSError as exc:
         raise error(f"cannot read {what} file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -127,7 +130,7 @@ def csv_records(path, what: str, error: type[ProfileRankError], n_fields: int):
     ``path:line:``, naming the line where the record starts; a csv error
     past that line, such as an open quote that runs into the field limit,
     also names the line where reading stopped."""
-    with reading(path, what, error), open(path, newline="", encoding="utf-8-sig") as fh:
+    with reading(path, what, error, newline="") as fh:
         reader = csv.reader(fh, strict=True, skipinitialspace=True)
         lineno = 1
         try:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import operator
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -161,15 +160,8 @@ class LazyRows(Sequence):
         raise NotImplementedError
 
     def __getitem__(self, i):
-        n = len(self)
-        if isinstance(i, slice):
-            return tuple(self._row(j) for j in range(*i.indices(n)))
-        i = operator.index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"row {i} out of range for {n} rows")
-        return self._row(i)
+        rows = range(len(self))[i]
+        return tuple(map(self._row, rows)) if isinstance(rows, range) else self._row(rows)
 
     def __iter__(self):
         return (self._row(i) for i in range(len(self)))
@@ -494,14 +486,13 @@ def read_expression_csv(path, array_ids: tuple[str, ...]) -> ExpressionMatrix:
     names the file, line and column of the first problem.
     """
     array_ids = tuple(array_ids)
-    with reading(path, "expression", DataError):
-        fast = _parse_fast(path, array_ids)
-        if fast is not None:
-            try:
-                return ExpressionMatrix(gene_ids=fast[0], array_ids=array_ids, values=fast[1])
-            except DataError:
-                del fast  # freed before the loop rereads the file to name the line
-        gene_ids, values = _parse_csv(path, array_ids)
+    fast = _parse_fast(path, array_ids)
+    if fast is not None:
+        try:
+            return ExpressionMatrix(gene_ids=fast[0], array_ids=array_ids, values=fast[1])
+        except DataError:
+            del fast  # freed before the loop rereads the file to name the line
+    gene_ids, values = _parse_csv(path, array_ids)
     return ExpressionMatrix(gene_ids=gene_ids, array_ids=array_ids, values=values)
 
 
@@ -532,7 +523,7 @@ def _parse_fast(path, array_ids: tuple[str, ...]):
             gene_ids.append(gene_id)
             yield body
 
-    with open(path, encoding="utf-8-sig") as fh:
+    with reading(path, "expression", DataError) as fh:
         header = fh.readline()
         if (header.removesuffix("\n").split(",") != ["gene_id", *array_ids]
                 or '"' in header or "\0" in header):

@@ -372,9 +372,8 @@ def format_profile(spec: ProfileSpec) -> str:
 
 
 def profile_from_file(path) -> ProfileSpec:
-    with reading(path, "profile", ValidationError), open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
-    return parse_profile(text, source=str(path))
+    with reading(path, "profile", ValidationError) as fh:
+        return parse_profile(fh.read(), source=str(path))
 
 
 def profile_to_file(spec: ProfileSpec, path) -> None:
@@ -398,5 +397,5 @@ def bundled_profile(name: str) -> ProfileSpec:
         raise ValidationError(
             f"unknown bundled profile {name!r}; available: {BUNDLED_PROFILES}"
         )
-    text = bundled_data_path(f"{name}.profile").read_text(encoding="utf-8")
-    return parse_profile(text, source=f"<bundled:{name}>")
+    with reading(bundled_data_path(f"{name}.profile"), "profile", ValidationError) as fh:
+        return parse_profile(fh.read(), source=f"<bundled:{name}>")

@@ -88,20 +88,6 @@ class UStatistics:
     posterior_s2: float | None
 
 
-def _model_positions(profile: ProfileSpec, model: ModelMatrix) -> list[int]:
-    # Positions (within retained columns) of the test-bearing coefficients.
-    by_basis_index = {basis_j: pos for pos, basis_j in enumerate(model.coefficient_indices)}
-    positions = []
-    for j in profile.test_bearing:
-        if j not in by_basis_index:
-            raise ValidationError(
-                f"test-bearing coefficient {profile.coefficient_names[j]!r} "
-                "is not in the model"
-            )
-        positions.append(by_basis_index[j])
-    return positions
-
-
 def u_statistics(
     fit: GeneFit,
     mod: ModerationResult,
@@ -157,8 +143,15 @@ def _u_column(gamma: np.ndarray, se: np.ndarray, constraint: Constraint) -> np.n
 
 def _tests(profile: ProfileSpec, model: ModelMatrix) -> list[tuple[int, Constraint]]:
     # (retained column, constraint) of each test-bearing coefficient.
-    return list(zip(_model_positions(profile, model),
-                    (profile.constraints[j] for j in profile.test_bearing)))
+    tests = []
+    for j in profile.test_bearing:
+        if j not in model.coefficient_indices:
+            raise ValidationError(
+                f"test-bearing coefficient {profile.coefficient_names[j]!r} "
+                "is not in the model"
+            )
+        tests.append((model.coefficient_indices.index(j), profile.constraints[j]))
+    return tests
 
 
 def _score(gamma: np.ndarray, se: np.ndarray, unfit: np.ndarray,

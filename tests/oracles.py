@@ -18,11 +18,11 @@ from profilerank.design import build_comparison_matrix, compose_model_matrix
 from profilerank.ranking import (
     REASON_DEGENERATE,
     REASON_INSUFFICIENT,
+    REASON_NONFINITE,
     REASON_VIOLATED,
     RankedTable,
     ScoreTable,
     UStatistics,
-    _model_positions,
 )
 from profilerank.special import student_t_upper_quantile
 from profilerank.synth import (
@@ -85,7 +85,7 @@ def u_statistics(fit, mod, profile, model, gene_index):
     posterior_s2 = float(mod.posterior_s2[gene_index])
     scale = math.sqrt(posterior_s2)
     se = fit.unscaled_se * scale
-    positions = _model_positions(profile, model)
+    positions = [model.coefficient_indices.index(j) for j in profile.test_bearing]
     constraints = [profile.constraints[j] for j in profile.test_bearing]
     u_values = np.array(
         [
@@ -113,7 +113,7 @@ def u_statistics(fit, mod, profile, model, gene_index):
 
 def rank_genes(stats):
     """Included genes by descending U, ties by gene id, with Python's
-    ``sorted``; excluded genes in input order, ``insufficient data`` last."""
+    ``sorted``; excluded genes in input order, those without a fit last."""
     stats = list(stats)
     order = sorted(
         (i for i, s in enumerate(stats) if s.included),
@@ -121,7 +121,7 @@ def rank_genes(stats):
     )
     dropped = sorted(
         (i for i, s in enumerate(stats) if not s.included),
-        key=lambda i: stats[i].exclusion_reason == REASON_INSUFFICIENT,
+        key=lambda i: stats[i].exclusion_reason in (REASON_INSUFFICIENT, REASON_NONFINITE),
     )
     return RankedTable(
         scores=ScoreTable.from_stats(stats),

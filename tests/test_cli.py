@@ -68,8 +68,8 @@ def test_a_tiny_alpha_at_few_degrees_of_freedom_ranks(workdir, tmp_path, capsys)
     args[args.index("--data") + 1] = str(data)
     assert main(args) == 0
     assert "0 pass the alpha=1e-300 test" in capsys.readouterr().out
-    assert json.loads((out / "moderation.json").read_text())["d0"] < 1.0
-    assert len((out / "ranked.csv").read_text().splitlines()) > 1
+    assert json.loads((out / "moderation.json").read_text(encoding="utf-8"))["d0"] < 1.0
+    assert len((out / "ranked.csv").read_text(encoding="utf-8").splitlines()) > 1
 
 
 def test_a_degenerate_prior_prints_d0_inf(workdir, tmp_path, capsys):
@@ -89,7 +89,7 @@ def test_a_degenerate_prior_prints_d0_inf(workdir, tmp_path, capsys):
 
 
 def _read_truth(root):
-    rows = (root / "data" / "truth.csv").read_text().splitlines()
+    rows = (root / "data" / "truth.csv").read_text(encoding="utf-8").splitlines()
     header = rows[0].split(",")
     return [dict(zip(header, line.split(","))) for line in rows[1:]]
 
@@ -104,7 +104,7 @@ def test_rank_outputs_and_planted_top(workdir, tmp_path):
 
     truth = _read_truth(workdir)
     top_gene = next(r["gene_id"] for r in truth if r["role"] == "planted_top")
-    ranked = (out / "ranked.csv").read_text().splitlines()
+    ranked = (out / "ranked.csv").read_text(encoding="utf-8").splitlines()
     header = ranked[0].split(",")
     assert header[:3] == ["rank", "gene_id", "U"]
     assert "U_1" in header and "gamma_1" in header and "se_3" in header
@@ -112,14 +112,14 @@ def test_rank_outputs_and_planted_top(workdir, tmp_path):
     first = ranked[1].split(",")
     assert first[0] == "1" and first[1] == top_gene
 
-    excl_header = (out / "excluded.csv").read_text().splitlines()[0]
+    excl_header = (out / "excluded.csv").read_text(encoding="utf-8").splitlines()[0]
     assert excl_header.startswith("gene_id,reason")
 
 
 def test_moderation_json_contents(workdir, tmp_path):
     out = tmp_path / "out"
     assert main(_rank_args(workdir, out)) == 0
-    payload = json.loads((out / "moderation.json").read_text())
+    payload = json.loads((out / "moderation.json").read_text(encoding="utf-8"))
     assert payload["profile"] == "pluripotent"
     assert payload["alpha"] == 0.05
     assert payload["margins"]["day6_vs_day9"] == "pos:1.5"
@@ -131,7 +131,7 @@ def test_moderation_json_contents(workdir, tmp_path):
 def test_sensitivity_csv_nesting(workdir, tmp_path):
     out = tmp_path / "out"
     assert main(_rank_args(workdir, out, ["--grid", "0.5,1,1.5,2"])) == 0
-    lines = (out / "sensitivity.csv").read_text().splitlines()
+    lines = (out / "sensitivity.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "gene_id,rank_eps_0.5,rank_eps_1,rank_eps_1.5,rank_eps_2"
     for line in lines[1:]:
         ranks = line.split(",")[1:]
@@ -150,9 +150,9 @@ RANKED_HEADER = (
 def test_headers_when_no_gene_is_included(workdir, tmp_path):
     out = tmp_path / "out"
     assert main(_rank_args(workdir, out, ["--epsilon", "0.001"])) == 0
-    assert json.loads((out / "moderation.json").read_text())["n_included"] == 0
-    assert (out / "ranked.csv").read_text().splitlines() == [RANKED_HEADER]
-    excluded = (out / "excluded.csv").read_text().splitlines()
+    assert json.loads((out / "moderation.json").read_text(encoding="utf-8"))["n_included"] == 0
+    assert (out / "ranked.csv").read_text(encoding="utf-8").splitlines() == [RANKED_HEADER]
+    excluded = (out / "excluded.csv").read_text(encoding="utf-8").splitlines()
     assert excluded[0] == "gene_id,reason,U_1,U_2,U_3"
     assert len(excluded) == 1 + 600
 
@@ -172,12 +172,12 @@ def test_sensitivity_ranked_tables_share_one_header(workdir, tmp_path):
     assert rc == 0
     tables = sorted(out.glob("ranked_eps_*.csv"))
     assert len(tables) == 3
-    lines = {p.name: p.read_text().splitlines() for p in tables}
+    lines = {p.name: p.read_text(encoding="utf-8").splitlines() for p in tables}
     assert len(lines["ranked_eps_0.001.csv"]) == 1  # nobody included
     assert len(lines["ranked_eps_2.csv"]) > 1
     assert {rows[0] for rows in lines.values()} == {RANKED_HEADER}
     # moderation.json records the last margin of the grid, at the default level.
-    payload = json.loads((out / "moderation.json").read_text())
+    payload = json.loads((out / "moderation.json").read_text(encoding="utf-8"))
     assert payload["margins"]["day0_vs_day3"] == "equiv:2.0"
     assert payload["alpha"] == 0.05
     assert payload["n_included"] == len(lines["ranked_eps_2.csv"]) - 1
@@ -217,10 +217,10 @@ def test_missing_design_exits_2(workdir, tmp_path, capsys):
 
 def test_malformed_expression_exits_3(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    good = (workdir / "data" / "expression.csv").read_text().splitlines()
+    good = (workdir / "data" / "expression.csv").read_text(encoding="utf-8").splitlines()
     cells = good[2].split(",")
     cells[3] = "wat"
-    bad.write_text("\n".join([good[0], good[1], ",".join(cells)]) + "\n")
+    bad.write_text("\n".join([good[0], good[1], ",".join(cells)]) + "\n", encoding="utf-8")
     rc = main([
         "rank",
         "--data", str(bad),
@@ -237,10 +237,11 @@ def test_malformed_expression_exits_3(workdir, tmp_path, capsys):
 @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e400"])
 def test_non_finite_expression_token_exits_3(workdir, tmp_path, capsys, token):
     bad = tmp_path / "bad.csv"
-    lines = (workdir / "data" / "expression.csv").read_text().splitlines()
+    lines = (workdir / "data" / "expression.csv").read_text(encoding="utf-8").splitlines()
     cells = lines[2].split(",")
     cells[3] = token
-    bad.write_text("\n".join([lines[0], lines[1], ",".join(cells), *lines[3:]]) + "\n")
+    bad.write_text("\n".join([lines[0], lines[1], ",".join(cells), *lines[3:]]) + "\n",
+                   encoding="utf-8")
     args = _rank_args(workdir, tmp_path / "out")
     args[args.index("--data") + 1] = str(bad)
     assert main(args) == 3
@@ -248,10 +249,10 @@ def test_non_finite_expression_token_exits_3(workdir, tmp_path, capsys, token):
 
 
 def _profile_with(root, tmp_path, old, new):
-    text = (root / "pluripotent.profile").read_text()
+    text = (root / "pluripotent.profile").read_text(encoding="utf-8")
     assert text.count(old) == 1
     path = tmp_path / "edited.profile"
-    path.write_text(text.replace(old, new))
+    path.write_text(text.replace(old, new), encoding="utf-8")
     return str(path)
 
 
@@ -323,9 +324,10 @@ def test_bad_epsilon_exits_2_without_an_equivalence_margin(workdir, tmp_path, ca
 
 
 def test_empty_gene_id_exits_3(workdir, tmp_path, capsys):
-    lines = (workdir / "data" / "expression.csv").read_text().splitlines()
+    lines = (workdir / "data" / "expression.csv").read_text(encoding="utf-8").splitlines()
     bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join([lines[0], lines[1], "," + lines[2].partition(",")[2]]) + "\n")
+    bad.write_text("\n".join([lines[0], lines[1], "," + lines[2].partition(",")[2]]) + "\n",
+                   encoding="utf-8")
     args = _rank_args(workdir, tmp_path / "out")
     args[args.index("--data") + 1] = str(bad)
     assert main(args) == 3
@@ -334,12 +336,12 @@ def test_empty_gene_id_exits_3(workdir, tmp_path, capsys):
 
 def test_gene_id_that_xml_cannot_hold_exits_3(workdir, tmp_path, capsys):
     # profiles.svg would hold these ids as text that no XML parser reads.
-    lines = (workdir / "data" / "expression.csv").read_text().splitlines()
+    lines = (workdir / "data" / "expression.csv").read_text(encoding="utf-8").splitlines()
     for n, ch in ((5, "\x01x"), (9, "\x0cy")):
         gene_id, _, rest = lines[n - 1].partition(",")
         lines[n - 1] = f"{gene_id}{ch},{rest}"
     bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
     args = _rank_args(workdir, out, ["--epsilon", "2"])
     args[args.index("--data") + 1] = str(bad)
@@ -358,18 +360,19 @@ def _validate_args(root, data=None, design=None):
 
 
 def test_gene_id_beyond_the_csv_field_limit_exits_3(workdir, tmp_path, capsys):
-    lines = (workdir / "data" / "expression.csv").read_text().splitlines()
+    lines = (workdir / "data" / "expression.csv").read_text(encoding="utf-8").splitlines()
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join([lines[0], "x" * 140000 + "," + lines[1].partition(",")[2],
-                              *lines[2:]]) + "\n")
+                              *lines[2:]]) + "\n", encoding="utf-8")
     assert main(_validate_args(workdir, data=bad)) == 3
     assert "bad.csv:2: field larger than field limit" in capsys.readouterr().err
 
 
 def test_design_field_beyond_the_csv_field_limit_exits_2(workdir, tmp_path, capsys):
-    lines = (workdir / "design.csv").read_text().splitlines()
+    lines = (workdir / "design.csv").read_text(encoding="utf-8").splitlines()
     bad = tmp_path / "design.csv"
-    bad.write_text("\n".join([lines[0], lines[1] + "x" * 140000, *lines[2:]]) + "\n")
+    bad.write_text("\n".join([lines[0], lines[1] + "x" * 140000, *lines[2:]]) + "\n",
+                   encoding="utf-8")
     assert main(_validate_args(workdir, design=bad)) == 2
     assert "design.csv:2: field larger than field limit" in capsys.readouterr().err
 
@@ -384,11 +387,11 @@ def test_a_quote_not_closed_or_followed_by_text_names_its_line(workdir, tmp_path
                                                                quoted, message, name, code):
     inputs = {"design.csv": workdir / "design.csv",
               "expression.csv": workdir / "data" / "expression.csv"}
-    lines = inputs[name].read_text().splitlines()
+    lines = inputs[name].read_text(encoding="utf-8").splitlines()
     first, _, rest = lines[2].partition(",")
     lines[2] = quoted.format(first) + "," + rest
     inputs[name] = tmp_path / name
-    inputs[name].write_text("\n".join(lines) + "\n")
+    inputs[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(_validate_args(workdir, data=inputs["expression.csv"],
                                design=inputs["design.csv"])) == code
     err = capsys.readouterr().err
@@ -401,11 +404,11 @@ def test_a_tab_before_an_opening_quote_names_its_line(workdir, tmp_path, capsys,
     # would be read as part of the id.
     inputs = {"design.csv": workdir / "design.csv",
               "expression.csv": workdir / "data" / "expression.csv"}
-    lines = inputs[name].read_text().splitlines()
+    lines = inputs[name].read_text(encoding="utf-8").splitlines()
     first, _, rest = lines[2].partition(",")
     lines[2] = f'\t"{first}",{rest}'
     inputs[name] = tmp_path / name
-    inputs[name].write_text("\n".join(lines) + "\n")
+    inputs[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(_validate_args(workdir, data=inputs["expression.csv"],
                                design=inputs["design.csv"])) == code
     err = capsys.readouterr().err
@@ -465,11 +468,26 @@ def test_an_unreadable_input_names_its_kind_and_path(tmp_path, what, read, error
     assert str(caught.value).startswith(f"cannot read {what} file {tmp_path}: ")
 
 
+@pytest.mark.parametrize("what", ["conditions", "design", "profile", "data"])
+@pytest.mark.parametrize("where, problem", [("missing", "not found"),
+                                            ("directory", "is not a regular file")],
+                         ids=["missing", "directory"])
+def test_an_input_that_is_not_a_file_exits_2(workdir, tmp_path, capsys, what, where, problem):
+    path = tmp_path / where
+    if where == "directory":
+        path.mkdir()
+    args = _rank_args(workdir, tmp_path / "out")
+    args[args.index(f"--{what}") + 1] = str(path)
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {what} file {problem}: {path}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_blank_and_whitespace_records_in_a_design_are_skipped(tmp_path, stemcell_conditions,
                                                              stemcell_design):
-    lines = pr.bundled_data_path("design_stemcell.csv").read_text().splitlines()
+    lines = pr.bundled_data_path("design_stemcell.csv").read_text(encoding="utf-8").splitlines()
     path = tmp_path / "design.csv"
-    path.write_text("\n".join([*lines[:2], "", "  \t ", *lines[2:]]) + "\n")
+    path.write_text("\n".join([*lines[:2], "", "  \t ", *lines[2:]]) + "\n", encoding="utf-8")
     assert pr.read_design_csv(path, stemcell_conditions) == stemcell_design
 
 
@@ -493,11 +511,11 @@ def test_design_conditions_and_profile_errors_name_file_and_line(
     inputs = {"conditions.csv": workdir / "conditions.csv",
               "design.csv": workdir / "design.csv",
               "pluripotent.profile": workdir / "pluripotent.profile"}
-    lines = inputs[name].read_text().splitlines()
+    lines = inputs[name].read_text(encoding="utf-8").splitlines()
     line = next(i for i, text in enumerate(lines) if text.startswith(old))
     lines[line] = new + lines[line][len(old):]
     inputs[name] = tmp_path / name
-    inputs[name].write_text("\n".join(lines) + "\n")
+    inputs[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
     assert main(["rank", "--data", str(workdir / "data" / "expression.csv"),
                  "--design", str(inputs["design.csv"]),
@@ -510,11 +528,11 @@ def test_design_conditions_and_profile_errors_name_file_and_line(
 
 
 def test_duplicate_gene_id_names_both_lines(workdir, tmp_path, capsys):
-    lines = (workdir / "data" / "expression.csv").read_text().splitlines()
+    lines = (workdir / "data" / "expression.csv").read_text(encoding="utf-8").splitlines()
     first = lines[1].partition(",")[0]
     lines[4] = first + "," + lines[4].partition(",")[2]
     bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(_validate_args(workdir, data=bad)) == 3
     err = capsys.readouterr().err
     assert f"bad.csv:5: column 1: gene id {first!r} is not unique, it is also on line 2" in err
@@ -534,12 +552,12 @@ def test_grid_without_an_equivalence_margin_exits_2(workdir, tmp_path, capsys, m
     # would exit 3, and synth must not start generating, so exit 2 shows the
     # profile was checked first.
     bad = tmp_path / "bad.csv"
-    bad.write_text("gene_id,wrong\n")
+    bad.write_text("gene_id,wrong\n", encoding="utf-8")
     monkeypatch.setattr("profilerank.cli.generate_dataset", _never_called)
-    text = (workdir / "pluripotent.profile").read_text()
+    text = (workdir / "pluripotent.profile").read_text(encoding="utf-8")
     profile = tmp_path / "no_equiv.profile"
     profile.write_text(text.replace("name pluripotent", "name no_equiv_margin")
-                       .replace("coef day0_vs_day3 0.5,-0.5,0,0 equiv:1\n", ""))
+                       .replace("coef day0_vs_day3 0.5,-0.5,0,0 equiv:1\n", ""), encoding="utf-8")
     out = tmp_path / "out"
     args = _rank_args(workdir, out, flags)
     args[args.index("--profile") + 1] = str(profile)
@@ -564,19 +582,19 @@ def test_gene_ids_needing_quotes_round_trip(workdir, tmp_path, extra, listed_in)
     # The planted top gene is renamed to an id with a comma and a quote;
     # at a tiny margin it is excluded instead of ranked.
     top = next(r["gene_id"] for r in _read_truth(workdir) if r["role"] == "planted_top")
-    with open(workdir / "data" / "expression.csv", newline="") as fh:
+    with open(workdir / "data" / "expression.csv", newline="", encoding="utf-8") as fh:
         rows = [[WEIRD_ID if row[0] == top else row[0], *row[1:]] for row in csv.reader(fh)]
     data = tmp_path / "quoted.csv"
-    with open(data, "w", newline="") as fh:
+    with open(data, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-    assert '"weird,""id"' in data.read_text()
+    assert '"weird,""id"' in data.read_text(encoding="utf-8")
     args = _rank_args(workdir, tmp_path / "out", ["--grid", "0.5,1,1.5,2", *extra])
     args[args.index("--data") + 1] = str(data)
     assert main(args) == 0
 
     ids = {}
     for name, id_col in (("ranked.csv", 1), ("excluded.csv", 0), ("sensitivity.csv", 0)):
-        with open(tmp_path / "out" / name, newline="") as fh:
+        with open(tmp_path / "out" / name, newline="", encoding="utf-8") as fh:
             header, *body = list(csv.reader(fh))
         assert all(len(row) == len(header) for row in body), name
         ids[name] = [row[id_col] for row in body]
@@ -650,7 +668,7 @@ def test_run_flags_are_checked_before_the_data_is_read(workdir, tmp_path, capsys
                                                        flags, named):
     # Reading this file would exit 3, so exit 2 shows the flag was checked first.
     bad = tmp_path / "bad.csv"
-    bad.write_text("gene_id,wrong\n")
+    bad.write_text("gene_id,wrong\n", encoding="utf-8")
     out = tmp_path / "out"
     args = _rank_args(workdir, out, flags)
     args[0] = command
@@ -689,9 +707,9 @@ def test_synth_negative_seed_exits_2(workdir, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["rank", "sensitivity"])
 def test_an_error_after_the_read_creates_no_output_directory(workdir, tmp_path, capsys, command):
     # One gene cannot give a variance prior, which only the fit finds out.
-    lines = (workdir / "data" / "expression.csv").read_text().splitlines()
+    lines = (workdir / "data" / "expression.csv").read_text(encoding="utf-8").splitlines()
     one = tmp_path / "one.csv"
-    one.write_text("\n".join(lines[:2]) + "\n")
+    one.write_text("\n".join(lines[:2]) + "\n", encoding="utf-8")
     out = tmp_path / "out"
     args = _rank_args(workdir, out, ["--grid", "0.5,1"])
     args[0] = command
@@ -703,7 +721,7 @@ def test_an_error_after_the_read_creates_no_output_directory(workdir, tmp_path, 
 
 def test_an_empty_data_file_exits_3(workdir, tmp_path, capsys):
     empty = tmp_path / "empty.csv"
-    empty.write_text("")
+    empty.write_text("", encoding="utf-8")
     out = tmp_path / "out"
     args = _rank_args(workdir, out)
     args[args.index("--data") + 1] = str(empty)
@@ -775,11 +793,11 @@ def test_out_on_an_existing_file_exits_2(workdir, tmp_path, capsys, monkeypatch,
     # Reading this file would exit 3, and synth must not start generating,
     # so exit 2 shows --out was checked first.
     bad = tmp_path / "bad.csv"
-    bad.write_text("gene_id,wrong\n")
+    bad.write_text("gene_id,wrong\n", encoding="utf-8")
     monkeypatch.setattr("profilerank.cli.generate_dataset", _never_called)
     monkeypatch.chdir(tmp_path)  # where an empty --out would write
     taken = tmp_path / "taken"
-    taken.write_text("keep\n")
+    taken.write_text("keep\n", encoding="utf-8")
     out = {"file": taken, "under-a-file": taken / "out" / "x", "empty": ""}[where]
     extra = ["--genes", "50", "--seed", "1"] if command == "synth" else ["--grid", "0.5,1"]
     args = _rank_args(workdir, out, extra)
@@ -791,7 +809,7 @@ def test_out_on_an_existing_file_exits_2(workdir, tmp_path, capsys, monkeypatch,
     assert ("--out must name the output directory, got an empty path" if where == "empty" else
             f"--out {out}: cannot create the output directory: {taken} is not a directory"
             ) in capsys.readouterr().err
-    assert taken.read_text() == "keep\n"
+    assert taken.read_text(encoding="utf-8") == "keep\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "taken"]
 
 
@@ -809,7 +827,7 @@ def test_moderation_json_serializes_infinite_prior(tmp_path, pluripotent):
     )
     path = tmp_path / "moderation.json"
     _write_moderation_json(fitted, pluripotent, 0, 0.05, path)
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["n_included"] == payload["n_excluded"] == 0
     assert payload["d0"] == "inf"
     assert payload["s0_2"] == 0.07
@@ -839,7 +857,7 @@ def test_one_overflowing_gene_leaves_the_other_genes_as_they_were(
             assert main(args) == 0
 
     def read(name, file):
-        return (tmp_path / name / file).read_text()
+        return (tmp_path / name / file).read_text(encoding="utf-8")
 
     assert read("with", "ranked.csv") == read("without", "ranked.csv")
     excluded = read("with", "excluded.csv").splitlines()
@@ -864,13 +882,13 @@ def test_validate_bundled_sox2_profile(capsys):
 def test_console_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "profilerank", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, encoding="utf-8",
     )
     assert proc.returncode == 0
     assert "rank" in proc.stdout and "synth" in proc.stdout
     proc = subprocess.run(
         [sys.executable, "-m", "profilerank", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, encoding="utf-8",
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"profilerank {pr.__version__}"
@@ -942,10 +960,10 @@ def test_planted_gene_shape(workdir, stemcell_design, analysis_profile):
 def test_svg_valid_xml_with_exact_polyline_count(workdir, tmp_path):
     # Also with the top gene renamed to an id that needs XML escaping.
     top = next(r["gene_id"] for r in _read_truth(workdir) if r["role"] == "planted_top")
-    with open(workdir / "data" / "expression.csv", newline="") as fh:
+    with open(workdir / "data" / "expression.csv", newline="", encoding="utf-8") as fh:
         rows = [["Ag01718,B<1>&" if row[0] == top else row[0], *row[1:]] for row in csv.reader(fh)]
     markup = tmp_path / "markup.csv"
-    with open(markup, "w", newline="") as fh:
+    with open(markup, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     for data, legend in ((workdir / "data" / "expression.csv", f"1. {top}"),
                          (markup, "1. Ag01718,B<1>&")):
@@ -953,7 +971,7 @@ def test_svg_valid_xml_with_exact_polyline_count(workdir, tmp_path):
         args = _rank_args(workdir, out, ["--top-n", "6"])
         args[args.index("--data") + 1] = str(data)
         assert main(args) == 0
-        root = ET.fromstring((out / "profiles.svg").read_text())
+        root = ET.fromstring((out / "profiles.svg").read_text(encoding="utf-8"))
         assert root.tag.endswith("svg")
         polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
         assert len(polylines) == 6

@@ -23,6 +23,7 @@ import profilerank as pr
 from profilerank import cli, fitting
 from profilerank.errors import DataError
 from profilerank.ranking import FittedExperiment, ScoreTable, SweepResult, UStatistics
+from profilerank.synth import write_expression_csv
 
 import oracles
 from test_design import make_design
@@ -62,7 +63,8 @@ def _close(a, b, scale):
 
 
 def _oracle_u_statistics(fitted, profile, i):
-    # U statistics of a fitted gene; an unfit gene's row is all NaN.
+    # U statistics of a fitted gene; an unfit gene's row is all NaN, with
+    # the fit's own reason.
     fit = fitted.fits[i]
     if fit.ok:
         return oracles.u_statistics(fit, fitted.moderation, profile, fitted.model, i)
@@ -70,7 +72,7 @@ def _oracle_u_statistics(fitted, profile, i):
     return UStatistics(
         gene_id=fit.gene_id, gamma_hat=np.full(k, math.nan), se=np.full(k, math.nan),
         u_values=np.full(m, math.nan), u=math.nan, included=False,
-        exclusion_reason="insufficient data", s2=math.nan, posterior_s2=math.nan,
+        exclusion_reason=fit.reason, s2=math.nan, posterior_s2=math.nan,
     )
 
 
@@ -457,13 +459,13 @@ def test_sweep_ranks_only_candidates_as_the_full_tables_rank(missing_data, grid)
         assert built.scores.se is fitted.se
 
 
-def _cli_args(missing_data, command, grid, out):
+def _cli_args(root, command, grid, out):
     return [
         command,
-        "--data", str(missing_data / "expression.csv"),
-        "--design", str(missing_data / "design.csv"),
-        "--conditions", str(missing_data / "conditions.csv"),
-        "--profile", str(missing_data / "pluripotent.profile"),
+        "--data", str(root / "expression.csv"),
+        "--design", str(root / "design.csv"),
+        "--conditions", str(root / "conditions.csv"),
+        "--profile", str(root / "pluripotent.profile"),
         "--delta", "day6_vs_day9=1.5",
         "--grid", grid,
         "--out", str(out),
@@ -476,7 +478,7 @@ def test_rank_grid_never_builds_the_full_sweep_tables(missing_data, tmp_path, mo
 
     monkeypatch.setattr(SweepResult, "tables", property(unread))
     assert cli.main(_cli_args(missing_data, "rank", "0.5,1,1.5,2", tmp_path)) == 0
-    assert (tmp_path / "sensitivity.csv").read_text().startswith(
+    assert (tmp_path / "sensitivity.csv").read_text(encoding="utf-8").startswith(
         "gene_id,rank_eps_0.5,rank_eps_1,rank_eps_1.5,rank_eps_2\n")
 
 
@@ -503,7 +505,8 @@ def test_sensitivity_with_an_unsorted_grid_writes_what_the_full_tables_give(
         cli._write_ranked_csv(table.scores, table.order, eager / f"ranked_eps_{e:g}.csv")
     cli._write_moderation_json(fitted, profile.with_margins(epsilon=1.0), len(table.order),
                                cli.ALPHA, eager / "moderation.json")
-    assert json.loads((eager / "moderation.json").read_text())["n_excluded"] == len(table.dropped)
+    moderation = json.loads((eager / "moderation.json").read_text(encoding="utf-8"))
+    assert moderation["n_excluded"] == len(table.dropped)
     names = sorted(p.name for p in (tmp_path / "sweep").iterdir())
     assert names == sorted(p.name for p in eager.iterdir()) and len(names) == 5
     for name in names:
@@ -549,11 +552,9 @@ def _oracle_sweep(fitted, profile, epsilons):
     )
 
 
-@pytest.fixture(scope="module")
-def missing_data(tmp_path_factory):
-    """About 2000 synthetic genes with 5% of spots missing, plus a few genes
-    the fit must exclude."""
-    root = tmp_path_factory.mktemp("columnar")
+def _stemcell_inputs(root):
+    """Copy the bundled stem-cell conditions, design and pluripotent profile
+    into ``root``: ``(design, profile)`` as read from there."""
     for src, dst in [
         ("conditions_stemcell.csv", "conditions.csv"),
         ("design_stemcell.csv", "design.csv"),
@@ -563,54 +564,86 @@ def missing_data(tmp_path_factory):
     conditions = pr.read_conditions_csv(root / "conditions.csv")
     design = pr.read_design_csv(root / "design.csv", conditions)
     profile = pr.validate_profile(pr.profile_from_file(root / "pluripotent.profile"))
+    return design, profile
+
+
+def _synth_values(design, profile, n_genes, n_planted, seed):
     result = pr.generate_dataset(
         design, profile.with_margins(deltas={"day6_vs_day9": 1.5}),
-        n_genes=2000, n_planted=20, seed=3,
+        n_genes=n_genes, n_planted=n_planted, seed=seed,
     )
-    values = result.expression.values.copy()
+    return result.expression.gene_ids, result.expression.values.copy()
+
+
+@pytest.fixture(scope="module")
+def missing_data(tmp_path_factory):
+    """About 2000 synthetic genes with 5% of spots missing, plus a few genes
+    the fit must exclude."""
+    root = tmp_path_factory.mktemp("columnar")
+    design, profile = _stemcell_inputs(root)
+    gene_ids, values = _synth_values(design, profile, n_genes=2000, n_planted=20, seed=3)
     rng = np.random.default_rng([3, 1])
     values.flat[rng.choice(values.size, size=values.size // 20, replace=False)] = np.nan
     values[100, 3:] = np.nan  # three observed arrays for three coefficients
     day0_day3 = [i for i, a in enumerate(design.arrays) if {a.cy3, a.cy5} == {"day0", "day3"}]
     values[700] = np.nan
     values[700, day0_day3] = 0.25  # observed, but cannot identify the model
-    expr = pr.ExpressionMatrix(
-        gene_ids=result.expression.gene_ids, array_ids=design.array_ids, values=values
-    )
-    from profilerank.synth import write_expression_csv
-
+    expr = pr.ExpressionMatrix(gene_ids=gene_ids, array_ids=design.array_ids, values=values)
     write_expression_csv(expr, root / "expression.csv")
     return root
 
 
-def test_rank_grid_outputs_match_per_gene_path(missing_data, tmp_path, monkeypatch):
-    outputs = ("ranked.csv", "excluded.csv", "moderation.json", "profiles.svg",
-               "sensitivity.csv")
+RANK_GRID_OUTPUTS = ("ranked.csv", "excluded.csv", "moderation.json", "profiles.svg",
+                     "sensitivity.csv")
 
-    def run(out):
-        rc = cli.main([
-            "rank",
-            "--data", str(missing_data / "expression.csv"),
-            "--design", str(missing_data / "design.csv"),
-            "--conditions", str(missing_data / "conditions.csv"),
-            "--profile", str(missing_data / "pluripotent.profile"),
-            "--delta", "day6_vs_day9=1.5",
-            "--grid", "0.5,1,1.5,2",
-            "--out", str(out),
-        ])
-        assert rc == 0
-        return {name: (out / name).read_bytes() for name in outputs}
 
-    columnar = run(tmp_path / "columnar")
+def _rank_grid(root, out):
+    # The files ``rank --grid`` writes for the inputs under ``root``.
+    assert cli.main(_cli_args(root, "rank", "0.5,1,1.5,2", out)) == 0
+    return {name: (out / name).read_bytes() for name in RANK_GRID_OUTPUTS}
+
+
+def _columnar_and_per_gene(root, tmp_path, monkeypatch):
+    """The files of ``rank --grid`` on the inputs under ``root``, run
+    through the columnar kernels and then through the per-gene oracles."""
+    columnar = _rank_grid(root, tmp_path / "columnar")
     monkeypatch.setattr(cli, "fit_experiment", _oracle_fit_experiment)
     monkeypatch.setattr(cli, "gene_statistics", _oracle_statistics)
     monkeypatch.setattr(cli, "rank_from_fits", _oracle_rank)
     monkeypatch.setattr(cli, "sweep_from_fits", _oracle_sweep)
-    per_gene = run(tmp_path / "per_gene")
+    return columnar, _rank_grid(root, tmp_path / "per_gene")
+
+
+def test_rank_grid_outputs_match_per_gene_path(missing_data, tmp_path, monkeypatch):
+    columnar, per_gene = _columnar_and_per_gene(missing_data, tmp_path, monkeypatch)
     excluded = columnar["excluded.csv"].decode().splitlines()
     assert sum(line.endswith("insufficient data,,,") for line in excluded) == 2
-    for name in outputs:
+    for name in RANK_GRID_OUTPUTS:
         assert columnar[name] == per_gene[name], name
+
+
+def test_rank_grid_outputs_match_per_gene_path_with_a_non_finite_fit(tmp_path, monkeypatch):
+    # Data of its own: other tests count the genes of ``missing_data``.
+    root = tmp_path / "inputs"
+    root.mkdir()
+    design, profile = _stemcell_inputs(root)
+    gene_ids, values = _synth_values(design, profile, n_genes=300, n_planted=5, seed=4)
+    values[5] *= 1e200  # its residual variance overflows
+    values[7] = np.nan
+    expr = pr.ExpressionMatrix(gene_ids=gene_ids, array_ids=design.array_ids, values=values)
+    write_expression_csv(expr, root / "expression.csv")
+    columnar, per_gene = _columnar_and_per_gene(root, tmp_path, monkeypatch)
+    excluded = columnar["excluded.csv"].decode().splitlines()
+    assert [line.split(",")[:2] for line in excluded[-2:]] == [
+        [gene_ids[5], "non-finite fit"], [gene_ids[7], "insufficient data"]]
+    for name in RANK_GRID_OUTPUTS:
+        if name != "moderation.json":
+            assert columnar[name] == per_gene[name], name
+    # A one-row fit's s2 can differ from the columnar fit's in the last bit,
+    # and on these genes that moves d0 by one unit in the last place.
+    got, want = (json.loads(run["moderation.json"]) for run in (columnar, per_gene))
+    assert got.pop("d0") == pytest.approx(want.pop("d0"), rel=1e-12)
+    assert got == want
 
 
 def test_alpha_pass_count_matches_iut_decision(missing_data):

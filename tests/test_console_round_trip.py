@@ -37,7 +37,7 @@ def _run(command: list[str], cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
                PYTHONPATH=os.pathsep.join(filter(None, [package_root,
                                                         os.environ.get("PYTHONPATH")])))
-    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True)
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, encoding="utf-8")
 
 
 def _console(cwd: Path, *args: str) -> subprocess.CompletedProcess:
@@ -68,25 +68,25 @@ def test_readme_round_trip_through_the_console_script(tmp_path):
     # Two genes without their day0/day3, day0/day9 and day3/day6 arrays
     # (0-based columns i >= 1 with (i - 1) % 5 < 3) keep 8 arrays of rank 2
     # for 3 coefficients: the stacked fit excludes both, without a warning.
-    lines = (tmp_path / data).read_text().splitlines(keepends=True)
+    lines = (tmp_path / data).read_text(encoding="utf-8").splitlines(keepends=True)
     holes = []
     for cells in (lines[1].rstrip("\n").split(","), lines[2].rstrip("\n").split(",")):
         holes.append(cells[0])
         lines[len(holes)] = ",".join(
             [cells[0]] + ["" if (i - 1) % 5 < 3 else c for i, c in enumerate(cells) if i]
         ) + "\n"
-    (tmp_path / "holes.csv").write_text("".join(lines))
+    (tmp_path / "holes.csv").write_text("".join(lines), encoding="utf-8")
     _ok(tmp_path, "rank", "--data", "holes.csv", *MODEL, "--out", "holes")
-    excluded = (tmp_path / "holes" / "excluded.csv").read_text().splitlines()
+    excluded = (tmp_path / "holes" / "excluded.csv").read_text(encoding="utf-8").splitlines()
     for gene_id in holes:
         assert f"{gene_id},insufficient data,,," in excluded, gene_id
 
     # A design row with an unknown condition exits 2 naming its file and line.
-    design = (DATA / "design_stemcell.csv").read_text().splitlines(keepends=True)
+    design = (DATA / "design_stemcell.csv").read_text(encoding="utf-8").splitlines(keepends=True)
     bad = [line.replace("p21_3,day6,", "p21_3,day7,", 1) if line.startswith("p21_3,day6,")
            else line for line in design]
     assert bad != design
-    (tmp_path / "design.csv").write_text("".join(bad))
+    (tmp_path / "design.csv").write_text("".join(bad), encoding="utf-8")
     proc = _console(tmp_path, "validate", "--design", "design.csv",
                     "--conditions", str(DATA / "conditions_stemcell.csv"),
                     "--profile", str(DATA / "pluripotent.profile"))

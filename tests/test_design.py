@@ -389,14 +389,14 @@ def test_array_permutation_permutes_rows_and_preserves_fits(stemcell_design, plu
 
 def test_read_conditions_rejects_bad_label(tmp_path):
     p = tmp_path / "conds.csv"
-    p.write_text("day0\nbad label\n")
+    p.write_text("day0\nbad label\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="conds.csv:2"):
         pr.read_conditions_csv(p)
 
 
 def _read_comments_only_conditions(tmp_path):
     path = tmp_path / "conds.csv"
-    path.write_text("# day0\n\n# day3\n")
+    path.write_text("# day0\n\n# day3\n", encoding="utf-8")
     return pr.read_conditions_csv(path)
 
 
@@ -416,14 +416,14 @@ def test_too_few_conditions_rejected(tmp_path, build, message):
 
 def test_read_design_requires_exact_header(tmp_path):
     p = tmp_path / "design.csv"
-    p.write_text("id,cy3,cy5,group\nx,a,b,r\n")
+    p.write_text("id,cy3,cy5,group\nx,a,b,r\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="expected header"):
         pr.read_design_csv(p, ("a", "b"))
 
 
 def test_read_design_wrong_field_count(tmp_path):
     p = tmp_path / "design.csv"
-    p.write_text("array_id,cy3,cy5,replicate_group\nx,a,b\n")
+    p.write_text("array_id,cy3,cy5,replicate_group\nx,a,b\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="design.csv:2"):
         pr.read_design_csv(p, ("a", "b"))
 
@@ -432,18 +432,19 @@ def test_read_design_names_a_record_by_its_first_line(tmp_path):
     # The quoted replicate group of line 2 holds a line feed, so the next
     # record is the third but starts on line 4.
     p = tmp_path / "design.csv"
-    p.write_text('array_id,cy3,cy5,replicate_group\nx,a,b,"r\n1"\ny,a,c,r\n')
+    p.write_text('array_id,cy3,cy5,replicate_group\nx,a,b,"r\n1"\ny,a,c,r\n', encoding="utf-8")
     with pytest.raises(ValidationError, match=re.escape("design.csv:4: array 'y': unknown cy5")):
         pr.read_design_csv(p, ("a", "b"))
 
 
 def test_read_design_skips_spaces_before_an_opening_quote(tmp_path, stemcell_design):
     # A quoted field after spaces reads as the same field unquoted.
-    lines = pr.bundled_data_path("design_stemcell.csv").read_text().splitlines(keepends=True)
+    source = pr.bundled_data_path("design_stemcell.csv")
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
     assert lines[1] == "p21_1,day3,day0,p21\n"
     lines[1] = ' "p21_1",  "day3",day0, "p21"\n'
     p = tmp_path / "design.csv"
-    p.write_text("".join(lines))
+    p.write_text("".join(lines), encoding="utf-8")
     design = pr.read_design_csv(p, stemcell_design.conditions)
     assert design.arrays == stemcell_design.arrays
 

@@ -45,7 +45,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     package_root = str(Path(pr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, encoding="utf-8")
 
 
 def _last_line(proc: subprocess.CompletedProcess):

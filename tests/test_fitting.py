@@ -388,7 +388,7 @@ def test_moderation_recovers_known_prior_small():
 
 def test_read_expression_happy_path(tmp_path):
     p = tmp_path / "expr.csv"
-    p.write_text("gene_id,a1,a2\ng1,0.5,NA\ng2,,-0.25\n")
+    p.write_text("gene_id,a1,a2\ng1,0.5,NA\ng2,,-0.25\n", encoding="utf-8")
     expr = pr.read_expression_csv(p, ("a1", "a2"))
     assert expr.gene_ids == ("g1", "g2")
     assert expr.values[0, 0] == 0.5
@@ -399,14 +399,14 @@ def test_read_expression_happy_path(tmp_path):
 
 def test_read_expression_header_must_match_design(tmp_path):
     p = tmp_path / "expr.csv"
-    p.write_text("gene_id,a2,a1\ng1,0.5,0.5\n")
+    p.write_text("gene_id,a2,a1\ng1,0.5,0.5\n", encoding="utf-8")
     with pytest.raises(DataError, match="does not match the design"):
         pr.read_expression_csv(p, ("a1", "a2"))
 
 
 def test_read_expression_bad_number_reports_position(tmp_path):
     p = tmp_path / "expr.csv"
-    p.write_text("gene_id,a1,a2\ng1,0.5,0.5\ng2,oops,0.1\n")
+    p.write_text("gene_id,a1,a2\ng1,0.5,0.5\ng2,oops,0.1\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"expr.csv:3: column 2"):
         pr.read_expression_csv(p, ("a1", "a2"))
 
@@ -416,7 +416,7 @@ def test_read_expression_non_finite_token_reports_position(tmp_path, token):
     # NA and empty fields before the bad cell stay missing spots, and the
     # blank line does not shift the reported line number.
     p = tmp_path / "expr.csv"
-    p.write_text(f"gene_id,a1,a2,a3\ng1,NA,0.5,\n\ng2,0.1,{token},NA\n")
+    p.write_text(f"gene_id,a1,a2,a3\ng1,NA,0.5,\n\ng2,0.1,{token},NA\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"expr.csv:4: column 3: not a finite number"):
         pr.read_expression_csv(p, ("a1", "a2", "a3"))
 
@@ -426,7 +426,8 @@ def test_read_expression_non_finite_token_reports_position(tmp_path, token):
 )
 def test_read_expression_bad_gene_id_reports_position(tmp_path, gene_id):
     p = tmp_path / "expr.csv"
-    p.write_text(f"gene_id,a1,a2,a3\ng1,1.0,2.0,3.0\n{gene_id},4.0,5.0,6.0\n", newline="")
+    p.write_text(f"gene_id,a1,a2,a3\ng1,1.0,2.0,3.0\n{gene_id},4.0,5.0,6.0\n", newline="",
+                 encoding="utf-8")
     with pytest.raises(DataError, match=r"expr.csv:3: column 1: a gene id must be non-empty"):
         pr.read_expression_csv(p, ("a1", "a2", "a3"))
 
@@ -469,7 +470,7 @@ def test_expression_csv_round_trip(data):
 
 def test_read_expression_duplicate_gene_ids(tmp_path):
     p = tmp_path / "expr.csv"
-    p.write_text("gene_id,a1,a2\ng1,0.5,0.5\ng1,0.1,0.1\n")
+    p.write_text("gene_id,a1,a2\ng1,0.5,0.5\ng1,0.1,0.1\n", encoding="utf-8")
     with pytest.raises(DataError, match="unique"):
         pr.read_expression_csv(p, ("a1", "a2"))
 

@@ -11,6 +11,9 @@ a ``NameError``.
 
 Imports are checked on each module's syntax tree: every name an import
 binds must be read somewhere in the module or be listed in ``__all__``.
+So are file opens: only ``errors`` calls ``open`` or a path's own read and
+write methods, so that every input is decoded, and every failed read or
+write reported, by one rule.
 """
 
 import ast
@@ -135,3 +138,37 @@ def f(x: float = inf) -> None:
     return os.sep, loads
 """
     assert unused_imports(source) == ["dumps", "nan", "system"]
+
+
+# Calls that open a file: ``open`` itself, and these methods of a path.
+FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def file_opens(source: str) -> list[int]:
+    """The lines of the module ``source`` that open a file, sorted."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id == "open"
+             or isinstance(node.func, ast.Attribute) and node.func.attr in FILE_METHODS)
+    )
+
+
+def test_only_errors_opens_a_file():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    opens = {name: file_opens(source) for name, source in sources.items() if name != "errors.py"}
+    assert {name: lines for name, lines in opens.items() if lines} == {}
+    assert sum(source.count('"utf-8-sig"') for source in sources.values()) == 1
+
+
+def test_the_check_flags_every_way_to_open_a_file():
+    source = """
+from pathlib import Path
+
+def f(path: Path):
+    with open(path) as fh, path.open() as gh:
+        fh.read(), gh.read()
+    path.write_text(path.read_text())
+    return path.read_bytes(), len
+"""
+    assert file_opens(source) == [5, 5, 7, 7, 8]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import profilerank as pr
+from profilerank import profiles
 from profilerank.errors import ValidationError
 from profilerank.profiles import format_profile, parse_profile
 
@@ -125,6 +126,14 @@ def test_bundled_profiles_roundtrip(name):
     assert parse_profile(format_profile(spec)) == spec
     # printing is canonical: stable under a second pass
     assert format_profile(parse_profile(format_profile(spec))) == format_profile(spec)
+
+
+def test_a_bundled_profile_reads_past_a_byte_order_mark(tmp_path, monkeypatch):
+    plain = pr.bundled_profile("pluripotent")
+    marked = tmp_path / "pluripotent.profile"
+    marked.write_bytes(b"\xef\xbb\xbf" + pr.bundled_data_path("pluripotent.profile").read_bytes())
+    monkeypatch.setattr(profiles, "bundled_data_path", lambda filename: marked)
+    assert pr.bundled_profile("pluripotent") == plain
 
 
 def test_roundtrip_preserves_exact_decimals(tmp_path):

@@ -47,7 +47,7 @@ def _child(code: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
