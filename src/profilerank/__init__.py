@@ -13,85 +13,35 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The public names, by the module that defines them. Each module is imported
-# on first access to one of its names (__getattr__), so importing the
-# package imports none of them.
-_EXPORTS = {
-    "design": (
-        "ArrayComparison",
-        "ComparisonDesign",
-        "ComparisonMatrix",
-        "ModelMatrix",
-        "build_comparison_matrix",
-        "compose_model_matrix",
-        "read_conditions_csv",
-        "read_design_csv",
-    ),
-    "errors": ("DataError", "ProfileRankError", "ValidationError"),
-    "fitting": (
-        "ExpressionMatrix",
-        "FitTable",
-        "GeneFit",
-        "ModerationResult",
-        "fit_all",
-        "fit_gene",
-        "moderate_variances",
-        "posterior_variance",
-        "read_expression_csv",
-    ),
-    "profiles": (
-        "BUNDLED_PROFILES",
-        "Constraint",
-        "ProfileSpec",
-        "bundled_data_path",
-        "bundled_profile",
-        "format_profile",
-        "parse_profile",
-        "profile_from_file",
-        "profile_to_file",
-        "validate_profile",
-    ),
-    "ranking": (
-        "CIIDecision",
-        "ExcludedGene",
-        "FittedExperiment",
-        "RankedGene",
-        "RankedTable",
-        "ScoreTable",
-        "SweepResult",
-        "UStatistics",
-        "analyze",
-        "cii_decision",
-        "fit_experiment",
-        "gene_statistics",
-        "iut_decision",
-        "rank_from_fits",
-        "rank_genes",
-        "sensitivity_sweep",
-        "sweep_from_fits",
-        "u_statistics",
-    ),
-    "svgplot": ("fitted_relative_profile", "render_profiles_svg"),
-    "synth": ("SynthResult", "TruthRow", "generate_dataset"),
-}
+# The modules whose __all__ declares the public names, each after the
+# modules it imports. The first use of a name imports them in this order up
+# to the one that declares it (__getattr__), so importing the package
+# imports none of them.
+_PUBLIC = ("errors", "design", "profiles", "fitting", "svgplot", "synth", "ranking")
 
-__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+# Every module, an attribute of the package imported on its first access. A
+# module left out would be imported only after the search for a name of
+# that spelling had imported every public module.
+_MODULES = (*_PUBLIC, "csvout", "special", "outputs", "cli")
 
-# The modules that are attributes of the package, imported on first access
-# like the names: those above and csvout and special, which they import.
-_MODULES = (*_EXPORTS, "csvout", "special")
+
+def _public():
+    return (importlib.import_module(f".{name}", __name__) for name in _PUBLIC)
 
 
 def __getattr__(name: str):
     if name in _MODULES:
         return importlib.import_module(f".{name}", __name__)
-    for module, names in _EXPORTS.items():
-        if name in names:
-            value = getattr(importlib.import_module(f".{module}", __name__), name)
-            globals()[name] = value
-            return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name == "__all__":
+        value = sorted(public for module in _public() for public in module.__all__)
+    else:
+        module = next((module for module in _public() if name in module.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
+    globals()[name] = value
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_MODULES})
+    return sorted({*globals(), *__getattr__("__all__"), *_MODULES})

@@ -17,14 +17,12 @@ import numpy as np
 from .errors import ValidationError, content_lines, csv_records, located, reading
 
 __all__ = [
-    "LABEL_PATTERN",
     "ArrayComparison",
     "ComparisonDesign",
     "ComparisonMatrix",
     "ModelMatrix",
     "build_comparison_matrix",
     "compose_model_matrix",
-    "least_squares_operators",
     "read_conditions_csv",
     "read_design_csv",
 ]

@@ -22,6 +22,8 @@ the quotes as text.
 import csv
 from contextlib import contextmanager
 
+__all__ = ["ProfileRankError", "ValidationError", "DataError"]
+
 
 class ProfileRankError(Exception):
     """Base class for all errors raised by this package."""

@@ -223,7 +223,9 @@ class FitTable(LazyRows):
 
 def fit_gene(y, model: ModelMatrix, gene_id: str = "") -> GeneFit:
     """Fit one gene's log ratios against the model matrix: ``fit_all`` on
-    a one-row matrix.
+    a one-row matrix. Its values can differ in the last bits from the same
+    gene's row of a larger ``fit_all``, since a one-row product runs another
+    BLAS kernel.
 
     Rows where ``y`` is missing (NaN) are removed first; the gene is
     excluded when the surviving rows cannot identify the coefficients or

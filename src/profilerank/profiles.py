@@ -113,7 +113,7 @@ def _parse_constraint(token: str, where: str) -> Constraint:
 
 def _basis_column(cname: str, column: tuple[str, ...], n_cond: int) -> list[float]:
     # The entries of one basis column as floats: one per condition, each a
-    # finite number.
+    # finite number that is 0.0 only if the entry is zero.
     if len(column) != n_cond:
         raise ValidationError(
             f"coefficient {cname!r}: {len(column)} basis entries for {n_cond} conditions"
@@ -130,19 +130,26 @@ def _basis_column(cname: str, column: tuple[str, ...], n_cond: int) -> list[floa
             raise ValidationError(
                 f"coefficient {cname!r}: basis entry {text!r} is not a finite number"
             )
+        if value == 0.0 and any(d in text.lower().partition("e")[0] for d in "123456789"):
+            raise ValidationError(
+                f"coefficient {cname!r}: basis entry {text!r} is not zero but underflows to 0.0"
+            )
         values.append(value)
     return values
 
 
-def _check_independent(name: str, coefficient_names, basis_text) -> None:
+def _check_independent(name: str, coefficient_names, basis_text, parsed) -> None:
     # Linear independence of the basis columns, certified exactly over the
     # rationals parsed from the decimal text, so acceptance matches
     # brute-force elimination by construction. ``float`` has placed any
     # digit-group underscores, which ``Fraction`` takes only from Python 3.11.
+    # An entry whose float is 0.0 is zero (_basis_column), and is not
+    # expanded: ``Fraction`` would compute ten to the power of its exponent.
     columns = []
-    for cname, col in zip(coefficient_names, basis_text):
+    for cname, col, values in zip(coefficient_names, basis_text, parsed):
         try:
-            columns.append([Fraction(v.replace("_", "")) for v in col])
+            columns.append([Fraction(v.replace("_", "")) if x else Fraction(0)
+                            for v, x in zip(col, values)])
         except ValueError as exc:
             raise ValidationError(
                 f"coefficient {cname!r}: entry not an exact decimal"
@@ -211,7 +218,7 @@ class ProfileSpec:
             )
         parsed = [_basis_column(cname, column, n_cond)
                   for cname, column in zip(self.coefficient_names, self.basis_text)]
-        _check_independent(self.name, self.coefficient_names, self.basis_text)
+        _check_independent(self.name, self.coefficient_names, self.basis_text, parsed)
         if not self.test_bearing:
             raise ValidationError(
                 f"profile {self.name!r}: every coefficient is unconstrained, "

@@ -61,8 +61,6 @@ __all__ = [
     "TruthRow",
     "SynthResult",
     "generate_dataset",
-    "write_expression_csv",
-    "write_truth_csv",
 ]
 
 ROLE_BACKGROUND = "background"

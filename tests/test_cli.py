@@ -293,6 +293,25 @@ def test_non_finite_option_values_exit_2(workdir, tmp_path, capsys, command, fla
 
 
 @pytest.mark.parametrize(
+    "entry, code, message",
+    [
+        ("1e-400", 2,
+         "coefficient 'day0_vs_day3': basis entry '1e-400' is not zero but underflows to 0.0"),
+        # Python reads no int of more than 4300 digits, so Fraction refuses it.
+        ("1." + "0" * 4999, 2, "error: coefficient 'day0_vs_day3': entry not an exact decimal"),
+        ("5e-324", 0, ""),
+    ],
+    ids=["underflow", "5000-digits", "subnormal"],
+)
+def test_a_basis_entry_is_zero_only_if_it_is_written_as_zero(workdir, tmp_path, capsys,
+                                                              entry, code, message):
+    profile = _profile_with(workdir, tmp_path, "0.5,-0.5,0,0 ", f"0.5,-0.5,0,{entry} ")
+    assert main(["validate", "--design", str(workdir / "design.csv"),
+                 "--conditions", str(workdir / "conditions.csv"), "--profile", profile]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "flag", [["--alpha", "0.7"], ["--top-n", "0"], ["--threads", "2"], ["--epsilon", "3"]],
     ids=["alpha", "top-n", "threads", "epsilon"],
 )

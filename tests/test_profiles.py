@@ -1,8 +1,12 @@
 import copy
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +96,29 @@ def test_all_unconstrained_rejected():
             [("c1", ["1", "0"])], [pr.Constraint.unconstrained()],
         )
         pr.validate_profile(spec)
+    # No coefficient at all: the basis has rank 0, and nothing is tested.
+    with pytest.raises(ValidationError, match="nothing to rank"):
+        pr.ProfileSpec(name="p", condition_labels=("a", "b"), coefficient_names=(),
+                       basis_text=(), constraints=())
+
+
+def test_a_zero_entry_is_not_expanded_by_its_exponent():
+    # Fraction("0e-99999999") would compute 10**99999999 before it gave 0.
+    code = """
+from dataclasses import replace
+from profilerank.profiles import bundled_profile, format_profile, parse_profile
+plain = bundled_profile("pluripotent")
+text = format_profile(plain).replace(" 0.5,-0.5,0,0 ", " 0.5,-0.5,0,0e-99999999 ")
+huge = parse_profile(text)
+print(huge.basis_text[3][3], replace(huge, basis_text=plain.basis_text) == plain,
+      huge.basis.tolist() == plain.basis.tolist())
+"""
+    package_root = str(Path(pr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          encoding="utf-8", timeout=10)
+    assert proc.stdout.split() == ["0e-99999999", "True", "True"], proc.stderr
 
 
 def test_constraint_count_mismatch():

@@ -91,6 +91,43 @@ print(module is sys.modules["profilerank." + name], name in dir(profilerank))
         assert _child(code, name) == "True True", name
 
 
+def test_every_module_is_an_attribute_of_the_package():
+    # A module missing here would be found only after __getattr__ has
+    # searched, and so imported, every public module.
+    files = {path.stem for path in Path(pr.__file__).parent.glob("*.py")}
+    assert sorted(pr._MODULES) == sorted(files - {"__init__", "__main__"})
+
+
+# The package's modules that the first use of a name imports, for one name
+# from each public module: the public modules up to its own, in the
+# package's order, and the modules they import.
+FIRST_USE = {
+    "DataError": {"errors"},
+    "read_design_csv": {"errors", "design"},
+    "bundled_profile": {"errors", "design", "profiles"},
+    "fit_all": {"errors", "design", "profiles", "fitting", "special"},
+    "render_profiles_svg": {"errors", "design", "profiles", "fitting", "special", "svgplot"},
+    "generate_dataset": {"errors", "design", "profiles", "fitting", "special", "svgplot",
+                         "synth", "csvout"},
+    "analyze": {"errors", "design", "profiles", "fitting", "special", "svgplot", "synth",
+                "csvout", "ranking"},
+}
+
+
+@pytest.mark.parametrize("name", FIRST_USE)
+def test_the_first_use_of_a_name_imports_the_public_modules_up_to_its_own(name):
+    code = """
+import json, sys
+import profilerank
+getattr(profilerank, sys.argv[1])
+print(json.dumps([sorted(m.split(".", 1)[1] for m in sys.modules
+                         if m.startswith("profilerank.")), "numpy" in sys.modules]))
+"""
+    modules, numpy = json.loads(_child(code, name))
+    assert set(modules) == FIRST_USE[name]
+    assert numpy == (name != "DataError")
+
+
 def test_validate_imports_no_pipeline_module(expression):
     plain = _modules("validate", *MODEL)
     assert not plain & PIPELINE
@@ -150,9 +187,11 @@ print(json.dumps([codes, calls, kept]))
 
 
 def test_every_public_name_resolves_to_its_definition():
+    declared = {module: importlib.import_module(f"profilerank.{module}").__all__
+                for module in pr._PUBLIC}
     for name in pr.__all__:
         obj = getattr(pr, name)
-        defined = [module for module, names in pr._EXPORTS.items() if name in names]
+        defined = [module for module, names in declared.items() if name in names]
         assert len(defined) == 1, name
         module = importlib.import_module(f"profilerank.{defined[0]}")
         assert obj is getattr(module, name), name
