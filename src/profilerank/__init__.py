@@ -22,7 +22,7 @@ _PUBLIC = ("errors", "design", "profiles", "fitting", "svgplot", "synth", "ranki
 # Every module, an attribute of the package imported on its first access. A
 # module left out would be imported only after the search for a name of
 # that spelling had imported every public module.
-_MODULES = (*_PUBLIC, "csvout", "special", "outputs", "cli")
+_MODULES = (*_PUBLIC, "special", "outputs", "cli")
 
 
 def _public():

@@ -63,9 +63,13 @@ def __getattr__(name: str):
 
 
 def _require_file(path: str, what: str) -> None:
+    """Refuse a missing ``path`` and a directory. The conditions, design and
+    profile files are each read once, from the start, so they may be pipes;
+    the data file must be a regular file, because the expression reader
+    reads it again when its fast path declines it."""
     if not os.path.exists(path):
         raise ValidationError(f"{what} file not found: {path}")
-    if not os.path.isfile(path):
+    if os.path.isdir(path) or (what == "data" and not os.path.isfile(path)):
         raise ValidationError(f"{what} file is not a regular file: {path}")
 
 

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and how a read of an input
-file or a write of an output file reports failure.
+"""Exception types shared across the package, the one CSV dialect it reads
+and writes, and how a read of an input file or a write of an output file
+reports failure.
 
 Two families matter to callers: configuration problems (bad design,
 profile, or option values) and data problems (malformed or inconsistent
@@ -9,17 +10,24 @@ Every input file is opened by ``reading``, as UTF-8 text whose leading BOM
 is not read, and every output file by ``writing``. The CSV inputs are read
 through ``csv_records`` and the others through ``content_lines``, so an
 unreadable file, text that is not UTF-8, a wrong field count and a csv
-error are reported the same way for each of them. Every line ends at
-``\\n``, ``\\r\\n`` or a lone ``\\r``, as in csv and text-mode files.
-A CSV error names the physical line where its record starts, and the csv
-reader is strict, so a quote left open or text after a closing quote is an
-error rather than a silently different field. Spaces before an opening
-quote are skipped, so a space then ``"g,1"`` is the field ``g,1``; any other
-whitespace there, such as a tab, is an error, because the reader would keep
-the quotes as text.
+error are reported the same way for each of them. Every CSV table is
+written through ``write_csv``.
+
+The CSV dialect, stated once for both directions. On read: strict ``csv``
+records, spaces at the start of a field skipped, every field stripped, and
+each line ending at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in csv and
+text-mode files. On write: ``\\n`` line ends, and a field quoted only when
+it holds a comma, a quote, ``\\n`` or ``\\r``.
+
+A CSV error names the physical line where its record starts. As the reader
+is strict, a quote left open or text after a closing quote is an error
+rather than a silently different field. As it skips leading spaces, a space
+then ``"g,1"`` is the field ``g,1``; any other whitespace there, such as a
+tab, is an error, because the reader would keep the quotes as text.
 """
 
 import csv
+import os
 from contextlib import contextmanager
 
 __all__ = ["ProfileRankError", "ValidationError", "DataError"]
@@ -41,7 +49,12 @@ def not_utf8(path, error: type[ProfileRankError]) -> ProfileRankError:
     """An ``error`` naming the first line of ``path`` that is not valid
     UTF-8, found by reading the file again after a decode failure: Latin-1
     text is one character per byte, split into lines as every reader splits
-    them. A position counts bytes from the first after a leading BOM."""
+    them. A position counts bytes from the first after a leading BOM. A
+    path that is not a regular file, such as a pipe, is not read again (its
+    bytes are gone, and a FIFO would wait for a writer), so the error names
+    only the path."""
+    if not os.path.isfile(path):
+        return error(f"{path}: not UTF-8 text")
     with open(path, encoding="latin-1") as fh:
         if fh.read(3) != "\xef\xbb\xbf":
             fh.seek(0)
@@ -96,6 +109,34 @@ def writing(path):
             yield fh
     except OSError as exc:
         raise ValidationError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows``, lists of strings, with ``\\n``
+    line ends; a field is quoted only when it holds a comma, a quote or a
+    line break (``\\n`` or ``\\r``)."""
+    write_lines(path, header, map(_line, rows))
+
+
+def write_lines(path, header, lines) -> None:
+    """Write ``header``, a list of strings, as ``write_csv`` does, and then
+    ``lines``, strings of whole CSV lines, each line with its ``\\n``."""
+    with writing(path) as fh:
+        fh.write(_line(header))
+        fh.writelines(lines)
+
+
+def _line(row) -> str:
+    line = ",".join(row)
+    if '"' in line or "\n" in line or "\r" in line or line.count(",") != len(row) - 1:
+        line = ",".join(map(_quoted, row))
+    return line + "\n"
+
+
+def _quoted(field: str) -> str:
+    if "," in field or '"' in field or "\n" in field or "\r" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 # What the csv module's errors for a quote mean, in this package's words.

@@ -8,8 +8,7 @@ import math
 
 import numpy as np
 
-from .csvout import _quoted, write_csv, write_lines
-from .errors import writing
+from .errors import _quoted, write_csv, write_lines, writing
 from .fitting import _blocks
 from .profiles import ProfileSpec
 from .ranking import (

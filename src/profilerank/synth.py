@@ -51,9 +51,8 @@ from itertools import accumulate
 import numpy as np
 
 from . import fitting
-from .csvout import write_csv
 from .design import ComparisonDesign, build_comparison_matrix, compose_model_matrix
-from .errors import ValidationError
+from .errors import ValidationError, write_csv
 from .fitting import ExpressionMatrix
 from .profiles import ProfileSpec
 

@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -370,11 +372,11 @@ def test_gene_id_that_xml_cannot_hold_exits_3(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
-def _validate_args(root, data=None, design=None):
+def _validate_args(root, data=None, design=None, profile=None):
     return ["validate",
             "--design", str(design or root / "design.csv"),
             "--conditions", str(root / "conditions.csv"),
-            "--profile", str(root / "pluripotent.profile"),
+            "--profile", str(profile or root / "pluripotent.profile"),
             *(["--data", str(data)] if data else [])]
 
 
@@ -500,6 +502,61 @@ def test_an_input_that_is_not_a_file_exits_2(workdir, tmp_path, capsys, what, wh
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: {what} file {problem}: {path}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def pipe():
+    """``/dev/fd/N`` for the read end of a pipe that holds ``data`` and is
+    closed for writing, as a shell's ``<(...)`` passes one."""
+    fds = []
+
+    def make(data: bytes) -> str:
+        read_fd, write_fd = os.pipe()
+        fds.append(read_fd)
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+        return f"/dev/fd/{read_fd}"
+
+    yield make
+    for fd in fds:
+        os.close(fd)
+
+
+def test_a_profile_from_a_pipe_validates(workdir, pipe, capsys):
+    profile = pipe((workdir / "pluripotent.profile").read_bytes())
+    assert main(_validate_args(workdir, profile=profile)) == 0
+    assert "all inputs valid" in capsys.readouterr().out
+
+
+def test_data_from_a_pipe_exits_2(workdir, pipe, capsys):
+    # The expression reader reads its file again when the fast path declines it.
+    data = pipe((workdir / "data" / "expression.csv").read_bytes()[:4096])
+    assert main(_validate_args(workdir, data=data)) == 2
+    assert capsys.readouterr().err == f"error: data file is not a regular file: {data}\n"
+
+
+def test_a_fifo_profile_that_is_not_utf8_exits_2_without_reading_it_again(workdir, tmp_path):
+    # Opening the FIFO again would wait for a writer that never comes.
+    fifo = tmp_path / "profile"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(b"name caf\xe9\n")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "profilerank",
+                               *_validate_args(workdir, profile=fifo)],
+                              capture_output=True, encoding="utf-8", timeout=10)
+    finally:
+        unblock = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # if the child never opened it
+        writer.join(timeout=10)
+        os.close(unblock)
+    assert not writer.is_alive()
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {fifo}: not UTF-8 text\n"
 
 
 def test_blank_and_whitespace_records_in_a_design_are_skipped(tmp_path, stemcell_conditions,

@@ -24,8 +24,7 @@ from hypothesis import strategies as st
 
 import profilerank as pr
 from profilerank import cli, fitting
-from profilerank.csvout import write_csv
-from profilerank.errors import DataError
+from profilerank.errors import DataError, csv_records, write_csv
 from profilerank.outputs import _fmt
 from profilerank.ranking import (
     _DEGENERATE, _INSUFFICIENT, _NONFINITE, _VIOLATED, REASONS, RankedTable, ScoreTable,
@@ -419,13 +418,17 @@ def test_write_csv_quotes_a_lone_carriage_return(tmp_path):
         assert list(csv.reader(fh)) == [["gene_id", "x"], ["a\rb", "1"]]
 
 
-@pytest.mark.parametrize("field", ["plain", "a,b", 'say "hi"', "a\nb", "a\rb", "", "NA"])
+# Surrounding whitespace is left out: csv_records strips it.
+@pytest.mark.parametrize("field", ["plain", "a,b", 'say "hi"', "a\nb", "a\rb", "", "NA",
+                                   "a b", '"', ","])
 def test_write_csv_reads_back_as_written(tmp_path, field):
     path = tmp_path / "out.csv"
     rows = [["h1", "h2", "h3"], [field, "1", field], ["x", field, "2"]]
     write_csv(path, rows[0], rows[1:])
     with open(path, newline="", encoding="utf-8") as fh:
         assert list(csv.reader(fh)) == rows
+    records = csv_records(path, "output", DataError, 3)
+    assert [next(records), *(fields for _, fields in records)] == rows
 
 
 def _per_field_excluded_csv(table, path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -91,7 +92,7 @@ def test_betainc_against_scipy():
 
 
 def test_betainc_against_scipy_with_one_large_parameter():
-    # From 100 on, lgamma(a + b) - lgamma(a) comes from Stirling's series:
+    # From 10 on, lgamma(a + b) - lgamma(a) comes from Stirling's series:
     # as a difference of two lgammas it was off by up to 1e-12 here.
     rng = np.random.default_rng(6)
     for _ in range(300):
@@ -241,7 +242,7 @@ def test_t_tail_against_scipy_at_small_t(df):
 
 
 def test_t_tail_against_scipy_below_the_hill_switch():
-    # lgamma(a + b) - lgamma(a) comes from Stirling's series from a = 100 on:
+    # lgamma(a + b) - lgamma(a) comes from Stirling's series from a = 10 on:
     # the tail was off by up to 8.4e-11 relative at t = 1.645 just below 1e4
     # df, where 1 - I_{1-x} magnified a cancelled lgamma.
     t = np.geomspace(1e-3, 1e2, 200)
@@ -258,13 +259,26 @@ def test_t_tail_has_no_step_where_its_forms_once_met_or_meet_now():
     # Two incomplete-beta forms once met at |t| = 1, with a step of up to
     # 6e-12 relative. At t*t = 3 df / (df + 2) I_x(df/2, 1/2) turns to its
     # symmetry; the step there was up to 6.8e-13 while x = df / (df + t*t)
-    # was rounded before (df/2) * log(x) scaled it, and is 3.8e-13 on this
-    # grid with x and log(x) both taken from t*t / df.
+    # was rounded before (df/2) * log(x) scaled it, and 3.8e-13 on this
+    # grid while lgamma(a + b) - lgamma(a) cancelled below a = 100.
     for df in np.geomspace(0.5, np.nextafter(special._HILL_DF, 0.0), 400):
-        for t, rel in ((1.0, 1e-13), (math.sqrt(3.0 * df / (df + 2.0)), 4e-13)):
+        for t, rel in ((1.0, 1e-13), (math.sqrt(3.0 * df / (df + 2.0)), 1e-13)):
             below = special.student_t_sf(np.nextafter(t, 0.0), df)
             above = special.student_t_sf(np.nextafter(t, math.inf), df)
             assert below == pytest.approx(above, rel=rel, abs=0.0), (df, t)
+
+
+def test_t_tail_against_mpmath():
+    # The tail is I_x(df/2, 1/2) / 2 at x = df / (df + t*t), here at 40
+    # digits; t runs through the switch to the symmetry at t*t = 3 df / (df + 2).
+    with mpmath.workdps(40):
+        for df in np.geomspace(0.5, 500.0, 40):
+            df = float(df)
+            for t in (0.5, 1.0, math.sqrt(3.0 * df / (df + 2.0)), 2.0, 3.0, 5.0):
+                x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+                tail = float(mpmath.betainc(df / 2, 0.5, 0, x, regularized=True) / 2)
+                assert special.student_t_sf(t, df) == pytest.approx(tail, rel=1e-13, abs=0.0), (
+                    df, t)
 
 
 @pytest.mark.parametrize("df", [0.5, 3.0, 1e3, special._HILL_DF, 1e30, math.inf])

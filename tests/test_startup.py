@@ -29,7 +29,7 @@ MODEL = [
     "--profile", str(DATA / "pluripotent.profile"),
     "--delta", "day6_vs_day9=1.5",
 ]
-PIPELINE = {"fitting", "ranking", "special", "svgplot", "synth", "csvout", "outputs"}
+PIPELINE = {"fitting", "ranking", "special", "svgplot", "synth", "outputs"}
 
 # Runs cli.main on its arguments and prints the exit code and the package's
 # modules then imported.
@@ -108,9 +108,9 @@ FIRST_USE = {
     "fit_all": {"errors", "design", "profiles", "fitting", "special"},
     "render_profiles_svg": {"errors", "design", "profiles", "fitting", "special", "svgplot"},
     "generate_dataset": {"errors", "design", "profiles", "fitting", "special", "svgplot",
-                         "synth", "csvout"},
+                         "synth"},
     "analyze": {"errors", "design", "profiles", "fitting", "special", "svgplot", "synth",
-                "csvout", "ranking"},
+                "ranking"},
 }
 
 
