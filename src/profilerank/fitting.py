@@ -223,9 +223,8 @@ class FitTable(LazyRows):
 
 def fit_gene(y, model: ModelMatrix, gene_id: str = "") -> GeneFit:
     """Fit one gene's log ratios against the model matrix: ``fit_all`` on
-    a one-row matrix. Its values can differ in the last bits from the same
-    gene's row of a larger ``fit_all``, since a one-row product runs another
-    BLAS kernel.
+    a one-row matrix, whose values are bit for bit the gene's row of any
+    larger ``fit_all``, since a gene's fit depends on that gene alone.
 
     Rows where ``y`` is missing (NaN) are removed first; the gene is
     excluded when the surviving rows cannot identify the coefficients or
@@ -258,11 +257,16 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
     missingness pattern, from one stacked SVD per ``_OPERATOR_CHUNK``
     patterns that observed equally many arrays. Each pattern's genes are
     cut into row blocks of at most ``_BLOCK_ROWS``, and the blocks of one
-    shape are fitted together by stacked matrix products of at most
+    shape are fitted together by stacked products of at most
     ``_BLOCK_ROWS`` genes, so the temporaries stay the size of a block, not
     of the matrix. Only NaN marks a missing spot; an infinite value counts
     as observed. A fit that overflows or takes an infinite value is kept as
     it is; ``FitTable.ok`` marks it.
+
+    A gene's fit is a function of that gene alone, whatever genes share its
+    block or call: the products are ``np.einsum`` sums without ``optimize``,
+    which never call BLAS, and not ``@``, since BLAS picks its kernel, and so
+    its rounding, by the batch shape.
     """
     n_genes, k = values.shape[0], model.n_coefficients
     gamma = np.full((n_genes, k), math.nan)
@@ -287,8 +291,8 @@ def _fit_rows(gene_ids: tuple[str, ...], values: np.ndarray, model: ModelMatrix)
                 genes = by_pattern[(start[chunk[p]] + offset)[:, None] + np.arange(r)]
                 y_obs = values[genes[:, :, None], cols[p][:, None, :]]
                 with np.errstate(over="ignore", invalid="ignore"):
-                    g = y_obs @ pinv[p].transpose(0, 2, 1)
-                    resid = y_obs - g @ x_obs[p].transpose(0, 2, 1)
+                    g = np.einsum("brn,bkn->brk", y_obs, pinv[p])
+                    resid = y_obs - np.einsum("brk,bnk->brn", g, x_obs[p])
                     s2[genes] = np.einsum("bij,bij->bi", resid, resid) / (n - k)
                 gamma[genes] = g
                 unscaled_se[genes] = se[p][:, None]

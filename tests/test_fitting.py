@@ -514,15 +514,16 @@ def test_a_matrix_that_does_not_match_is_rejected(stemcell_design, stemcell_mode
         run(stemcell_design, stemcell_model, pluripotent)
 
 
-def test_fit_gene_without_cached_solver(stemcell_model):
-    bare = pr.ModelMatrix(
+def test_a_model_matrix_rebuilt_from_its_fields_fits_as_the_composed_one(stemcell_model):
+    rebuilt = pr.ModelMatrix(
         x=np.array(stemcell_model.x),
         coefficient_indices=stemcell_model.coefficient_indices,
         dropped_coefficients=stemcell_model.dropped_coefficients,
     )
     rng = np.random.default_rng(19)
     y = rng.normal(0, 1, 20)
-    a = pr.fit_gene(y, bare)
+    a = pr.fit_gene(y, rebuilt)
     b = pr.fit_gene(y, stemcell_model)
-    assert np.allclose(a.gamma_hat, b.gamma_hat, atol=1e-12)
-    assert a.s2 == pytest.approx(b.s2, rel=1e-12)
+    assert a == b
+    assert np.array_equal(a.gamma_hat, b.gamma_hat)
+    assert np.array_equal(a.unscaled_se, b.unscaled_se)

@@ -4,9 +4,10 @@
 The benchmark compares each invocation with these files. This test runs the
 same two ``rank`` workloads in process at the default seed, so that a change
 in any output byte fails the test suite, not only a benchmark run.
-``moderation.json`` holds full-precision floats that another BLAS may round
-differently in the last bit, so it is held to the benchmark's own comparison
-instead of byte identity.
+``moderation.json`` holds full-precision floats. Only the per-pattern
+least-squares operators go through LAPACK and BLAS, and another build of
+those may round them differently in the last bit, so the file is held to
+the benchmark's own comparison instead of byte identity.
 """
 
 import importlib.util
