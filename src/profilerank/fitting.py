@@ -412,9 +412,7 @@ def _estimate_prior(s2: np.ndarray, df: np.ndarray) -> tuple[float, float]:
     """``(d0, s0_2)`` from sample variances ``s2 > 0`` and their residual
     ``df >= 1``. Its gene-length temporaries are freed on return, before
     ``moderate_variances`` allocates the posterior columns."""
-    # Scalar math.log on purpose: np.log may differ from it in the last
-    # bit, which would move the prior.
-    log_s2 = np.fromiter(map(math.log, s2), float, len(s2))
+    log_s2 = np.log(s2)
     # With return_counts np.unique sorts; without, numpy 2 uses a hash
     # table whose first use imports numpy.ma, 20 ms of start-up.
     distinct = np.unique(df, return_counts=True)[0]

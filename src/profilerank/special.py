@@ -2,8 +2,8 @@
 
 Everything here is implemented locally so the core library depends only on
 numpy: polygamma functions via upward recurrence plus asymptotic series,
-the regularized incomplete beta via a continued fraction, and distribution
-quantiles via bisection on the corresponding CDF. Student's t tail has two
+Student's t upper tail through the regularized incomplete beta's continued
+fraction, and its quantile via bisection on that tail. The tail has two
 forms: below 1e4 degrees of freedom it is the incomplete beta at every t,
 its argument, complement and their logarithms all taken from t*t/df; from
 1e4 df on it is the normal tail at Hill's transformation of t. Only a t*
@@ -25,8 +25,6 @@ __all__ = [
     "trigamma",
     "tetragamma",
     "trigamma_inverse",
-    "betainc",
-    "student_t_cdf",
     "student_t_sf",
     "student_t_upper_quantile",
 ]
@@ -71,7 +69,7 @@ _TETRAGAMMA_COEFFS = (
 # 1e-12 from 1e4 df on; below 1e4 df the incomplete beta is within 1e-12.
 _HILL_DF = 1e4
 
-# From this a or b on, ``betainc`` takes ``lgamma(a + b) - lgamma(a)`` (a the
+# From this a or b on, ``_betainc`` takes ``lgamma(a + b) - lgamma(a)`` (a the
 # larger) from Stirling's series instead of as a difference of two lgammas,
 # values that near a = 100 are ~360 and cancel to a few units.
 _STIRLING_MIN = 10.0
@@ -224,20 +222,6 @@ def _stirling_rest(z: float) -> float:
     return series
 
 
-def betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b), for a, b > 0."""
-    a = _require_positive(a, "a")
-    b = _require_positive(b, "b")
-    x = float(x)
-    if x < 0.0 or x > 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    return _betainc(a, b, x, 1.0 - x, math.log(x), math.log1p(-x))
-
-
 def _betainc(a: float, b: float, x: float, y: float, log_x: float, log_y: float) -> float:
     """I_x(a, b) from x, its complement y = 1 - x and both logarithms, which
     the caller takes in whatever form keeps their digits."""
@@ -258,8 +242,9 @@ def _betainc(a: float, b: float, x: float, y: float, log_x: float, log_y: float)
     return 1.0 - front * _betacf(b, a, y) / b
 
 
-def student_t_cdf(t: float, df: float) -> float:
-    """P(T <= t) for Student's t with df degrees of freedom (df = inf allowed).
+def student_t_sf(t: float, df: float) -> float:
+    """P(T > t), the upper tail of Student's t with df degrees of freedom
+    (df = inf allowed).
 
     Below ``_HILL_DF`` df the tail P(T > |t|) is half the incomplete beta
     ``I_x(df/2, 1/2)`` of ``x = 1 / (1 + r)``, with ``r = t*t / df``. x, its
@@ -268,13 +253,14 @@ def student_t_cdf(t: float, df: float) -> float:
     exponent df/2; once r overflows, ``log1p(r)`` is ``2 log|t| - log df``.
     This is within 1e-12 relative of scipy for |t| up to 100. From
     ``_HILL_DF`` df on the tail is ``_hill_tail``. Where ``t*t / df``
-    underflows to 0 the tail is 1/2 to double precision."""
+    underflows to 0 the tail is 1/2 to double precision. The lower tail
+    P(T <= t) is ``student_t_sf(-t, df)``."""
     t = float(t)
     df = float(df)
     if not df > 0.0:
         raise ValueError(f"df must be positive, got {df!r}")
     if math.isinf(df):
-        return 0.5 * math.erfc(-t / math.sqrt(2.0))
+        return 0.5 * math.erfc(t / math.sqrt(2.0))
     r = t * t / df
     if r == 0.0:
         return 0.5
@@ -284,12 +270,7 @@ def student_t_cdf(t: float, df: float) -> float:
         log1p_r = math.log1p(r) if r < math.inf else 2.0 * math.log(abs(t)) - math.log(df)
         tail = 0.5 * _betainc(0.5 * df, 0.5, 1.0 / (1.0 + r), 1.0 / (1.0 + 1.0 / r),
                               -log1p_r, -math.log1p(1.0 / r))
-    return 1.0 - tail if t > 0.0 else tail
-
-
-def student_t_sf(t: float, df: float) -> float:
-    """P(T > t), the upper tail of Student's t."""
-    return student_t_cdf(-t, df)
+    return tail if t > 0.0 else 1.0 - tail
 
 
 @lru_cache(maxsize=1024)
@@ -298,9 +279,9 @@ def student_t_upper_quantile(alpha: float, df: float) -> float:
     normal quantile, through the normal tail that ``student_t_sf`` returns
     there.
 
-    Found by bisection on the locally implemented CDF; the bracket is
-    narrowed until the endpoint spread is below 1e-13 relative, which puts
-    the CDF error well under 1e-10. A t* past 1e12 (a tiny alpha at a few
+    Found by bisection on ``student_t_sf``; the bracket is narrowed until
+    the endpoint spread is below 1e-13 relative, which puts the tail's
+    error well under 1e-10. A t* past 1e12 (a tiny alpha at a few
     df) comes from the tail's leading term instead, as ``_far_quantile``
     explains; past the float range it is ``inf``, above every finite U.
     Results are memoized: ``ranking._passes`` asks once per distinct df,

@@ -29,6 +29,10 @@ _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 170
 _MARGIN_TOP = 48
 _MARGIN_BOTTOM = 56
+# Legend rows, one per gene, run down the right margin this many px apart.
+# Past 28 genes the canvas grows taller than _HEIGHT to hold them; the plot
+# area keeps its size.
+_LEGEND_ROW = 16
 # Intervals the y axis is cut into before its tick spacing is rounded.
 _TICK_INTERVALS = 5
 
@@ -87,6 +91,8 @@ def render_profiles_svg(
     """
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    # The last legend baseline, plus 6 px for the descenders below it.
+    height = max(_HEIGHT, _MARGIN_TOP + 14 + _LEGEND_ROW * (len(genes) - 1) + 6)
     n_cond = len(condition_labels)
     values = [v for _, _, vals in genes for v in vals] or [0.0, 1.0]
     lo = min(min(values), 0.0)
@@ -105,8 +111,8 @@ def render_profiles_svg(
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'height="{height}" viewBox="0 0 {_WIDTH} {height}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{height}" fill="white"/>',
         f'<text x="{_MARGIN_LEFT}" y="28" font-family="sans-serif" '
         f'font-size="16" fill="#222">{_escape(title)}</text>',
     ]
@@ -143,7 +149,7 @@ def render_profiles_svg(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
             f'points="{points}"/>'
         )
-        ly = _MARGIN_TOP + 14 + 16 * idx
+        ly = _MARGIN_TOP + 14 + _LEGEND_ROW * idx
         lx = _MARGIN_LEFT + plot_w + 12
         out.append(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '

@@ -1083,3 +1083,18 @@ def test_svg_handles_empty_gene_list():
     svg = render_profiles_svg([], ("d0", "d3"), "empty")
     ET.fromstring(svg)
     assert svg.count("<polyline") == 0
+
+
+@pytest.mark.parametrize("n_genes, height", [(28, 500), (40, 692)])
+def test_svg_canvas_holds_every_legend_entry(n_genes, height):
+    # Up to 28 genes the legend fits the 500-px canvas; past that the
+    # canvas grows to hold it, and the plot area stays where it was.
+    genes = [(f"g{i}", i + 1, np.array([0.0, 0.1 * i, -0.2 * i])) for i in range(n_genes)]
+    root = ET.fromstring(render_profiles_svg(genes, ("d0", "d3", "d6"), "t"))
+    assert float(root.get("height")) == height
+    assert root.get("viewBox") == f"0 0 800 {height}"
+    texts = [e for e in root.iter() if e.tag.endswith("text")]
+    assert len(texts) > n_genes
+    assert all(0.0 <= float(e.get("y")) <= height for e in texts)
+    frame = next(e for e in root.iter() if e.tag.endswith("rect") and e.get("fill") == "none")
+    assert (frame.get("y"), frame.get("height")) == ("48", "396")

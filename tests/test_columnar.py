@@ -451,6 +451,26 @@ def test_moderation_allocates_less_than_seven_variance_columns(stemcell_design,
     assert peak < 7 * table.s2.nbytes
 
 
+def test_the_variance_prior_logs_its_column_in_one_call(stemcell_design, stemcell_model,
+                                                         monkeypatch):
+    # log s2 is one numpy call over the column, not a math.log per gene;
+    # the scalar calls left are the few per distinct df and for d0.
+    rng = np.random.default_rng(11)
+    sd = np.sqrt(4 * 0.05 / rng.chisquare(4, 2000))[:, None]
+    values = rng.normal(0, 1, (2000, stemcell_model.n_arrays)) * sd
+    expr = pr.ExpressionMatrix(gene_ids=tuple(f"g{i}" for i in range(len(values))),
+                               array_ids=stemcell_design.array_ids, values=values)
+    table = pr.fit_all(expr, stemcell_model)
+    want = pr.moderate_variances(table)
+    calls = []
+    log = math.log
+    monkeypatch.setattr(math, "log", lambda *args: calls.append(args) or log(*args))
+    got = pr.moderate_variances(table)
+    assert len(calls) < 50
+    assert (got.d0, got.s0_2) == (want.d0, want.s0_2)
+    assert math.isfinite(got.d0)
+
+
 def test_sweep_allocates_less_than_four_gene_columns(stemcell_design, stemcell_model,
                                                       analysis_profile):
     # 20k genes, 400 of them positive in both positivity coefficients with

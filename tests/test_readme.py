@@ -9,6 +9,7 @@ import profilerank as pr
 from profilerank.synth import write_expression_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def _library_example() -> str:
@@ -31,3 +32,15 @@ def test_library_example_runs(tmp_path, monkeypatch, stemcell_design, pluripoten
         exec(compile(_library_example(), str(README), "exec"), namespace)
     assert len(capsys.readouterr().out.splitlines()) == 10
     assert namespace["sweep"].epsilons == (0.5, 1.0, 1.5, 2.0)
+
+
+def test_install_block_names_every_test_extra():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    extra = re.search(r"^test = \[(.*?)\]", PYPROJECT.read_text(encoding="utf-8"), re.M | re.S)
+    wanted = [re.match(r"[A-Za-z0-9_.-]+", spec).group(0)
+              for spec in re.findall(r'"([^"]+)"', extra.group(1))]
+    section = README.read_text(encoding="utf-8").split("## Install and test", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    installed = {word for line in block.splitlines() if line.startswith("pip install")
+                 for word in line.split("#", 1)[0].split()}
+    assert wanted and set(wanted) <= installed, sorted(set(wanted) - installed)

@@ -78,17 +78,21 @@ def test_trigamma_inverse_extreme_arguments():
     assert special.trigamma_inverse(1e-7) == pytest.approx(1e7, rel=1e-3)
 
 
+def _betainc(a, b, x):
+    # I_x(a, b) for 0 < x < 1 through the kernel of Student's t tail, which
+    # takes x's complement and both logarithms from its caller.
+    return special._betainc(a, b, x, 1.0 - x, math.log(x), math.log1p(-x))
+
+
 def test_betainc_against_scipy():
     rng = np.random.default_rng(5)
     for _ in range(300):
         a = float(rng.uniform(0.1, 50.0))
         b = float(rng.uniform(0.1, 50.0))
         x = float(rng.random())
-        assert special.betainc(a, b, x) == pytest.approx(
+        assert _betainc(a, b, x) == pytest.approx(
             float(scipy.special.betainc(a, b, x)), abs=1e-12
         )
-    assert special.betainc(2.0, 3.0, 0.0) == 0.0
-    assert special.betainc(2.0, 3.0, 1.0) == 1.0
 
 
 def test_betainc_against_scipy_with_one_large_parameter():
@@ -100,25 +104,18 @@ def test_betainc_against_scipy_with_one_large_parameter():
         b = float(rng.uniform(0.1, 50.0))
         x = float(rng.random())
         for p, q in ((a, b), (b, a)):
-            assert special.betainc(p, q, x) == pytest.approx(
+            assert _betainc(p, q, x) == pytest.approx(
                 float(scipy.special.betainc(p, q, x)), abs=1e-13
             )
-
-
-def test_betainc_domain_errors():
-    with pytest.raises(ValueError):
-        special.betainc(-1.0, 2.0, 0.5)
-    with pytest.raises(ValueError):
-        special.betainc(1.0, 2.0, 1.5)
 
 
 def test_t_cdf_against_scipy():
     for df in (1.0, 2.5, 17.0, 21.0, 250.0):
         for t in (-8.0, -1.2, 0.0, 0.4, 2.1, 9.0):
-            assert special.student_t_cdf(t, df) == pytest.approx(
+            assert special.student_t_sf(-t, df) == pytest.approx(
                 float(scipy.stats.t.cdf(t, df)), abs=1e-12
             )
-    assert special.student_t_cdf(1.3, math.inf) == pytest.approx(
+    assert special.student_t_sf(-1.3, math.inf) == pytest.approx(
         float(scipy.stats.norm.cdf(1.3)), abs=1e-12
     )
 
@@ -194,7 +191,6 @@ def test_t_tail_past_the_overflow_of_t_squared(t, df):
     got = special.student_t_sf(t, df)
     assert got == pytest.approx(want, rel=1e-12, abs=5e-324)
     assert (got == 0.0) == (want == 0.0)
-    assert special.student_t_cdf(-t, df) == got
     # From 30 df on, the tail past 2**39 is below the smallest float.
     assert special.student_t_sf(t, 30.0) == special.student_t_sf(t, 1e30) == 0.0
     if got >= np.finfo(float).tiny:  # a normal float: t* round-trips
@@ -219,13 +215,12 @@ def test_t_tail_against_scipy_at_large_df():
     t = np.concatenate([np.logspace(-3.0, 3.0, 61), -np.logspace(-3.0, 3.0, 13)])
     for df in [*10.0 ** np.arange(3.0, 300.1, 0.5), np.nextafter(special._HILL_DF, 0.0),
                special._HILL_DF]:
-        for ours, theirs in ((special.student_t_sf, scipy.stats.t.sf),
-                             (special.student_t_cdf, scipy.stats.t.cdf)):
+        for sign, theirs in ((1.0, scipy.stats.t.sf), (-1.0, scipy.stats.t.cdf)):
             want = theirs(t, df)
             normal = want >= np.finfo(float).tiny
-            got = np.array([ours(x, df) for x in t[normal]])
+            got = np.array([special.student_t_sf(sign * x, df) for x in t[normal]])
             np.testing.assert_allclose(got, want[normal], rtol=1e-9, atol=0.0,
-                                       err_msg=f"{ours.__name__} at df = {df!r}")
+                                       err_msg=f"{theirs.__name__} at df = {df!r}")
 
 
 @pytest.mark.parametrize("df", [0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 1e3, 5e3,
@@ -283,8 +278,8 @@ def test_t_tail_against_mpmath():
 
 @pytest.mark.parametrize("df", [0.5, 3.0, 1e3, special._HILL_DF, 1e30, math.inf])
 def test_t_tail_at_an_infinite_t(df):
-    assert special.student_t_sf(math.inf, df) == special.student_t_cdf(-math.inf, df) == 0.0
-    assert special.student_t_sf(-math.inf, df) == special.student_t_cdf(math.inf, df) == 1.0
+    assert special.student_t_sf(math.inf, df) == 0.0
+    assert special.student_t_sf(-math.inf, df) == 1.0
 
 
 @pytest.mark.parametrize("t", [5e-324, 1e-200, 1e-162])
@@ -293,13 +288,13 @@ def test_t_tail_is_one_half_where_t_squared_underflows(t, df):
     # The tail is 1/2 less about 0.4 |t|, which rounds to 1/2 exactly.
     assert t * t == 0.0
     for x in (t, -t):
-        assert special.student_t_sf(x, df) == special.student_t_cdf(x, df) == 0.5
+        assert special.student_t_sf(x, df) == 0.5
 
 
-def test_t_cdf_rejects_a_nonpositive_df():
+def test_t_tail_rejects_a_nonpositive_df():
     for df in (0.0, -1.0):
         with pytest.raises(ValueError, match="df must be positive"):
-            special.student_t_cdf(1.0, df)
+            special.student_t_sf(1.0, df)
 
 
 def test_t_quantile_never_rises_as_df_rises():
