@@ -168,9 +168,11 @@ def _parse_deltas(items) -> dict:
     return deltas
 
 
-def _parse_grid(text: str | None) -> tuple[float, ...]:
+def _parse_grid(text: str | None) -> tuple[float, ...] | None:
+    """The ``--grid`` margins; None when the flag is not given, and ``()``
+    when it is given empty, which ``_check_sweep`` refuses."""
     if not text:
-        return ()
+        return None if text is None else ()
     tokens = text.split(",")
     try:
         grid = tuple(float(v) for v in tokens)
@@ -212,10 +214,10 @@ def _cmd_rank(args) -> int:
         raise ValidationError(f"--top-n must be >= 1, got {args.top_n}")
     _cli._check_alpha(args.alpha)
     grid = _parse_grid(args.grid)
-    profile, fitted = _fit_run(args, grid or None)
+    profile, fitted = _fit_run(args, grid)
     stats = _cli.gene_statistics(fitted, profile)
     table = _cli.rank_from_fits(fitted, profile, stats=stats)
-    sweep = _cli.sweep_from_fits(fitted, profile, grid) if grid else None
+    sweep = _cli.sweep_from_fits(fitted, profile, grid) if grid is not None else None
     n_pass = _cli._alpha_pass_count(fitted, stats, args.alpha)
     _make_out_dir(args.out)
     _cli._write_ranked_csv(table.scores, table.order, os.path.join(args.out, "ranked.csv"))

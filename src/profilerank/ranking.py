@@ -540,7 +540,7 @@ def _check_sweep(profile: ProfileSpec, epsilons) -> list[float]:
     profile with an equivalence coefficient for them to vary."""
     eps = [float(e) for e in epsilons]
     if not eps:
-        raise ValidationError("sensitivity sweep needs at least one margin")
+        raise ValidationError("a margin sweep needs at least one margin")
     if any(not 0.0 < e < math.inf for e in eps):
         raise ValidationError(f"sweep margins must be > 0 and finite, got {eps}")
     profile._require_equiv("a margin sweep")

@@ -13,6 +13,10 @@ ranges that arise in practice (positive arguments, moderate degrees of
 freedom), and the t tail is within 1e-12 relative below 1e4 df (for |t| up
 to 100) and from 1e4 df on, which the test suite pins against independent
 references (to 5e-12 below 1e4 df and 1e-9 from 1e3 df on).
+
+Each recipe is written once: ``_series`` sums every asymptotic series (the
+three polygamma expansions and Stirling's), and ``_betacf`` runs one Lentz
+step for every partial numerator of the continued fraction.
 """
 
 from __future__ import annotations
@@ -95,6 +99,16 @@ def _require_positive(x: float, name: str) -> float:
     return x
 
 
+def _series(coeffs: tuple[float, ...], power: float, step: float) -> float:
+    """``sum(c * power * step**i for i, c in enumerate(coeffs))``, each
+    power taken from the one before it."""
+    total = 0.0
+    for c in coeffs:
+        total += c * power
+        power *= step
+    return total
+
+
 def digamma(x: float) -> float:
     """First derivative of log-gamma, for x > 0."""
     x = _require_positive(x, "x")
@@ -103,12 +117,7 @@ def digamma(x: float) -> float:
         acc -= 1.0 / x
         x += 1.0
     inv2 = 1.0 / (x * x)
-    series = 0.0
-    power = inv2
-    for c in _DIGAMMA_COEFFS:
-        series += c * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x + series
+    return acc + math.log(x) - 0.5 / x + _series(_DIGAMMA_COEFFS, inv2, inv2)
 
 
 def trigamma(x: float) -> float:
@@ -120,12 +129,7 @@ def trigamma(x: float) -> float:
         x += 1.0
     inv = 1.0 / x
     inv2 = inv * inv
-    series = 0.0
-    power = inv * inv2
-    for c in _TRIGAMMA_COEFFS:
-        series += c * power
-        power *= inv2
-    return acc + inv + 0.5 * inv2 + series
+    return acc + inv + 0.5 * inv2 + _series(_TRIGAMMA_COEFFS, inv * inv2, inv2)
 
 
 def tetragamma(x: float) -> float:
@@ -137,12 +141,7 @@ def tetragamma(x: float) -> float:
         x += 1.0
     inv = 1.0 / x
     inv2 = inv * inv
-    series = 0.0
-    power = inv2 * inv2
-    for c in _TETRAGAMMA_COEFFS:
-        series += c * power
-        power *= inv2
-    return acc - inv2 - inv * inv2 + series
+    return acc - inv2 - inv * inv2 + _series(_TETRAGAMMA_COEFFS, inv2 * inv2, inv2)
 
 
 def trigamma_inverse(x: float) -> float:
@@ -169,42 +168,34 @@ def trigamma_inverse(x: float) -> float:
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    # Modified Lentz evaluation of the incomplete-beta continued fraction.
+    """Modified Lentz evaluation of the incomplete-beta continued fraction:
+    one update per partial numerator, the first alone and then the even and
+    odd ones of each m up to 300, stopping only after an odd one. ``c``
+    starts at inf, so the first update sets it to exactly 1."""
     max_iter = 300
     eps = 1e-15
     fpmin = 1e-300
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+    c, d, h = math.inf, 1.0, 1.0
+    numerators = (-qab * x / qap,)
+    for m in range(1, max_iter + 2):
+        for aa in numerators:
+            d = 1.0 + aa * d
+            if abs(d) < fpmin:
+                d = fpmin
+            c = 1.0 + aa / c
+            if abs(c) < fpmin:
+                c = fpmin
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < eps and m > 1:
             break
+        m2 = 2 * m
+        numerators = (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                      -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)))
     return h
 
 
@@ -213,13 +204,7 @@ def _stirling_rest(z: float) -> float:
     series to its ``1/(156 z**13)`` term, within 3e-17 from
     ``_STIRLING_MIN`` on."""
     inv = 1.0 / z
-    inv2 = inv * inv
-    series = 0.0
-    power = inv
-    for c in _STIRLING_COEFFS:
-        series += c * power
-        power *= inv2
-    return series
+    return _series(_STIRLING_COEFFS, inv, inv * inv)
 
 
 def _betainc(a: float, b: float, x: float, y: float, log_x: float, log_y: float) -> float:
@@ -292,10 +277,9 @@ def student_t_upper_quantile(alpha: float, df: float) -> float:
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha!r}")
     df = float(df)
-    if not df > 0.0:
-        raise ValueError(f"df must be positive, got {df!r}")
     # student_t_sf(t, df) is continuous and strictly decreasing with value
-    # 0.5 at t = 0, so t* lies above 0.
+    # 0.5 at t = 0, so t* lies above 0. Its first call refuses a df that is
+    # not positive.
     lo = 0.0
     hi = 1.0
     while student_t_sf(hi, df) > alpha:

@@ -8,6 +8,12 @@ time with scalar Python arithmetic, and take no argument checks: callers
 pass only what the formulas accept. ``synth_columns`` is the synthetic
 data generator written the same way: each coefficient, variance and noise
 row drawn with its own ``rng.uniform``/``rng.normal`` call.
+
+``digamma``, ``trigamma``, ``tetragamma``, ``stirling_rest`` and ``betacf``
+are ``special``'s series and continued fraction written out term by term:
+each sum with its own loop and each Lentz update spelled out where it
+runs. ``special`` shares one series loop and one Lentz update among them,
+and must give the same bits.
 """
 
 import math
@@ -24,7 +30,14 @@ from profilerank.ranking import (
     ScoreTable,
     UStatistics,
 )
-from profilerank.special import student_t_upper_quantile
+from profilerank.special import (
+    _ASYMPTOTIC_MIN,
+    _DIGAMMA_COEFFS,
+    _STIRLING_COEFFS,
+    _TETRAGAMMA_COEFFS,
+    _TRIGAMMA_COEFFS,
+    student_t_upper_quantile,
+)
 from profilerank.synth import (
     CHALLENGER_EQUIV_FRACTION,
     CHALLENGER_POS_MARGIN,
@@ -201,3 +214,99 @@ def synth_columns(design, profile, n_genes, n_planted, seed):
         sigma2[i] = D0 * S0_2 / rng.chisquare(D0)
         values[i] = model.x @ gamma[i] + rng.normal(0.0, np.sqrt(sigma2[i]), n_arrays)
     return roles, gamma, sigma2, values
+
+
+def digamma(x):
+    acc = 0.0
+    while x < _ASYMPTOTIC_MIN:
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = 0.0
+    power = inv2
+    for c in _DIGAMMA_COEFFS:
+        series += c * power
+        power *= inv2
+    return acc + math.log(x) - 0.5 / x + series
+
+
+def trigamma(x):
+    acc = 0.0
+    while x < _ASYMPTOTIC_MIN:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    series = 0.0
+    power = inv * inv2
+    for c in _TRIGAMMA_COEFFS:
+        series += c * power
+        power *= inv2
+    return acc + inv + 0.5 * inv2 + series
+
+
+def tetragamma(x):
+    acc = 0.0
+    while x < _ASYMPTOTIC_MIN:
+        acc -= 2.0 / (x * x * x)
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    series = 0.0
+    power = inv2 * inv2
+    for c in _TETRAGAMMA_COEFFS:
+        series += c * power
+        power *= inv2
+    return acc - inv2 - inv * inv2 + series
+
+
+def stirling_rest(z):
+    inv = 1.0 / z
+    inv2 = inv * inv
+    series = 0.0
+    power = inv
+    for c in _STIRLING_COEFFS:
+        series += c * power
+        power *= inv2
+    return series
+
+
+def betacf(a, b, x):
+    """The first partial numerator's update, then up to 300 pairs of even
+    and odd updates, stopping after an odd one that moves h by < 1e-15."""
+    max_iter = 300
+    eps = 1e-15
+    fpmin = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for m in range(1, max_iter + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            break
+    return h

@@ -720,7 +720,8 @@ def test_bad_alpha_exits_2(workdir, tmp_path):
         ("rank", ["--grid=-1,2"], "sweep margins must be > 0 and finite, got [-1.0, 2.0]"),
         ("sensitivity", ["--grid=-1,2"],
          "sweep margins must be > 0 and finite, got [-1.0, 2.0]"),
-        ("sensitivity", ["--grid", ""], "sensitivity sweep needs at least one margin"),
+        ("sensitivity", ["--grid", ""], "a margin sweep needs at least one margin"),
+        ("rank", ["--grid", ""], "a margin sweep needs at least one margin"),
         ("rank", ["--delta", "day6_vs_day9=abc"],
          "--delta 'day6_vs_day9=abc': threshold is not a number"),
         # _rank_args already gives day6_vs_day9=1.5.
@@ -736,7 +737,7 @@ def test_bad_alpha_exits_2(workdir, tmp_path):
         ("sensitivity", ["--grid", "0.5,2,0.5"],
          "--grid margins '0.5' and '0.5' are both labelled eps_0.5"),
     ],
-    ids=["rank-alpha", "rank-grid", "sensitivity-grid", "sensitivity-empty-grid",
+    ids=["rank-alpha", "rank-grid", "sensitivity-grid", "sensitivity-empty-grid", "rank-empty-grid",
          "rank-delta-not-a-number", "rank-delta-repeated", "rank-grid-same-label",
          "sensitivity-grid-same-label", "rank-grid-same-margin", "sensitivity-grid-same-margin"],
 )

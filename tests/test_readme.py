@@ -1,11 +1,14 @@
-"""The README's library example runs as written."""
+"""The README runs as written: its library example runs, and its install block
+and its flags name what the project has."""
 
+import argparse
 import re
 import shutil
 import warnings
 from pathlib import Path
 
 import profilerank as pr
+from profilerank.cli import build_parser
 from profilerank.synth import write_expression_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,3 +47,21 @@ def test_install_block_names_every_test_extra():
     installed = {word for line in block.splitlines() if line.startswith("pip install")
                  for word in line.split("#", 1)[0].split()}
     assert wanted and set(wanted) <= installed, sorted(set(wanted) - installed)
+
+
+def _cli_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of ``parser`` and of its subcommands' parsers."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _cli_options(sub)
+    return options
+
+
+def test_every_flag_the_readme_names_is_a_cli_option():
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", README.read_text(encoding="utf-8")))
+    named.discard("--no-build-isolation")  # pip's, in the install block
+    unknown = named - _cli_options(build_parser())
+    assert named and not unknown, sorted(unknown)

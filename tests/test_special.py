@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from profilerank import special
 
+import oracles
+
 # High-precision references (30-digit arithmetic, frozen). The points cover
 # the half-integer arguments the moderation step actually evaluates.
 DIGAMMA_REFS = {
@@ -292,9 +294,58 @@ def test_t_tail_is_one_half_where_t_squared_underflows(t, df):
 
 
 def test_t_tail_rejects_a_nonpositive_df():
-    for df in (0.0, -1.0):
+    # The quantile's refusal is the tail's, raised by its first call.
+    for df in (0.0, -1.0, -math.inf, math.nan):
         with pytest.raises(ValueError, match="df must be positive"):
             special.student_t_sf(1.0, df)
+        with pytest.raises(ValueError, match="df must be positive"):
+            special.student_t_upper_quantile(0.05, df)
+
+
+def _log_uniform(rng, lo, hi, n):
+    return (10.0 ** rng.uniform(lo, hi, n)).tolist()
+
+
+def test_series_and_continued_fraction_match_the_written_out_loops():
+    # d0, s0_2 and t* reach moderation.json and the pass counts, and every
+    # other test here allows an error of 1e-12; this one pins their bits.
+    rng = np.random.default_rng(39)
+    xs = _log_uniform(rng, -6.0, 6.0, 4000) + [special._ASYMPTOTIC_MIN, 5.999999999999999]
+    for name in ("digamma", "trigamma", "tetragamma"):
+        ours, theirs = getattr(special, name), getattr(oracles, name)
+        assert [ours(x) for x in xs] == [theirs(x) for x in xs], name
+    zs = _log_uniform(rng, 1.0, 8.0, 2000) + [special._STIRLING_MIN]
+    assert [special._stirling_rest(z) for z in zs] == [oracles.stirling_rest(z) for z in zs]
+    cases = list(zip(_log_uniform(rng, -1.0, 4.0, 2000), _log_uniform(rng, -1.0, 4.0, 2000),
+                     rng.uniform(0.0, 1.0, 2000).tolist()))
+    # d = 1 - (a + b) x / (a + 1) is 0 here, so the first update clamps it.
+    cases.append((1.0, 3.0, 0.5))
+    assert [special._betacf(*c) for c in cases] == [oracles.betacf(*c) for c in cases]
+
+
+def test_t_tail_and_quantile_keep_their_bits_through_the_written_out_loops(monkeypatch):
+    rng = np.random.default_rng(40)
+    ts = [s * t for s, t in zip(rng.choice([-1.0, 1.0], 2500).tolist(),
+                                _log_uniform(rng, -3.0, 12.0, 2500))]
+    dfs = _log_uniform(rng, -1.0, 6.0, 2500)
+    quantile_dfs = _log_uniform(rng, -1.0, 6.0, 60)
+    alphas = (0.4, 0.05, 1e-10, 1e-300)
+    ys = _log_uniform(rng, -6.0, 6.0, 500)
+
+    def run():
+        # __wrapped__ skips the quantile's cache, which would serve the
+        # second run from the first.
+        return ([special.student_t_sf(t, df) for t, df in zip(ts, dfs)],
+                [special.student_t_upper_quantile.__wrapped__(a, df)
+                 for a in alphas for df in quantile_dfs],
+                [special.trigamma_inverse(y) for y in ys])
+
+    ours = run()
+    for name in ("trigamma", "tetragamma"):
+        monkeypatch.setattr(special, name, getattr(oracles, name))
+    monkeypatch.setattr(special, "_betacf", oracles.betacf)
+    monkeypatch.setattr(special, "_stirling_rest", oracles.stirling_rest)
+    assert ours == run()
 
 
 def test_t_quantile_never_rises_as_df_rises():
