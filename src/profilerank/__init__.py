@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 # modules it imports. The first use of a name imports them in this order up
 # to the one that declares it (__getattr__), so importing the package
 # imports none of them.
-_PUBLIC = ("errors", "design", "profiles", "fitting", "svgplot", "synth", "ranking")
+_PUBLIC = ("errors", "design", "profiles", "expression", "fitting", "svgplot", "synth",
+           "ranking")
 
 # Every module, an attribute of the package imported on its first access. A
 # module left out would be imported only after the search for a name of

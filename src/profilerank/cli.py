@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .design import build_comparison_matrix, compose_model_matrix, read_conditions_csv, read_design_csv
-from .errors import DataError, ValidationError, writing
+from .errors import DataError, ValidationError, located, writing
 from .profiles import profile_from_file
 
 __all__ = ["main", "run"]
@@ -42,7 +42,7 @@ ALPHA = 0.05
 # its module on first use, and a wrapper set on the module from outside is
 # what they call.
 _DEFERRED = {
-    "fitting": ("read_expression_csv",),
+    "expression": ("read_expression_csv",),
     "ranking": ("_alpha_pass_count", "_check_alpha", "_check_sweep", "fit_experiment",
                 "gene_statistics", "rank_from_fits", "sweep_from_fits"),
     "svgplot": ("fitted_relative_profile", "render_profiles_svg"),
@@ -75,8 +75,9 @@ def _require_file(path: str, what: str) -> None:
 
 def _load_inputs(args):
     """Check the margin flags and that every input file exists, then parse
-    the design and the profile under ``--epsilon`` and ``--delta``; the
-    expression data, which takes longest, is left to the caller."""
+    the design and the profile under ``--epsilon`` and then each ``--delta``,
+    whose errors name the item; the expression data, which takes longest,
+    is left to the caller."""
     deltas = _parse_deltas(args.delta)
     if args.epsilon is not None and not 0.0 < args.epsilon < math.inf:
         raise ValidationError(f"--epsilon must be a finite number > 0, got {args.epsilon}")
@@ -86,7 +87,10 @@ def _load_inputs(args):
     if args.data is not None:
         _require_file(args.data, "data")
     design = read_design_csv(args.design, read_conditions_csv(args.conditions))
-    profile = profile_from_file(args.profile).with_margins(epsilon=args.epsilon, deltas=deltas)
+    profile = profile_from_file(args.profile).with_margins(epsilon=args.epsilon)
+    for name, (item, threshold) in deltas.items():
+        with located(f"--delta {item!r}"):
+            profile = profile.with_margins(deltas={name: threshold})
     return design, profile
 
 
@@ -144,8 +148,8 @@ def _write_profiles_svg(fitted, profile, table, top_n: int, path: str) -> None:
 
 
 def _parse_deltas(items) -> dict:
+    """``{coefficient: (the --delta item that sets it, threshold)}``."""
     deltas = {}
-    given = {}  # coefficient name -> the --delta item that set it
     for item in items or []:
         name, sep, value = item.partition("=")
         if not sep or not name:
@@ -158,13 +162,12 @@ def _parse_deltas(items) -> dict:
             raise ValidationError(
                 f"--delta {item!r}: threshold is not a number"
             ) from exc
-        if name in given:
+        if name in deltas:
             raise ValidationError(
-                f"--delta {given[name]!r} and {item!r} both set {name}; "
+                f"--delta {deltas[name][0]!r} and {item!r} both set {name}; "
                 "give each coefficient at most once"
             )
-        given[name] = item
-        deltas[name] = threshold
+        deltas[name] = item, threshold
     return deltas
 
 

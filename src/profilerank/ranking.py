@@ -24,10 +24,10 @@ import numpy as np
 
 from .design import ComparisonDesign, ModelMatrix, build_comparison_matrix, compose_model_matrix
 from .errors import ValidationError
+from .expression import ExpressionMatrix
 from .fitting import (
     REASON_INSUFFICIENT,
     REASON_NONFINITE,
-    ExpressionMatrix,
     FitTable,
     GeneFit,
     LazyRows,

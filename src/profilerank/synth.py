@@ -35,7 +35,7 @@ turn draws, in this order and from nothing else:
 3. ``rng.chisquare(D0)`` for its variance;
 4. one ``rng.standard_normal`` call for its noise, one double per array.
 
-Genes are drawn in blocks of ``fitting._BLOCK_ROWS``, the fit's block
+Genes are drawn in blocks of ``expression._BLOCK_ROWS``, the fit's block
 size; the arithmetic on a block's drawn numbers runs on its columns
 after its draws and gives the bits that per-gene ``rng.uniform(a, b)``
 (``a + (b - a) * u``), ``rng.normal(0, s)`` (``0.0 + s * z``) and
@@ -50,10 +50,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import fitting
+from . import expression
 from .design import ComparisonDesign, build_comparison_matrix, compose_model_matrix
 from .errors import ValidationError, write_csv
-from .fitting import ExpressionMatrix
+from .expression import ExpressionMatrix
 from .profiles import ProfileSpec
 
 __all__ = [
@@ -225,7 +225,7 @@ def generate_dataset(
     values = np.empty((n_genes, model.n_arrays))
     gamma = np.empty((n_genes, len(constraints)))
     sigma2 = np.empty(n_genes)
-    size = fitting._BLOCK_ROWS
+    size = expression._BLOCK_ROWS
     for lo in range(0, n_genes, size):
         block = slice(lo, lo + size)
         rows = values[block]

@@ -261,8 +261,10 @@ def _profile_with(root, tmp_path, old, new):
 @pytest.mark.parametrize(
     "command, flags, named",
     [
-        ("rank", ["--delta", "day6_vs_day9=nan"], "got nan"),
-        ("rank", ["--delta", "day6_vs_day9=inf"], "got inf"),
+        ("rank", ["--delta", "day6_vs_day9=nan"],
+         "--delta 'day6_vs_day9=nan': pos constraint value must be a finite number, got nan"),
+        ("rank", ["--delta", "day6_vs_day9=inf"],
+         "--delta 'day6_vs_day9=inf': pos constraint value must be a finite number, got inf"),
         ("rank", ["--epsilon", "inf"], "got inf"),
         ("rank", ["--grid", "0.5,inf"], "got [0.5, inf]"),
         ("rank", ["--profile", ("equiv:1", "equiv:inf")],
@@ -727,6 +729,13 @@ def test_bad_alpha_exits_2(workdir, tmp_path):
         # _rank_args already gives day6_vs_day9=1.5.
         ("rank", ["--delta", "day6_vs_day9=9"], "--delta 'day6_vs_day9=1.5' and "
          "'day6_vs_day9=9' both set day6_vs_day9; give each coefficient at most once"),
+        # What the profile refuses names the --delta item too.
+        ("rank", ["--delta", "early_vs_day6=-1"],
+         "--delta 'early_vs_day6=-1': positivity threshold must be >= 0, got -1.0"),
+        ("rank", ["--delta", "nope=1"],
+         "--delta 'nope=1': delta override for unknown coefficient(s): ['nope']"),
+        ("rank", ["--delta", "day0_vs_day3=1"], "--delta 'day0_vs_day3=1': coefficient "
+         "'day0_vs_day3' has no positivity threshold to override"),
         # Each margin names a sensitivity.csv column and a ranked_eps_<label>.csv
         # file, so two margins with one label would hide one margin's output.
         ("rank", ["--grid", "1,1.0000001"], "--grid margins '1' and '1.0000001' are both "
@@ -738,7 +747,8 @@ def test_bad_alpha_exits_2(workdir, tmp_path):
          "--grid margins '0.5' and '0.5' are both labelled eps_0.5"),
     ],
     ids=["rank-alpha", "rank-grid", "sensitivity-grid", "sensitivity-empty-grid", "rank-empty-grid",
-         "rank-delta-not-a-number", "rank-delta-repeated", "rank-grid-same-label",
+         "rank-delta-not-a-number", "rank-delta-repeated", "rank-delta-negative",
+         "rank-delta-unknown", "rank-delta-not-pos", "rank-grid-same-label",
          "sensitivity-grid-same-label", "rank-grid-same-margin", "sensitivity-grid-same-margin"],
 )
 def test_run_flags_are_checked_before_the_data_is_read(workdir, tmp_path, capsys, command,

@@ -274,7 +274,7 @@ def test_a_genes_fit_depends_on_that_gene_alone(small, values, data, block):
     order = np.array(data.draw(st.permutations(range(len(values)))))
     cuts = sorted(data.draw(st.lists(st.integers(1, len(values) - 1), max_size=4)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "_BLOCK_ROWS", block)
+        mp.setattr(pr.expression, "_BLOCK_ROWS", block)
         pieces = [pr.fit_all(pr.ExpressionMatrix(tuple(ids[i] for i in rows), design.array_ids,
                                                  values[rows]), model)
                   for rows in np.split(order, cuts) if len(rows)]
@@ -285,7 +285,7 @@ def test_a_genes_fit_depends_on_that_gene_alone(small, values, data, block):
 def test_a_pattern_of_more_genes_than_a_block_matches_per_gene_oracles(small):
     design, profile, model = small
     rng = np.random.default_rng(9)
-    n_complete, n_partial = fitting._BLOCK_ROWS + 1, 300
+    n_complete, n_partial = pr.expression._BLOCK_ROWS + 1, 300
     values = rng.normal(0, 1, (n_complete + n_partial, len(PAIRS)))
     # Partial genes scattered among the complete ones, one or two spots
     # missing each, so the complete pattern's rows are not contiguous.
@@ -305,7 +305,7 @@ def test_blocks_of_one_shape_are_fitted_together_as_each_gene_alone(small, monke
     # missing), one with n - k = 0 and an all-missing gene, in shuffled
     # order: calls stack several blocks, and large patterns span calls.
     design, profile, model = small
-    monkeypatch.setattr(fitting, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(pr.expression, "_BLOCK_ROWS", 3)
     block_calls, calls = fitting._block_calls, []
 
     def recorded(sizes):
@@ -422,7 +422,7 @@ def test_a_genes_fit_does_not_depend_on_the_slice_or_block_it_is_fitted_in(stemc
               for i in range(0, expr.n_genes, 1000)]
     _assert_same_bits(_fit_bits(slices), whole)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "_BLOCK_ROWS", 7)
+        mp.setattr(pr.expression, "_BLOCK_ROWS", 7)
         _assert_same_bits(_fit_bits([pr.fit_all(expr, stemcell_model)]), whole)
 
 

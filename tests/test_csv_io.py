@@ -1,9 +1,9 @@
 """The expression CSV's two read paths, and the CSV writer.
 
 ``read_expression_csv`` parses plain files with numpy's C reader
-(``fitting._parse_fast``), checks the result as an ``ExpressionMatrix``, and
-leaves everything else to the ``csv`` loop (``fitting._parse_csv``), the only
-place that reports errors. The fast path may decline any file, but what the
+(``expression._parse_fast``), checks the result as an ``ExpressionMatrix``,
+and leaves everything else to the ``csv`` loop (``expression._parse_csv``),
+the only place that reports errors. The fast path may decline any file, but what the
 matrix accepts from it must read exactly as the loop reads it.
 """
 
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import profilerank as pr
-from profilerank import cli, fitting
+from profilerank import cli, expression
 from profilerank.errors import DataError, csv_records, write_csv
 from profilerank.outputs import _fmt
 from profilerank.ranking import (
@@ -38,7 +38,7 @@ def _reference(path, array_ids):
     """What the csv loop alone makes of a file: an ExpressionMatrix or the
     message of the error it raises."""
     try:
-        gene_ids, values = fitting._parse_csv(path, array_ids)
+        gene_ids, values = expression._parse_csv(path, array_ids)
         return pr.ExpressionMatrix(gene_ids=gene_ids, array_ids=array_ids, values=values)
     except DataError as exc:
         return str(exc)
@@ -47,7 +47,7 @@ def _reference(path, array_ids):
 def _fast_matrix(path, array_ids):
     """The fast path's parse as an ExpressionMatrix; None where it declines
     the file or the matrix rejects the parse."""
-    fast = fitting._parse_fast(path, array_ids)
+    fast = expression._parse_fast(path, array_ids)
     try:
         return fast and pr.ExpressionMatrix(gene_ids=fast[0], array_ids=array_ids,
                                             values=fast[1])
@@ -235,7 +235,7 @@ def test_fast_path_declines(tmp_path, text, parsed):
     # ExpressionMatrix rejects; either way the loop reads the file.
     path = tmp_path / "expr.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert (fitting._parse_fast(path, ARRAYS) is not None) == parsed
+    assert (expression._parse_fast(path, ARRAYS) is not None) == parsed
     assert _fast_matrix(path, ARRAYS) is None
     _assert_same(_read(path, ARRAYS), _reference(path, ARRAYS))
 
@@ -245,7 +245,7 @@ def test_fast_path_declines_empty_values_of_a_one_array_file(tmp_path):
     # as no data, with a warning, had the fast path taken it.
     path = tmp_path / "expr.csv"
     path.write_text("gene_id,a1\ng1,\ng2,\n", encoding="utf-8", newline="")
-    assert fitting._parse_fast(path, ("a1",)) is None
+    assert expression._parse_fast(path, ("a1",)) is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = pr.read_expression_csv(path, ("a1",))
@@ -258,10 +258,10 @@ def test_a_plain_read_checks_its_ids_once(tmp_path, monkeypatch):
     path.write_text(HEADER + "g1,1.0,2.0\ng2,NA,4.0\n", encoding="utf-8")
     calls = {"check_gene_ids": 0, "_ids_unique": 0}
     for name in calls:
-        def counted(ids, check=getattr(fitting, name), name=name):
+        def counted(ids, check=getattr(expression, name), name=name):
             calls[name] += 1
             return check(ids)
-        monkeypatch.setattr(fitting, name, counted)
+        monkeypatch.setattr(expression, name, counted)
     assert pr.read_expression_csv(path, ARRAYS).gene_ids == ("g1", "g2")
     assert calls == {"check_gene_ids": 1, "_ids_unique": 1}
 
@@ -272,7 +272,7 @@ def test_fast_path_raises_a_decode_error_past_the_first_chunk(tmp_path):
     lines = [HEADER.encode()] + [f"g{i},1.0,2.0\n".encode() for i in range(5000)]
     lines[4000] = b"g\xe9,1.0,2.0\n"
     path.write_bytes(b"".join(lines))
-    for read in (fitting._parse_fast, pr.read_expression_csv):
+    for read in (expression._parse_fast, pr.read_expression_csv):
         with pytest.raises(DataError, match=r"expr.csv:4001: not UTF-8 text: byte 0xe9"):
             read(path, ARRAYS)
 
@@ -397,7 +397,7 @@ def test_benchmark_file_takes_the_fast_path(tmp_path, monkeypatch, stemcell_desi
     def loop_called(*args):
         raise AssertionError("the csv loop ran on a benchmark-format file")
 
-    monkeypatch.setattr(fitting, "_parse_csv", loop_called)
+    monkeypatch.setattr(expression, "_parse_csv", loop_called)
     for path, want in zip(paths, wants):
         got = pr.read_expression_csv(path, array_ids)
         assert got.n_genes == 2000
@@ -448,7 +448,7 @@ def _per_field_excluded_csv(table, path):
 @pytest.mark.parametrize("block_rows", [2, 1024])
 def test_excluded_csv_is_written_as_the_per_field_writer_writes_it(tmp_path, monkeypatch,
                                                                    block_rows):
-    monkeypatch.setattr(fitting, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(expression, "_BLOCK_ROWS", block_rows)
     inf, nan = math.inf, math.nan
     genes = [  # (gene id, reason code, U values)
         ("plain", _VIOLATED, [1.5, -2.25, 0.1]),
@@ -486,11 +486,11 @@ def test_excluded_csv_blocks_split_between_fallback_and_unfit_rows(tmp_path):
     # block boundary lie a fitted gene with a NaN U, which takes the
     # per-field fallback, and a gene without a usable fit, whose U values
     # are left empty, so each block mixes its templates with both kinds.
-    n = fitting._BLOCK_ROWS + 6
+    n = expression._BLOCK_ROWS + 6
     rng = np.random.default_rng(12)
     u_values = rng.normal(0.0, 3.0, (n, 3))
     reason = np.where(rng.random(n) < 0.5, _VIOLATED, _DEGENERATE).astype(np.int8)
-    edge = fitting._BLOCK_ROWS
+    edge = expression._BLOCK_ROWS
     for row, code, u in [(edge - 2, _VIOLATED, [0.5, math.nan, -1.0]),
                          (edge - 1, _INSUFFICIENT, [math.nan] * 3),
                          (edge, _NONFINITE, [math.nan] * 3),
@@ -534,7 +534,7 @@ def _per_cell_ranked_csv(s, order, path):
 @pytest.mark.parametrize("block_rows", [2, 1024])
 def test_ranked_csv_is_written_as_the_per_cell_writer_writes_it(tmp_path, monkeypatch,
                                                                 block_rows):
-    monkeypatch.setattr(fitting, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(expression, "_BLOCK_ROWS", block_rows)
     inf, nan = math.inf, math.nan
     genes = [  # (gene id, U values, gamma, s2, posterior_s2)
         ("plain", [1.5, 2.25, 0.1], [0.5, -1.25, 3.0], 0.04, 0.05),
@@ -658,11 +658,11 @@ def test_the_csv_loop_holds_one_block_of_python_floats_at_a_time(tmp_path):
     # above what the read keeps when all are lists of Python floats, and at
     # 1.7 MiB when each block becomes an array as it fills.
     arrays = tuple(f"a{j}" for j in range(20))
-    n = 8 * fitting._BLOCK_ROWS
+    n = 8 * expression._BLOCK_ROWS
     path = tmp_path / "expr.csv"
     path.write_text(f"gene_id,{','.join(arrays)}\n"
                     + "".join(f"g{i},{f'{i % 9}.5,' * 19}\n" for i in range(n)), encoding="utf-8")
-    assert fitting._parse_fast(path, arrays) is None
+    assert expression._parse_fast(path, arrays) is None
     tracemalloc.start()
     try:
         expr = pr.read_expression_csv(path, arrays)

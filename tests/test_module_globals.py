@@ -13,7 +13,8 @@ Imports are checked on each module's syntax tree: every name an import
 binds must be read somewhere in the module or be listed in ``__all__``.
 So are file opens: only ``errors`` calls ``open`` or a path's own read and
 write methods, so that every input is decoded, and every failed read or
-write reported, by one rule.
+write reported, by one rule. And the block size has one binding, which
+every module that cuts genes into blocks reads.
 """
 
 import ast
@@ -24,10 +25,11 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import profilerank as pr
-from profilerank import cli
+from profilerank import cli, expression, fitting, outputs, synth
 
 SOURCES = sorted(Path(pr.__file__).parent.glob("*.py"))
 # What Python sets on every module before its code runs.
@@ -172,3 +174,52 @@ def f(path: Path):
     return path.read_bytes(), len
 """
     assert file_opens(source) == [5, 5, 7, 7, 8]
+
+
+def test_the_block_size_has_one_binding(tmp_path, monkeypatch, stemcell_design, pluripotent):
+    # Patching expression._BLOCK_ROWS cuts 8 genes into blocks of 3, 3 and
+    # 2 in synth's draws, the fit's calls, the csv loop and the
+    # excluded.csv writer.
+    assert not [m for m in (fitting, synth, outputs) if hasattr(m, "_BLOCK_ROWS")]
+    monkeypatch.setattr(expression, "_BLOCK_ROWS", 3)
+    blocks = {"synth": [], "fit": [], "csv loop": [], "excluded.csv": []}
+    draw_block, block_calls, score_lines = (synth._draw_block, fitting._block_calls,
+                                            outputs._score_lines)
+
+    def draws(rng, roles, *args):
+        blocks["synth"].append(len(roles))
+        return draw_block(rng, roles, *args)
+
+    def calls(sizes):
+        for pattern, offset, rows in block_calls(sizes):
+            blocks["fit"] += [rows] * len(pattern)  # calls go by block shape
+            yield pattern, offset, rows
+
+    def lines(*args):
+        for chunk in score_lines(*args):
+            blocks["excluded.csv"].append(chunk.count("\n"))
+            yield chunk
+
+    class Numpy:  # numpy, recording the blocks the csv loop concatenates
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def concatenate(self, arrays):
+            blocks["csv loop"] += [len(a) for a in arrays]
+            return np.concatenate(arrays)
+
+    monkeypatch.setattr(synth, "_draw_block", draws)
+    monkeypatch.setattr(fitting, "_block_calls", calls)
+    monkeypatch.setattr(outputs, "_score_lines", lines)
+    profile = pluripotent.with_margins(deltas={"day6_vs_day9": 100.0})  # no gene passes
+    expr = pr.generate_dataset(stemcell_design, profile, 8, 0, seed=1).expression
+    synth.write_expression_csv(expr, tmp_path / "expression.csv")
+    with monkeypatch.context() as mp:
+        mp.setattr(expression, "np", Numpy())
+        assert expression._parse_csv(tmp_path / "expression.csv",
+                                     expr.array_ids)[0] == expr.gene_ids
+    _, table = pr.analyze(expr, stemcell_design, profile)
+    cli._write_excluded_csv(table, tmp_path / "excluded.csv")
+    blocks["fit"].sort(reverse=True)
+    assert blocks == {"synth": [3, 3, 2], "fit": [3, 3, 2], "csv loop": [3, 3, 2],
+                      "excluded.csv": [3, 3, 2]}

@@ -1,5 +1,5 @@
-"""The README runs as written: its library example runs, and its install block
-and its flags name what the project has."""
+"""The README runs as written: its library example runs, and its install block,
+its flags and its import table name what the project has."""
 
 import argparse
 import re
@@ -10,6 +10,7 @@ from pathlib import Path
 import profilerank as pr
 from profilerank.cli import build_parser
 from profilerank.synth import write_expression_csv
+from test_startup import MODEL, _modules
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
@@ -65,3 +66,30 @@ def test_every_flag_the_readme_names_is_a_cli_option():
     named.discard("--no-build-isolation")  # pip's, in the install block
     unknown = named - _cli_options(build_parser())
     assert named and not unknown, sorted(unknown)
+
+
+def _import_table() -> tuple[set[str], dict[str, set[str]]]:
+    """The modules the README's import table says every command imports, and
+    per invocation the modules it names besides those."""
+    section = README.read_text(encoding="utf-8").split("Each command imports only", 1)[1]
+    header = re.search(r"^\| invocation +\|(.*)\|$", section, re.M).group(1)
+    rows = re.findall(r"^\| `([^`]+)` +\|(.*)\|$", section, re.M)
+    return (set(re.findall(r"`(\w+)`", header)),
+            {command: set(re.findall(r"`(\w+)`", cell)) for command, cell in rows})
+
+
+def test_import_table_names_what_each_invocation_imports(tmp_path):
+    base, table = _import_table()
+    data = str(tmp_path / "synth" / "expression.csv")
+    argv = {  # synth first: it writes the data the others read
+        "synth": ["synth", *MODEL, "--genes", "50", "--seed", "1",
+                  "--out", str(tmp_path / "synth")],
+        "validate": ["validate", *MODEL],
+        "validate --data": ["validate", *MODEL, "--data", data],
+        "rank": ["rank", *MODEL, "--data", data, "--out", str(tmp_path / "rank")],
+        "sensitivity": ["sensitivity", *MODEL, "--data", data, "--grid", "0.5,1",
+                        "--out", str(tmp_path / "sensitivity")],
+    }
+    assert sorted(table) == sorted(argv)
+    for invocation, args in argv.items():
+        assert _modules(*args) == base | table[invocation], invocation

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import profilerank as pr
-from profilerank import fitting, synth
+from profilerank import expression, synth
 from profilerank.errors import ValidationError
 from profilerank.profiles import BUNDLED_PROFILES
 from profilerank.synth import (
@@ -209,13 +209,13 @@ _PROFILES = (*map(pr.bundled_profile, BUNDLED_PROFILES), _free_trend_profile(),
 @settings(max_examples=150, deadline=None)
 @given(profile=st.sampled_from(_PROFILES), seed=st.integers(min_value=0),
        sizes=st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
-       block=st.integers(1, 64) | st.just(fitting._BLOCK_ROWS))
+       block=st.integers(1, 64) | st.just(expression._BLOCK_ROWS))
 def test_generate_dataset_equals_the_per_gene_draws(stemcell_design, profile, seed, sizes,
                                                     block):
     # Small blocks put planted genes and block ends anywhere in the draws.
     n_genes, n_planted = sizes
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "_BLOCK_ROWS", block)
+        mp.setattr(expression, "_BLOCK_ROWS", block)
         result = pr.generate_dataset(stemcell_design, profile, n_genes, n_planted, seed)
     roles, gamma, sigma2, values = oracles.synth_columns(stemcell_design, profile, n_genes,
                                                          n_planted, seed)
